@@ -33,7 +33,6 @@ import (
 	"blowfish/internal/engine"
 	"blowfish/internal/infer"
 	"blowfish/internal/kmeans"
-	"blowfish/internal/mechanism"
 	"blowfish/internal/noise"
 	"blowfish/internal/ordered"
 	"blowfish/internal/policy"
@@ -206,22 +205,21 @@ func ConstraintsFromDataset(queries []CountQuery, ds *Dataset) (*ConstraintSet, 
 	return constraints.FromDataset(queries, ds)
 }
 
-// ReleaseHistogram releases the complete histogram under an unconstrained
-// policy with noise calibrated to the policy-specific sensitivity
-// (Theorem 5.1); for constrained policies it calibrates to the Theorem 8.2
-// policy-graph bound.
-//
-//lint:allow budgetcharge mechanism-level API: the caller supplies eps and the source; Session.ReleaseHistogram is the accounted entry point and charges before delegating here
+// The free release functions below are one-shot sessions: each creates a
+// Session with budget eps over src, makes its one release, and discards
+// the session. They compile the policy and index the dataset on every
+// call; callers that release repeatedly should hold a Session or a
+// CompiledPolicy instead.
+
+// ReleaseHistogram releases the complete histogram with noise calibrated
+// to the policy-specific sensitivity: Theorem 5.1 for unconstrained
+// policies, the Theorem 8.2 policy-graph bound for constrained ones.
 func ReleaseHistogram(p *Policy, ds *Dataset, eps float64, src *Source) ([]float64, error) {
-	if p.Unconstrained() {
-		return mechanism.ReleaseHistogram(p, ds, eps, src)
+	s, err := NewSession(p, eps, src)
+	if err != nil {
+		return nil, err
 	}
-	set, ok := p.Constraints().(*constraints.Set)
-	if !ok {
-		return nil, errors.New("blowfish: constrained release requires a *ConstraintSet policy")
-	}
-	rel, _, err := constraints.ReleaseHistogram(set, p.Graph(), ds, eps, src)
-	return rel, err
+	return s.ReleaseHistogram(ds, eps)
 }
 
 // ConsistentWithConstraints projects a released histogram onto the policy's
@@ -237,70 +235,36 @@ func ConsistentWithConstraints(p *Policy, released []float64) ([]float64, error)
 
 // ReleasePartitionHistogram releases the histogram over the blocks of part;
 // it is exact when every secret pair stays within a block.
-//
-//lint:allow budgetcharge mechanism-level API: accounting happens in Session.ReleasePartitionHistogram, which charges only when the partition straddles blocks
 func ReleasePartitionHistogram(p *Policy, ds *Dataset, part Partition, eps float64, src *Source) ([]float64, error) {
-	return mechanism.ReleasePartitionHistogram(p, ds, part, eps, src)
+	s, err := NewSession(p, eps, src)
+	if err != nil {
+		return nil, err
+	}
+	return s.ReleasePartitionHistogram(ds, part, eps)
 }
 
 // HistogramSensitivity returns S(h, P) for the policy: the Section 5 value
 // for unconstrained policies, the Theorem 8.2 / Corollary 8.3 bound for
 // count-constrained ones.
-func HistogramSensitivity(p *Policy) (float64, error) {
-	if p.Unconstrained() {
-		return p.HistogramSensitivity()
-	}
-	set, ok := p.Constraints().(*constraints.Set)
-	if !ok {
-		return 0, errors.New("blowfish: unsupported constraint set type")
-	}
-	sens, _, err := constraints.HistogramSensitivity(set, p.Graph())
-	return sens, err
-}
+func HistogramSensitivity(p *Policy) (float64, error) { return engine.HistogramSensitivity(p) }
 
 // KMeans runs non-private Lloyd clustering (the Figure 1 baseline).
 //
 //lint:allow budgetcharge non-private baseline: the source only seeds centroid initialization deterministically; nothing released claims a privacy guarantee, so there is no ε to charge
 func KMeans(ds *Dataset, k, iterations int, src *Source) (KMeansResult, error) {
-	cfg, err := kmeansConfig(ds, k, iterations)
-	if err != nil {
-		return KMeansResult{}, err
-	}
-	return kmeans.Lloyd(ds.Vectors(), cfg, src)
+	lo, hi := engine.KMeansBox(ds.Domain())
+	return kmeans.Lloyd(ds.Vectors(), kmeans.Config{K: k, Iterations: iterations, Lo: lo, Hi: hi}, src)
 }
 
 // PrivateKMeans runs SuLQ k-means satisfying (ε, P)-Blowfish privacy: the
 // qsize and qsum sensitivities come from the policy (Lemma 6.1), the
 // clamping box from the domain.
-//
-//lint:allow budgetcharge mechanism-level API: Session.PrivateKMeans is the accounted entry point; it spends eps against the ledger before invoking this function
 func PrivateKMeans(p *Policy, ds *Dataset, k, iterations int, eps float64, src *Source) (KMeansResult, error) {
-	if !p.Domain().Equal(ds.Domain()) {
-		return KMeansResult{}, ErrDomainMismatch
-	}
-	cfg, err := kmeansConfig(ds, k, iterations)
+	s, err := NewSession(p, eps, src)
 	if err != nil {
 		return KMeansResult{}, err
 	}
-	sumSens, err := p.SumSensitivity()
-	if err != nil {
-		return KMeansResult{}, err
-	}
-	sizeSens, err := p.HistogramSensitivity()
-	if err != nil {
-		return KMeansResult{}, err
-	}
-	return kmeans.PrivateLloyd(ds.Vectors(), kmeans.PrivateConfig{
-		Config:          cfg,
-		Epsilon:         eps,
-		SizeSensitivity: sizeSens,
-		SumSensitivity:  sumSens,
-	}, src)
-}
-
-func kmeansConfig(ds *Dataset, k, iterations int) (kmeans.Config, error) {
-	lo, hi := engine.KMeansBox(ds.Domain())
-	return kmeans.Config{K: k, Iterations: iterations, Lo: lo, Hi: hi}, nil
+	return s.PrivateKMeans(ds, k, iterations, eps)
 }
 
 // CumulativeRelease is a released cumulative histogram: Raw holds the noisy
@@ -319,28 +283,12 @@ func (c *CumulativeRelease) Range(lo, hi int) (float64, error) {
 // noises every cumulative count with the policy-specific sensitivity (1
 // under the line graph, θ under G^{d,θ}, |T|−1 under differential privacy)
 // and applies constrained inference.
-//
-//lint:allow budgetcharge mechanism-level API: Session.ReleaseCumulativeHistogram charges the ledger before delegating to this function
 func ReleaseCumulativeHistogram(p *Policy, ds *Dataset, eps float64, src *Source) (*CumulativeRelease, error) {
-	if !p.Domain().Equal(ds.Domain()) {
-		return nil, ErrDomainMismatch
-	}
-	sens, err := p.CumulativeHistogramSensitivity()
+	s, err := NewSession(p, eps, src)
 	if err != nil {
 		return nil, err
 	}
-	cum, err := ds.CumulativeHistogram()
-	if err != nil {
-		return nil, err
-	}
-	raw, err := ordered.ReleaseCumulative(cum, sens, eps, src)
-	if err != nil {
-		return nil, err
-	}
-	return &CumulativeRelease{
-		Raw:      raw,
-		Inferred: ordered.InferCumulative(raw, float64(ds.Len())),
-	}, nil
+	return s.ReleaseCumulativeHistogram(ds, eps)
 }
 
 // RangeReleaser answers arbitrary range queries over an ordered domain via
@@ -353,35 +301,12 @@ type RangeReleaser struct {
 
 // NewRangeReleaser builds and releases the Ordered Hierarchical structure
 // for the dataset under the policy.
-//
-//lint:allow budgetcharge mechanism-level API: Session.NewRangeReleaser is the accounted entry point and spends eps before building the structure
 func NewRangeReleaser(p *Policy, ds *Dataset, fanout int, eps float64, src *Source) (*RangeReleaser, error) {
-	if !p.Domain().Equal(ds.Domain()) {
-		return nil, ErrDomainMismatch
-	}
-	if p.Domain().NumAttrs() != 1 {
-		return nil, errors.New("blowfish: range release requires a one-dimensional ordered domain")
-	}
-	if !p.Unconstrained() {
-		return nil, errors.New("blowfish: range release supports unconstrained policies only")
-	}
-	theta, err := engine.RangeTheta(p)
+	s, err := NewSession(p, eps, src)
 	if err != nil {
 		return nil, err
 	}
-	oh, err := ordered.NewOH(int(p.Domain().Size()), theta, fanout)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := ds.Histogram()
-	if err != nil {
-		return nil, err
-	}
-	rel, err := oh.Release(counts, eps, src)
-	if err != nil {
-		return nil, err
-	}
-	return &RangeReleaser{release: rel}, nil
+	return s.NewRangeReleaser(ds, fanout, eps)
 }
 
 // Range answers the range count query q[lo, hi] (inclusive bounds).
@@ -441,45 +366,32 @@ type CompiledPolicy struct {
 	plan *engine.Plan
 }
 
-// Compile precomputes the release plan for a policy. Constrained policies
-// compile to a legacy-path CompiledPolicy: sessions still work, through the
-// per-release constraints machinery.
+// Compile precomputes the release plan for a policy, constrained or not.
 func Compile(pol *Policy) (*CompiledPolicy, error) {
 	if pol == nil {
 		return nil, errors.New("blowfish: nil policy")
 	}
-	cp := &CompiledPolicy{pol: pol}
-	if pol.Unconstrained() {
-		plan, err := engine.Compile(pol)
-		if err != nil {
-			return nil, err
-		}
-		cp.plan = plan
+	plan, err := engine.Compile(pol)
+	if err != nil {
+		return nil, err
 	}
-	return cp, nil
+	return &CompiledPolicy{pol: pol, plan: plan}, nil
 }
 
 // Policy returns the compiled policy.
 func (cp *CompiledPolicy) Policy() *Policy { return cp.pol }
 
-// HistogramSensitivity returns S(h, P) from the compiled plan's cache
-// (falling back to the per-call computation for constrained policies), so
+// HistogramSensitivity returns S(h, P) from the compiled plan's cache, so
 // callers that need the value at registration time do not pay the graph
 // scan twice.
 func (cp *CompiledPolicy) HistogramSensitivity() (float64, error) {
-	if cp.plan != nil {
-		return cp.plan.HistogramSensitivity()
-	}
-	return HistogramSensitivity(cp.pol)
+	return cp.plan.HistogramSensitivity()
 }
 
 // ExplicitStats reports the compiled edge and connected-component counts
 // when the policy's secret graph is explicit; ok is false for implicit
-// kinds and constrained (legacy-path) policies.
+// kinds.
 func (cp *CompiledPolicy) ExplicitStats() (edges, components int, ok bool) {
-	if cp.plan == nil {
-		return 0, 0, false
-	}
 	return cp.plan.ExplicitStats()
 }
 
@@ -487,10 +399,7 @@ func (cp *CompiledPolicy) ExplicitStats() (edges, components int, ok bool) {
 // graphs answer from the plan's precomputed all-pairs table (no BFS);
 // implicit kinds use their analytic formulas.
 func (cp *CompiledPolicy) HopDistance(x, y Point) float64 {
-	if cp.plan != nil {
-		return cp.plan.HopDistance(x, y)
-	}
-	return cp.pol.Graph().HopDistance(x, y)
+	return cp.plan.HopDistance(x, y)
 }
 
 // NewSession creates a session over the compiled plan with a total ε budget
@@ -508,8 +417,4 @@ func (cp *CompiledPolicy) NewSessionShards(budget float64, src *Source, shards i
 
 // Forget drops the compiled plan's cached index for ds, releasing its
 // memory. Call it when a dataset is deleted while the policy lives on.
-func (cp *CompiledPolicy) Forget(ds *Dataset) {
-	if cp.plan != nil {
-		cp.plan.Forget(ds)
-	}
-}
+func (cp *CompiledPolicy) Forget(ds *Dataset) { cp.plan.Forget(ds) }

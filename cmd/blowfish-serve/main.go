@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"blowfish/internal/server"
+	"blowfish/internal/service"
 	"blowfish/internal/shard"
 )
 
@@ -86,11 +87,11 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	openStart := time.Now()
-	cfg := server.Config{
+	cfg := service.Config{
 		Seed:       *seed,
 		SessionTTL: *ttl,
 		Logger:     logger,
-		Durability: server.DurabilityConfig{
+		Durability: service.DurabilityConfig{
 			Dir:           *dataDir,
 			Fsync:         *fsync,
 			FsyncInterval: *fsyncIvl,

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"blowfish/internal/server"
+	"blowfish/internal/service"
 )
 
 func main() {
@@ -129,7 +130,7 @@ type inprocServer struct {
 
 func startInproc(seed int64) (*inprocServer, error) {
 	ln := newMemListener()
-	srv := server.New(server.Config{Seed: seed})
+	srv := server.New(service.Config{Seed: seed})
 	hs := &http.Server{Handler: srv}
 	go func() { _ = hs.Serve(ln) }()
 	return &inprocServer{
@@ -281,10 +282,10 @@ func (h *harness) run() (*Report, error) {
 
 // setupFixtures registers the run's policy and dataset.
 func (h *harness) setupFixtures() (policyID, datasetID string, err error) {
-	dom := []server.AttrSpec{{Name: "v", Size: domainSize}}
-	var pol server.PolicyResponse
+	dom := []service.AttrSpec{{Name: "v", Size: domainSize}}
+	var pol service.PolicyResponse
 	if err := h.post(context.Background(), "/v1/policies",
-		server.CreatePolicyRequest{Domain: dom, Graph: server.GraphSpec{Kind: "line"}}, &pol); err != nil {
+		service.CreatePolicyRequest{Domain: dom, Graph: service.GraphSpec{Kind: "line"}}, &pol); err != nil {
 		return "", "", fmt.Errorf("creating policy: %w", err)
 	}
 	rows := make([][]int, initialRows)
@@ -292,9 +293,9 @@ func (h *harness) setupFixtures() (policyID, datasetID string, err error) {
 	for i := range rows {
 		rows[i] = []int{int(g.next() % domainSize)}
 	}
-	var ds server.DatasetResponse
+	var ds service.DatasetResponse
 	if err := h.post(context.Background(), "/v1/datasets",
-		server.CreateDatasetRequest{PolicyID: pol.ID, Rows: rows}, &ds); err != nil {
+		service.CreateDatasetRequest{PolicyID: pol.ID, Rows: rows}, &ds); err != nil {
 		return "", "", fmt.Errorf("creating dataset: %w", err)
 	}
 	return pol.ID, ds.ID, nil
@@ -317,10 +318,10 @@ func (h *harness) createSessions(policyID, datasetID string) ([]string, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var resp server.SessionResponse
+			var resp service.SessionResponse
 			start := time.Now()
 			err := h.post(context.Background(), "/v1/sessions",
-				server.CreateSessionRequest{PolicyID: policyID, Budget: sessBudget, DatasetID: datasetID}, &resp)
+				service.CreateSessionRequest{PolicyID: policyID, Budget: sessBudget, DatasetID: datasetID}, &resp)
 			h.rec.observe("session_create", time.Since(start), err)
 			if err != nil {
 				firstErr.CompareAndSwap(nil, err)
@@ -341,12 +342,12 @@ func (h *harness) createSessions(policyID, datasetID string) ([]string, error) {
 func (h *harness) createStreams(policyID, datasetID string) ([]string, error) {
 	ids := make([]string, 0, h.streams)
 	for i := 0; i < h.streams; i++ {
-		var resp server.StreamResponse
-		err := h.post(context.Background(), "/v1/streams", server.CreateStreamRequest{
+		var resp service.StreamResponse
+		err := h.post(context.Background(), "/v1/streams", service.CreateStreamRequest{
 			PolicyID:  policyID,
 			DatasetID: datasetID,
 			Budget:    sessBudget,
-			Epoch:     server.EpochSpec{Epsilon: releaseEps},
+			Epoch:     service.EpochSpec{Epsilon: releaseEps},
 			Kinds:     []string{"histogram"},
 		}, &resp)
 		if err != nil {
@@ -372,19 +373,19 @@ func (h *harness) sessionWorker(ctx context.Context, sessionID, datasetID string
 			op = "release_range"
 			lo := int(g.next() % (domainSize / 2))
 			hi := lo + int(g.next()%(domainSize/2))
-			err = h.post(ctx, "/v1/sessions/"+sessionID+"/releases/range", server.RangeRequest{
+			err = h.post(ctx, "/v1/sessions/"+sessionID+"/releases/range", service.RangeRequest{
 				DatasetID: datasetID,
 				Epsilon:   releaseEps,
-				Queries:   []server.RangeQuery{{Lo: lo, Hi: hi}},
+				Queries:   []service.RangeQuery{{Lo: lo, Hi: hi}},
 			}, nil)
 		case 5, 6, 7:
 			op = "release_histogram"
 			err = h.post(ctx, "/v1/sessions/"+sessionID+"/releases/histogram",
-				server.HistogramRequest{DatasetID: datasetID, Epsilon: releaseEps}, nil)
+				service.HistogramRequest{DatasetID: datasetID, Epsilon: releaseEps}, nil)
 		case 8:
 			op = "release_cumulative"
 			err = h.post(ctx, "/v1/sessions/"+sessionID+"/releases/cumulative",
-				server.CumulativeRequest{DatasetID: datasetID, Epsilon: releaseEps}, nil)
+				service.CumulativeRequest{DatasetID: datasetID, Epsilon: releaseEps}, nil)
 		default:
 			op = "session_get"
 			err = h.get(ctx, "/v1/sessions/"+sessionID, nil)
@@ -403,13 +404,13 @@ func (h *harness) sessionWorker(ctx context.Context, sessionID, datasetID string
 func (h *harness) ingestWorker(ctx context.Context, datasetID string, seed int64) {
 	g := splitmix{state: uint64(seed)}
 	for ctx.Err() == nil {
-		events := make([]server.EventWire, batchEvents)
+		events := make([]service.EventWire, batchEvents)
 		for i := range events {
-			events[i] = server.EventWire{Op: "append", Row: []int{int(g.next() % domainSize)}}
+			events[i] = service.EventWire{Op: "append", Row: []int{int(g.next() % domainSize)}}
 		}
 		start := time.Now()
 		err := h.post(ctx, "/v1/datasets/"+datasetID+"/events",
-			server.EventsRequest{Events: events}, nil)
+			service.EventsRequest{Events: events}, nil)
 		if ctx.Err() != nil {
 			return
 		}
@@ -450,7 +451,7 @@ func (h *harness) epochWorker(ctx context.Context, streamID string) {
 func (h *harness) longPollWorker(ctx context.Context, streamID string) {
 	since := uint64(0)
 	for ctx.Err() == nil {
-		var resp server.StreamReleasesResponse
+		var resp service.StreamReleasesResponse
 		start := time.Now()
 		err := h.get(ctx, fmt.Sprintf("/v1/streams/%s/releases?since=%d&wait_ms=500", streamID, since), &resp)
 		if ctx.Err() != nil {

@@ -1,15 +1,13 @@
-// Benchmarks for the compiled release engine versus the legacy per-release
-// path. The legacy path recomputes the policy sensitivity and rescans all n
-// tuples (and, for range releases, rebuilds the hierarchical tree) on every
-// call; the engine compiles the policy once and serves releases from
-// incrementally maintained count vectors, and its sharded noise pool lets
-// RunParallel throughput scale with goroutines instead of flatlining on a
-// single source mutex. Results are recorded in BENCH_engine.json.
+// Benchmarks for the compiled release engine: the policy is compiled once
+// and releases are served from incrementally maintained count vectors, and
+// the sharded noise pool lets RunParallel throughput scale with goroutines
+// instead of flatlining on a single source mutex. Results are recorded in
+// BENCH_engine.json, which also keeps the last numbers of the retired
+// pre-engine comparison benches.
 package blowfish_test
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 
 	"blowfish"
@@ -25,7 +23,7 @@ const (
 
 // benchWorld builds the shared policy and dataset: a distance-threshold
 // policy over a non-trivial line domain with a dataset large enough that
-// the legacy O(n) rescan dominates.
+// an O(n) rescan per release would dominate.
 func benchWorld(b *testing.B) (*blowfish.Policy, *blowfish.Dataset) {
 	b.Helper()
 	dom, err := blowfish.LineDomain("v", benchDomainSize)
@@ -66,20 +64,6 @@ func BenchmarkEngineRepeatedHistogram(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sess.ReleaseHistogram(ds, benchEps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineRepeatedHistogramLegacy is the pre-engine path: policy
-// sensitivity recomputed and all n tuples rescanned per release.
-func BenchmarkEngineRepeatedHistogramLegacy(b *testing.B) {
-	pol, ds := benchWorld(b)
-	src := blowfish.NewSource(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := blowfish.ReleaseHistogram(pol, ds, benchEps, src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,24 +121,6 @@ func BenchmarkEngineRepeatedRangeMetrics(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRepeatedRangeLegacy rebuilds the OH tree and rescans the
-// tuples per release, as the pre-engine path did.
-func BenchmarkEngineRepeatedRangeLegacy(b *testing.B) {
-	pol, ds := benchWorld(b)
-	src := blowfish.NewSource(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rel, err := blowfish.NewRangeReleaser(pol, ds, 16, benchEps, src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rel.Range(100, 4000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEngineRepeatedCumulative measures the Ordered Mechanism on the
 // maintained cumulative counts.
 func BenchmarkEngineRepeatedCumulative(b *testing.B) {
@@ -167,19 +133,6 @@ func BenchmarkEngineRepeatedCumulative(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sess.ReleaseCumulativeHistogram(ds, benchEps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineRepeatedCumulativeLegacy rescans the tuples per release.
-func BenchmarkEngineRepeatedCumulativeLegacy(b *testing.B) {
-	pol, ds := benchWorld(b)
-	src := blowfish.NewSource(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := blowfish.ReleaseCumulativeHistogram(pol, ds, benchEps, src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,27 +152,6 @@ func BenchmarkEngineParallelHistogram(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			if _, err := sharded.ReleaseHistogram(ds, benchEps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEngineParallelHistogramLegacy emulates the pre-engine Session:
-// one source behind one mutex, a full rescan inside the critical section —
-// the path every concurrent release serialized on.
-func BenchmarkEngineParallelHistogramLegacy(b *testing.B) {
-	pol, ds := benchWorld(b)
-	src := blowfish.NewSource(2)
-	var mu sync.Mutex
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			mu.Lock()
-			_, err := blowfish.ReleaseHistogram(pol, ds, benchEps, src)
-			mu.Unlock()
-			if err != nil {
 				b.Fatal(err)
 			}
 		}

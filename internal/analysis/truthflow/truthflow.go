@@ -157,7 +157,6 @@ func (c *Config) fill() {
 			{Recv: "Laplace", Name: "ReleaseInPlace", Args: []int{0}},
 			{Recv: "Laplace", Name: "ReleaseScalar"},
 			{Recv: "Geometric", Name: "Release"},
-			{Pkg: "internal/mechanism", Name: "ReleaseHistogram"},
 			{Pkg: "internal/ordered", Name: "ReleaseCumulative"},
 			{Recv: "OH", Name: "Release"},
 			{Recv: "OH", Name: "ReleaseWithSplit"},

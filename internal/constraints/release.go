@@ -3,30 +3,7 @@ package constraints
 import (
 	"blowfish/internal/domain"
 	"blowfish/internal/infer"
-	"blowfish/internal/mechanism"
-	"blowfish/internal/noise"
-	"blowfish/internal/secgraph"
 )
-
-// ReleaseHistogram releases the complete histogram of ds under the
-// constrained policy (T, G, I_Q), calibrating Laplace noise to the policy
-// graph bound of Theorem 8.2 (or the coarse Corollary 8.3 bound when Q is
-// not sparse w.r.t. G). The returned sensitivity is the one used.
-func ReleaseHistogram(s *Set, g secgraph.Graph, ds *domain.Dataset, eps float64, src *noise.Source) (released []float64, sens float64, err error) {
-	sens, _, err = HistogramSensitivity(s, g)
-	if err != nil {
-		return nil, 0, err
-	}
-	truth, err := ds.Histogram()
-	if err != nil {
-		return nil, 0, err
-	}
-	m, err := mechanism.NewLaplace(eps, sens, src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m.Release(truth), sens, nil
-}
 
 // ConsistentWithConstraints post-processes a released histogram so that
 // every constraint query evaluates exactly to its public answer, via least

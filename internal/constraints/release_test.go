@@ -5,43 +5,10 @@ import (
 	"testing"
 
 	"blowfish/internal/domain"
+	"blowfish/internal/mechanism"
 	"blowfish/internal/noise"
 	"blowfish/internal/secgraph"
 )
-
-func TestReleaseHistogramUnderConstraints(t *testing.T) {
-	d := domain.MustNew(
-		domain.Attribute{Name: "A1", Size: 2},
-		domain.Attribute{Name: "A2", Size: 3},
-	)
-	ds := domain.NewDataset(d)
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 3; b++ {
-			for r := 0; r < (a+1)*(b+1); r++ {
-				ds.MustAdd(d.MustEncode(a, b))
-			}
-		}
-	}
-	m, err := NewMarginal(d, []int{0})
-	if err != nil {
-		t.Fatalf("NewMarginal: %v", err)
-	}
-	set, err := m.Set(ds)
-	if err != nil {
-		t.Fatalf("Set: %v", err)
-	}
-	g := secgraph.NewComplete(d)
-	rel, sens, err := ReleaseHistogram(set, g, ds, 1.0, noise.NewSource(3))
-	if err != nil {
-		t.Fatalf("ReleaseHistogram: %v", err)
-	}
-	if want := m.FullDomainSensitivity(); sens != want {
-		t.Fatalf("sensitivity = %v, want %v", sens, want)
-	}
-	if len(rel) != int(d.Size()) {
-		t.Fatalf("release length = %d, want %d", len(rel), d.Size())
-	}
-}
 
 func TestConsistentWithConstraints(t *testing.T) {
 	d := domain.MustNew(
@@ -68,15 +35,20 @@ func TestConsistentWithConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Histogram: %v", err)
 	}
-	g := secgraph.NewComplete(d)
-	src := noise.NewSource(7)
+	// Releases calibrated to the policy-graph bound, as the release engine
+	// noises a constrained histogram.
+	sens, _, err := HistogramSensitivity(set, secgraph.NewComplete(d))
+	if err != nil {
+		t.Fatalf("HistogramSensitivity: %v", err)
+	}
+	lap, err := mechanism.NewLaplace(0.5, sens, noise.NewSource(7))
+	if err != nil {
+		t.Fatalf("NewLaplace: %v", err)
+	}
 	const reps = 300
 	var rawErr, consErr float64
 	for r := 0; r < reps; r++ {
-		rel, _, err := ReleaseHistogram(set, g, ds, 0.5, src)
-		if err != nil {
-			t.Fatalf("ReleaseHistogram: %v", err)
-		}
+		rel := lap.Release(truth)
 		cons, err := ConsistentWithConstraints(set, rel)
 		if err != nil {
 			t.Fatalf("ConsistentWithConstraints: %v", err)

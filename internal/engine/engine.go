@@ -38,9 +38,10 @@ type Engine struct {
 }
 
 // New creates an engine over a compiled plan. src seeds the shard pool:
-// with shards <= 1 the engine draws directly from src and its noise stream
-// is bit-for-bit the legacy single-source stream; with shards = n the pool
-// holds src plus n−1 Split substreams and releases rotate across them.
+// with shards <= 1 the engine draws directly from src, so a sequence of
+// releases consumes src's stream in order, as callers sharing one source
+// expect; with shards = n the pool holds src plus n−1 Split substreams and
+// releases rotate across them.
 func New(plan *Plan, acct *composition.Accountant, src *noise.Source, shards int) (*Engine, error) {
 	if plan == nil {
 		return nil, errors.New("engine: nil plan")
@@ -330,10 +331,10 @@ func (e *Engine) NewRangeRelease(idx *DatasetIndex, fanout int, eps float64) (*o
 	return rel, nil
 }
 
-// KMeansBox returns the clamping box the domain dictates for private
-// k-means centroids: [0, |A_i|-1] per attribute. It is the single home of
-// the derivation — the engine and the legacy facade both call it, so the
-// two paths can never drift.
+// KMeansBox returns the clamping box the domain dictates for k-means
+// centroids: [0, |A_i|-1] per attribute. It is the single home of the
+// derivation — private releases and the facade's non-private baseline
+// both call it, so the two can never clamp differently.
 func KMeansBox(d *domain.Domain) (lo, hi []float64) {
 	lo = make([]float64, d.NumAttrs())
 	hi = make([]float64, d.NumAttrs())

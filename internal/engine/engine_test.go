@@ -73,17 +73,103 @@ func TestCompileCachesSensitivities(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsConstrained pins the engine's scope: constrained
-// policies stay on the legacy path.
-func TestCompileRejectsConstrained(t *testing.T) {
-	d := domain.MustLine("v", 8)
-	set, err := constraints.NewSet(d, nil, nil)
+// TestCompileConstrainedPolicy pins what a constrained policy compiles to:
+// its Section 8 histogram bound, and the unconstrained-only refusal for
+// every other release kind, none of which charges the budget.
+func TestCompileConstrainedPolicy(t *testing.T) {
+	d := domain.MustNew(
+		domain.Attribute{Name: "A1", Size: 2},
+		domain.Attribute{Name: "A2", Size: 3},
+	)
+	ds := domain.NewDataset(d)
+	for a := 0; a < 2; a++ {
+		for b := 0; b < 3; b++ {
+			for r := 0; r < (a+1)*(b+1); r++ {
+				ds.MustAdd(d.MustEncode(a, b))
+			}
+		}
+	}
+	m, err := constraints.NewMarginal(d, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := m.Set(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pol := policy.NewConstrained(secgraph.NewComplete(d), set)
-	if _, err := Compile(pol); !errors.Is(err, ErrConstrained) {
-		t.Fatalf("Compile(constrained) = %v, want ErrConstrained", err)
+	plan, err := Compile(pol)
+	if err != nil {
+		t.Fatalf("Compile(constrained): %v", err)
+	}
+	want, _, err := constraints.HistogramSensitivity(set, pol.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sens, err := plan.HistogramSensitivity(); err != nil || sens != want {
+		t.Fatalf("compiled sensitivity = (%v, %v), want (%v, nil)", sens, err, want)
+	}
+	if direct, err := HistogramSensitivity(pol); err != nil || direct != want {
+		t.Fatalf("HistogramSensitivity = (%v, %v), want (%v, nil)", direct, err, want)
+	}
+
+	acct, err := composition.NewAccountant(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(plan, acct, noise.NewSource(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := plan.Index(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.ReleaseCumulative(idx, 0.1); !errors.Is(err, policy.ErrConstrained) {
+		t.Errorf("cumulative = %v, want policy.ErrConstrained", err)
+	}
+	if _, err := eng.PrivateKMeans(idx, 2, 2, 0.1); !errors.Is(err, policy.ErrConstrained) {
+		t.Errorf("kmeans = %v, want policy.ErrConstrained", err)
+	}
+	part, err := domain.NewUniformGrid(d, []int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ReleasePartitionHistogram(idx, part, 0.1); !errors.Is(err, policy.ErrConstrained) {
+		t.Errorf("partition histogram = %v, want policy.ErrConstrained", err)
+	}
+	if _, err := eng.NewRangeRelease(idx, 4, 0.1); err == nil {
+		t.Error("range release over a 2-D domain accepted")
+	}
+	if got := acct.Spent(); got != 0 {
+		t.Errorf("refused releases spent %v", got)
+	}
+
+	// Over a line, the range refusal names the constraint.
+	line := domain.MustLine("v", 8)
+	empty, err := constraints.NewSet(line, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linePlan, err := Compile(policy.NewConstrained(secgraph.NewComplete(line), empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := linePlan.OHFor(4); err == nil || err.Error() != "blowfish: range release supports unconstrained policies only" {
+		t.Errorf("constrained range layout = %v", err)
+	}
+	if _, err := linePlan.LinearSensitivity([]float64{1}); !errors.Is(err, policy.ErrConstrained) {
+		t.Errorf("constrained linear sensitivity = %v, want policy.ErrConstrained", err)
+	}
+
+	// A constraint set the engine cannot analyse is refused, never ignored.
+	type opaque struct{ policy.ConstraintSet }
+	opaquePlan, err := Compile(policy.NewConstrained(secgraph.NewComplete(line), opaque{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := opaquePlan.HistogramSensitivity(); err == nil {
+		t.Error("histogram sensitivity of an opaque constraint set accepted")
 	}
 	if _, err := Compile(nil); err == nil {
 		t.Fatal("Compile(nil) accepted")

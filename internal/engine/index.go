@@ -22,9 +22,7 @@ import (
 // Dataset underneath is unsynchronized. While any operation is in flight,
 // the Dataset must not be mutated through any other path: not directly,
 // and not through a different plan's index over the same Dataset (quiesce
-// mutations externally when several plans index one dataset). This is the
-// same contract the legacy release path had, which scanned the tuples with
-// no lock at all.
+// mutations externally when several plans index one dataset).
 type DatasetIndex struct {
 	plan *Plan
 	ds   *domain.Dataset

@@ -21,11 +21,17 @@
 //     of serializing on one source mutex; budget charges remain atomic
 //     through the shared composition.Accountant.
 //
-// With a single noise shard the engine consumes exactly the same noise
-// stream as the legacy release functions, so engine releases are
-// bit-for-bit identical to the pre-engine path given the same seed (the
-// equivalence tests at the repository root pin this for every policy kind
-// the server supports).
+// Constrained policies compile too: Q is as fixed as G, so their histogram
+// sensitivity (the Section 8 policy-graph bound) is compiled like the
+// Section 5 values, and the release kinds the paper defines only for
+// unconstrained policies record their refusal at compile time.
+//
+// With a single noise shard the engine draws from the caller's source
+// exactly as the pre-engine per-release functions did, so releases are
+// bit-for-bit identical to them given the same seed (the equivalence tests
+// at the repository root pin this against goldens captured from those
+// functions, for every policy kind the server supports and for constrained
+// policies).
 package engine
 
 import (
@@ -35,6 +41,7 @@ import (
 	"reflect"
 	"sync"
 
+	"blowfish/internal/constraints"
 	"blowfish/internal/domain"
 	"blowfish/internal/ordered"
 	"blowfish/internal/policy"
@@ -71,12 +78,6 @@ func evictOne[K comparable, V any](m map[K]V) {
 		return
 	}
 }
-
-// ErrConstrained is returned by Compile for constrained policies: their
-// releases go through the policy-graph machinery in package constraints,
-// which the engine does not accelerate. Callers fall back to the legacy
-// path.
-var ErrConstrained = errors.New("engine: constrained policies are served by the legacy release path")
 
 // Plan is a compiled policy: every sensitivity and layout the release
 // mechanisms need, computed once. Plans are immutable after Compile apart
@@ -124,7 +125,7 @@ type Plan struct {
 	// lock entirely so a first-use build never stalls concurrent releases.
 	mu sync.RWMutex
 	// oh caches the Ordered Hierarchical layout per fanout: tree
-	// construction is the dominant cost of the legacy range-release path.
+	// construction would otherwise dominate every range release.
 	oh map[int]*ordered.OH
 	// foreignPartSens caches S(h_B, P) for partitions other than the
 	// policy's own (Session.ReleasePartitionHistogram accepts any).
@@ -142,16 +143,13 @@ type Plan struct {
 	vecs sync.Pool
 }
 
-// Compile builds the plan for an unconstrained policy. Sensitivities that
-// do not apply to the policy's domain (cumulative counts over
-// multi-attribute domains, range releases for unsupported graphs) record
-// their error and surface it at release time, mirroring the legacy path.
+// Compile builds the plan for a policy. Sensitivities that do not apply to
+// the policy (cumulative counts over multi-attribute domains, range
+// releases for unsupported graphs, every kind but the histogram for a
+// constrained policy) record their error and surface it at release time.
 func Compile(pol *policy.Policy) (*Plan, error) {
 	if pol == nil {
 		return nil, errors.New("engine: nil policy")
-	}
-	if !pol.Unconstrained() {
-		return nil, ErrConstrained
 	}
 	p := &Plan{
 		pol:             pol,
@@ -161,7 +159,7 @@ func Compile(pol *policy.Policy) (*Plan, error) {
 		indexes:         make(map[*domain.Dataset]*DatasetIndex),
 	}
 	p.vecs.New = func() any { return new([]float64) }
-	p.histSens, p.histErr = pol.HistogramSensitivity()
+	p.histSens, p.histErr = HistogramSensitivity(pol)
 	p.cumSens, p.cumErr = pol.CumulativeHistogramSensitivity()
 	p.sumSens, p.kmErr = pol.SumSensitivity()
 	p.maxEdge = pol.Graph().MaxEdgeDistance()
@@ -169,6 +167,21 @@ func Compile(pol *policy.Policy) (*Plan, error) {
 	p.compileRange()
 	p.compileExplicit()
 	return p, nil
+}
+
+// HistogramSensitivity returns S(h, P): the Section 5 value for an
+// unconstrained policy; for a count-constrained one, the Theorem 8.2
+// policy-graph bound, or the Corollary 8.3 bound when Q is not sparse.
+func HistogramSensitivity(pol *policy.Policy) (float64, error) {
+	if pol.Unconstrained() {
+		return pol.HistogramSensitivity()
+	}
+	set, ok := pol.Constraints().(*constraints.Set)
+	if !ok {
+		return 0, errors.New("blowfish: unsupported constraint set type")
+	}
+	sens, _, err := constraints.HistogramSensitivity(set, pol.Graph())
+	return sens, err
 }
 
 // explicitPlan is the compiled form of an explicit secret graph.
@@ -248,12 +261,14 @@ func (p *Plan) blockTable() []int32 {
 
 // RangeTheta derives the Ordered Hierarchical block width θ that a
 // policy's graph dictates for range releases. It is the single home of the
-// graph-kind switch (and its error texts, which are part of the facade's
-// documented behavior): both plan compilation and the legacy
-// NewRangeReleaser call it, so the two paths can never drift.
+// graph-kind switch and of its error texts, which are part of the facade's
+// documented behavior.
 func RangeTheta(pol *policy.Policy) (int, error) {
 	if pol.Domain().NumAttrs() != 1 {
 		return 0, errors.New("blowfish: range release requires a one-dimensional ordered domain")
+	}
+	if !pol.Unconstrained() {
+		return 0, errors.New("blowfish: range release supports unconstrained policies only")
 	}
 	size := int(pol.Domain().Size())
 	switch g := pol.Graph().(type) {
@@ -320,6 +335,9 @@ func (p *Plan) KMeansSensitivities() (sizeSens, sumSens float64, err error) {
 // max_i |w_i| · L (Section 5's linear sum query), with no graph walk per
 // call.
 func (p *Plan) LinearSensitivity(w []float64) (float64, error) {
+	if !p.pol.Unconstrained() {
+		return 0, policy.ErrConstrained
+	}
 	if p.dom.NumAttrs() != 1 {
 		return 0, errors.New("engine: linear query requires a one-dimensional domain")
 	}
@@ -385,7 +403,7 @@ func (p *Plan) Partition() domain.Partition { return p.part }
 // partition hits the compile-time value, any other partition is computed
 // once and memoized (the computation scans the domain for refinement).
 // Partitions of uncomparable dynamic type cannot be map keys and skip the
-// cache — they recompute per call, as the legacy path always did.
+// cache — they recompute per call.
 func (p *Plan) PartitionSensitivity(part domain.Partition) (float64, error) {
 	if part == nil {
 		return 0, errors.New("engine: nil partition")

@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"math"
 
-	"blowfish/internal/domain"
 	"blowfish/internal/noise"
-	"blowfish/internal/policy"
 )
 
 // Laplace is the Laplace mechanism: it privately releases a vector-valued
@@ -113,58 +111,6 @@ func (m *Geometric) Release(truth []int64) []int64 {
 		out[i] = v + m.src.TwoSidedGeometric(m.scale)
 	}
 	return out
-}
-
-// ReleaseHistogram releases the complete histogram h(D) under the policy:
-// noise is calibrated to the policy-specific sensitivity (2, or 0 for
-// edgeless secret graphs). Only unconstrained policies are accepted here;
-// constrained histogram release lives in package constraints.
-func ReleaseHistogram(p *policy.Policy, ds *domain.Dataset, eps float64, src *noise.Source) ([]float64, error) {
-	sens, err := p.HistogramSensitivity()
-	if err != nil {
-		return nil, err
-	}
-	truth, err := ds.Histogram()
-	if err != nil {
-		return nil, err
-	}
-	m, err := NewLaplace(eps, sens, src)
-	if err != nil {
-		return nil, err
-	}
-	return m.Release(truth), nil
-}
-
-// ReleasePartitionHistogram releases the histogram over the blocks of part
-// with policy-calibrated noise; when every secret pair stays within a block
-// the release is exact (sensitivity 0), the coarse-grid case of Section 5.
-func ReleasePartitionHistogram(p *policy.Policy, ds *domain.Dataset, part domain.Partition, eps float64, src *noise.Source) ([]float64, error) {
-	sens, err := p.PartitionHistogramSensitivity(part)
-	if err != nil {
-		return nil, err
-	}
-	return ReleasePartitionHistogramWithSens(ds, part, sens, eps, src)
-}
-
-// ReleasePartitionHistogramWithSens is ReleasePartitionHistogram with the
-// policy sensitivity already computed by the caller — for callers that need
-// the sensitivity anyway (e.g. to decide whether the release is free) and
-// must not pay the graph scan twice.
-func ReleasePartitionHistogramWithSens(ds *domain.Dataset, part domain.Partition, sens, eps float64, src *noise.Source) ([]float64, error) {
-	truth, err := ds.PartitionHistogram(part)
-	if err != nil {
-		return nil, err
-	}
-	if sens == 0 {
-		// No secret pair crosses blocks: the release is exact and free, so
-		// any epsilon (including 0) is acceptable and no noise is drawn.
-		return truth, nil
-	}
-	m, err := NewLaplace(eps, sens, src)
-	if err != nil {
-		return nil, err
-	}
-	return m.Release(truth), nil
 }
 
 // MSE returns the mean squared error between a true and a released vector

@@ -4,10 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"blowfish/internal/domain"
 	"blowfish/internal/noise"
-	"blowfish/internal/policy"
-	"blowfish/internal/secgraph"
 )
 
 func TestNewLaplaceValidation(t *testing.T) {
@@ -125,79 +122,6 @@ func TestGeometricRelease(t *testing.T) {
 	}
 }
 
-func TestReleaseHistogram(t *testing.T) {
-	d := domain.MustLine("v", 6)
-	ds := domain.NewDataset(d)
-	for _, v := range []int{0, 0, 3, 5} {
-		ds.MustAdd(domain.Point(v))
-	}
-	p := policy.Differential(d)
-	rel, err := ReleaseHistogram(p, ds, 1.0, noise.NewSource(11))
-	if err != nil {
-		t.Fatalf("ReleaseHistogram: %v", err)
-	}
-	if len(rel) != 6 {
-		t.Fatalf("len = %d, want 6", len(rel))
-	}
-	truth, err := ds.Histogram()
-	if err != nil {
-		t.Fatalf("Histogram: %v", err)
-	}
-	if MSE(truth, rel) == 0 {
-		t.Error("DP histogram release added no noise")
-	}
-	// Identity-partition policy: sensitivity 0 ⇒ exact release.
-	ident, err := domain.Identity(d)
-	if err != nil {
-		t.Fatalf("Identity: %v", err)
-	}
-	exactP := policy.New(secgraph.NewPartition(ident))
-	rel, err = ReleaseHistogram(exactP, ds, 1.0, noise.NewSource(12))
-	if err != nil {
-		t.Fatalf("ReleaseHistogram: %v", err)
-	}
-	if MSE(truth, rel) != 0 {
-		t.Error("zero-sensitivity histogram release was noisy")
-	}
-}
-
-func TestReleasePartitionHistogram(t *testing.T) {
-	d := domain.MustLine("v", 8)
-	ds := domain.NewDataset(d)
-	for v := 0; v < 8; v++ {
-		ds.MustAdd(domain.Point(v))
-	}
-	fine, err := domain.NewUniformGrid(d, []int{2})
-	if err != nil {
-		t.Fatalf("NewUniformGrid: %v", err)
-	}
-	coarse, err := domain.NewUniformGrid(d, []int{4})
-	if err != nil {
-		t.Fatalf("NewUniformGrid: %v", err)
-	}
-	// Policy partitioned by fine: the coarse histogram is exact.
-	p := policy.New(secgraph.NewPartition(fine))
-	rel, err := ReleasePartitionHistogram(p, ds, coarse, 1.0, noise.NewSource(13))
-	if err != nil {
-		t.Fatalf("ReleasePartitionHistogram: %v", err)
-	}
-	truth, err := ds.PartitionHistogram(coarse)
-	if err != nil {
-		t.Fatalf("PartitionHistogram: %v", err)
-	}
-	if MSE(truth, rel) != 0 {
-		t.Error("refined-partition release was noisy")
-	}
-	// Differential privacy: noisy.
-	rel, err = ReleasePartitionHistogram(policy.Differential(d), ds, coarse, 1.0, noise.NewSource(14))
-	if err != nil {
-		t.Fatalf("ReleasePartitionHistogram: %v", err)
-	}
-	if MSE(truth, rel) == 0 {
-		t.Error("DP partition release added no noise")
-	}
-}
-
 func TestErrorMetrics(t *testing.T) {
 	truth := []float64{1, 2, 3}
 	rel := []float64{2, 2, 5}
@@ -221,50 +145,6 @@ func TestErrorMetrics(t *testing.T) {
 	MSE([]float64{1}, []float64{1, 2})
 }
 
-// Statistical privacy smoke test: for the histogram query on neighboring
-// datasets, the probability of landing in a fixed output region differs by
-// at most e^ε (with sampling slack). This exercises the full release path.
-func TestLaplaceReleaseIndistinguishability(t *testing.T) {
-	const (
-		eps  = 1.0
-		reps = 200000
-	)
-	d := domain.MustLine("v", 3)
-	ds1 := domain.NewDataset(d)
-	ds1.MustAdd(0)
-	ds2 := domain.NewDataset(d)
-	ds2.MustAdd(1) // neighbor: one tuple changed 0 -> 1
-	p := policy.Differential(d)
-	src := noise.NewSource(17)
-	// Region: released count of value 0 exceeds 0.5.
-	count1, count2 := 0, 0
-	for r := 0; r < reps; r++ {
-		rel1, err := ReleaseHistogram(p, ds1, eps, src)
-		if err != nil {
-			t.Fatalf("ReleaseHistogram: %v", err)
-		}
-		if rel1[0] > 0.5 {
-			count1++
-		}
-		rel2, err := ReleaseHistogram(p, ds2, eps, src)
-		if err != nil {
-			t.Fatalf("ReleaseHistogram: %v", err)
-		}
-		if rel2[0] > 0.5 {
-			count2++
-		}
-	}
-	p1 := float64(count1) / reps
-	p2 := float64(count2) / reps
-	ratio := p1 / p2
-	if ratio < 1 {
-		ratio = 1 / ratio
-	}
-	if ratio > math.Exp(eps)*1.1 {
-		t.Fatalf("probability ratio %v exceeds e^ε = %v", ratio, math.Exp(eps))
-	}
-}
-
 func TestReleaseScalar(t *testing.T) {
 	m, err := NewLaplace(1, 2, noise.NewSource(31))
 	if err != nil {
@@ -285,29 +165,5 @@ func TestReleaseScalar(t *testing.T) {
 	}
 	if got := exact.ReleaseScalar(7); got != 7 {
 		t.Fatalf("zero-sensitivity scalar = %v", got)
-	}
-}
-
-func TestReleaseHistogramErrors(t *testing.T) {
-	d := domain.MustLine("v", 4)
-	ds := domain.NewDataset(d)
-	ds.MustAdd(0)
-	// Constrained policy routed to the wrong helper errors cleanly.
-	type fakeConstraint struct{ policy.ConstraintSet }
-	p := policy.NewConstrained(secgraph.NewComplete(d), fakeConstraint{})
-	if _, err := ReleaseHistogram(p, ds, 1, noise.NewSource(1)); err == nil {
-		t.Error("constrained policy accepted by unconstrained release")
-	}
-	// Invalid epsilon propagates.
-	if _, err := ReleaseHistogram(policy.Differential(d), ds, -1, noise.NewSource(1)); err == nil {
-		t.Error("negative epsilon accepted")
-	}
-	// Partition release with foreign partition errors.
-	other, err := domain.NewUniformGrid(domain.MustLine("w", 6), []int{2})
-	if err != nil {
-		t.Fatalf("NewUniformGrid: %v", err)
-	}
-	if _, err := ReleasePartitionHistogram(policy.Differential(d), ds, other, 1, noise.NewSource(1)); err == nil {
-		t.Error("foreign partition accepted")
 	}
 }

@@ -6,13 +6,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"blowfish/internal/service"
 )
 
 // benchFixture stands up a server with one policy, dataset and an
 // effectively unlimited session budget so release benches never exhaust.
-func benchFixture(b *testing.B, graph GraphSpec) (*Server, string, string) {
+func benchFixture(b *testing.B, graph service.GraphSpec) (*Server, string, string) {
 	b.Helper()
-	s := New(Config{Seed: 1})
+	s := New(service.Config{Seed: 1})
 	post := func(path string, body any) []byte {
 		b.Helper()
 		raw, _ := json.Marshal(body)
@@ -24,16 +26,16 @@ func benchFixture(b *testing.B, graph GraphSpec) (*Server, string, string) {
 		}
 		return w.Body.Bytes()
 	}
-	var pol PolicyResponse
-	_ = json.Unmarshal(post("/v1/policies", CreatePolicyRequest{Domain: []AttrSpec{{Name: "v", Size: 1024}}, Graph: graph}), &pol)
+	var pol service.PolicyResponse
+	_ = json.Unmarshal(post("/v1/policies", service.CreatePolicyRequest{Domain: []service.AttrSpec{{Name: "v", Size: 1024}}, Graph: graph}), &pol)
 	rows := make([][]int, 5000)
 	for i := range rows {
 		rows[i] = []int{i % 1024}
 	}
-	var ds DatasetResponse
-	_ = json.Unmarshal(post("/v1/datasets", CreateDatasetRequest{PolicyID: pol.ID, Rows: rows}), &ds)
-	var sess SessionResponse
-	_ = json.Unmarshal(post("/v1/sessions", CreateSessionRequest{PolicyID: pol.ID, Budget: 1e12}), &sess)
+	var ds service.DatasetResponse
+	_ = json.Unmarshal(post("/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID, Rows: rows}), &ds)
+	var sess service.SessionResponse
+	_ = json.Unmarshal(post("/v1/sessions", service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1e12}), &sess)
 	return s, ds.ID, sess.ID
 }
 
@@ -49,8 +51,8 @@ func release(b *testing.B, s *Server, path string, body []byte) {
 }
 
 func BenchmarkServerHistogramRelease(b *testing.B) {
-	s, dsID, sessID := benchFixture(b, GraphSpec{Kind: "l1", Theta: 16})
-	body, _ := json.Marshal(HistogramRequest{DatasetID: dsID, Epsilon: 0.01})
+	s, dsID, sessID := benchFixture(b, service.GraphSpec{Kind: "l1", Theta: 16})
+	body, _ := json.Marshal(service.HistogramRequest{DatasetID: dsID, Epsilon: 0.01})
 	path := "/v1/sessions/" + sessID + "/releases/histogram"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -60,8 +62,8 @@ func BenchmarkServerHistogramRelease(b *testing.B) {
 }
 
 func BenchmarkServerHistogramReleaseParallel(b *testing.B) {
-	s, dsID, sessID := benchFixture(b, GraphSpec{Kind: "l1", Theta: 16})
-	body, _ := json.Marshal(HistogramRequest{DatasetID: dsID, Epsilon: 0.01})
+	s, dsID, sessID := benchFixture(b, service.GraphSpec{Kind: "l1", Theta: 16})
+	body, _ := json.Marshal(service.HistogramRequest{DatasetID: dsID, Epsilon: 0.01})
 	path := "/v1/sessions/" + sessID + "/releases/histogram"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -73,10 +75,10 @@ func BenchmarkServerHistogramReleaseParallel(b *testing.B) {
 }
 
 func BenchmarkServerRangeRelease(b *testing.B) {
-	s, dsID, sessID := benchFixture(b, GraphSpec{Kind: "l1", Theta: 16})
-	body, _ := json.Marshal(RangeRequest{
+	s, dsID, sessID := benchFixture(b, service.GraphSpec{Kind: "l1", Theta: 16})
+	body, _ := json.Marshal(service.RangeRequest{
 		DatasetID: dsID, Epsilon: 0.01,
-		Queries: []RangeQuery{{Lo: 0, Hi: 511}, {Lo: 100, Hi: 200}, {Lo: 900, Hi: 1023}},
+		Queries: []service.RangeQuery{{Lo: 0, Hi: 511}, {Lo: 100, Hi: 200}, {Lo: 900, Hi: 1023}},
 	})
 	path := "/v1/sessions/" + sessID + "/releases/range"
 	b.ReportAllocs()
@@ -87,10 +89,10 @@ func BenchmarkServerRangeRelease(b *testing.B) {
 }
 
 func BenchmarkServerRangeReleaseParallel(b *testing.B) {
-	s, dsID, sessID := benchFixture(b, GraphSpec{Kind: "l1", Theta: 16})
-	body, _ := json.Marshal(RangeRequest{
+	s, dsID, sessID := benchFixture(b, service.GraphSpec{Kind: "l1", Theta: 16})
+	body, _ := json.Marshal(service.RangeRequest{
 		DatasetID: dsID, Epsilon: 0.01,
-		Queries: []RangeQuery{{Lo: 0, Hi: 511}, {Lo: 100, Hi: 200}, {Lo: 900, Hi: 1023}},
+		Queries: []service.RangeQuery{{Lo: 0, Hi: 511}, {Lo: 100, Hi: 200}, {Lo: 900, Hi: 1023}},
 	})
 	path := "/v1/sessions/" + sessID + "/releases/range"
 	b.ReportAllocs()
@@ -106,19 +108,19 @@ func BenchmarkServerRangeReleaseParallel(b *testing.B) {
 // every goroutine owns its own session, so noise generation proceeds in
 // parallel instead of serializing on one session's source lock.
 func BenchmarkServerParallelSessions(b *testing.B) {
-	s, dsID, _ := benchFixture(b, GraphSpec{Kind: "l1", Theta: 16})
-	body, _ := json.Marshal(HistogramRequest{DatasetID: dsID, Epsilon: 0.01})
+	s, dsID, _ := benchFixture(b, service.GraphSpec{Kind: "l1", Theta: 16})
+	body, _ := json.Marshal(service.HistogramRequest{DatasetID: dsID, Epsilon: 0.01})
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		raw, _ := json.Marshal(CreateSessionRequest{PolicyID: "pol-1", Budget: 1e12})
+		raw, _ := json.Marshal(service.CreateSessionRequest{PolicyID: "pol-1", Budget: 1e12})
 		req := httptest.NewRequest("POST", "/v1/sessions", bytes.NewReader(raw))
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, req)
 		if w.Code != http.StatusCreated {
 			b.Fatalf("create session: %d %s", w.Code, w.Body.String())
 		}
-		var sess SessionResponse
+		var sess service.SessionResponse
 		_ = json.Unmarshal(w.Body.Bytes(), &sess)
 		path := "/v1/sessions/" + sess.ID + "/releases/histogram"
 		for pb.Next() {

@@ -13,6 +13,7 @@ import (
 	"blowfish"
 	"blowfish/internal/codec"
 	"blowfish/internal/leak"
+	"blowfish/internal/service"
 )
 
 // doRaw issues one in-process request with an explicit body and content
@@ -50,11 +51,11 @@ func TestBinaryBatchIngest(t *testing.T) {
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("binary events: status %d body %s", w.Code, w.Body.String())
 	}
-	resp := decode[EventsResponse](t, w)
+	resp := decode[service.EventsResponse](t, w)
 	if resp.Accepted != 4 || resp.FirstSeq != 1 || resp.LastSeq != 4 || resp.ProcessedSeq != 4 {
 		t.Fatalf("events response = %+v", resp)
 	}
-	ds := decode[DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
+	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
 	if ds.Rows != 1 { // 2 appends, 1 overwrite, 1 delete
 		t.Fatalf("rows = %d, want 1", ds.Rows)
 	}
@@ -68,7 +69,7 @@ func TestBinaryBatchIngest(t *testing.T) {
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("two frames: status %d body %s", w.Code, w.Body.String())
 	}
-	if got := decode[EventsResponse](t, w); got.Accepted != 5 {
+	if got := decode[service.EventsResponse](t, w); got.Accepted != 5 {
 		t.Fatalf("two frames accepted = %d, want 5", got.Accepted)
 	}
 
@@ -76,19 +77,19 @@ func TestBinaryBatchIngest(t *testing.T) {
 	bad := append([]byte(nil), frame...)
 	bad[len(bad)-1] ^= 0x40
 	wantError(t, doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, bad),
-		http.StatusBadRequest, CodeBadRequest)
+		http.StatusBadRequest, service.CodeBadRequest)
 	twoCol, err := codec.EncodeFrame([]blowfish.StreamEvent{{Op: "append", Row: []int{1, 2}}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantError(t, doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, twoCol),
-		http.StatusBadRequest, CodeBadRequest)
+		http.StatusBadRequest, service.CodeBadRequest)
 	empty, err := codec.EncodeFrame(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantError(t, doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, empty),
-		http.StatusBadRequest, CodeBadRequest)
+		http.StatusBadRequest, service.CodeBadRequest)
 
 	// A domain-invalid value decodes fine but fails validation at submit.
 	over, err := codec.EncodeFrame([]blowfish.StreamEvent{{Op: "append", Row: []int{64}}}, 1)
@@ -96,14 +97,14 @@ func TestBinaryBatchIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantError(t, doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, over),
-		http.StatusBadRequest, CodeBadRequest)
+		http.StatusBadRequest, service.CodeBadRequest)
 }
 
 // backpressureServer builds a server whose ingest queue is tiny, so tests
 // can fill it deterministically.
 func backpressureServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	s := New(Config{Seed: 42, Ingest: blowfish.StreamIngestConfig{
+	s := New(service.Config{Seed: 42, Ingest: blowfish.StreamIngestConfig{
 		QueueDepth: 4,
 		BatchSize:  4,
 	}})
@@ -135,7 +136,7 @@ func TestEventsBackpressure(t *testing.T) {
 	accepted := 0
 	var rejected *httptest.ResponseRecorder
 	for i := 0; i < 100; i++ {
-		w := doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", "application/x-ndjson",
+		w := doRawWithin(t, 5*time.Second, s, "POST", "/v1/datasets/"+dsID+"/events", "application/x-ndjson",
 			[]byte(`{"op":"append","row":[1]}`+"\n"+`{"op":"append","row":[2]}`+"\n"))
 		if w.Code == http.StatusAccepted {
 			accepted += 2
@@ -147,7 +148,7 @@ func TestEventsBackpressure(t *testing.T) {
 	if rejected == nil {
 		t.Fatal("queue never filled")
 	}
-	wantError(t, rejected, http.StatusTooManyRequests, CodeQueueFull)
+	wantError(t, rejected, http.StatusTooManyRequests, service.CodeQueueFull)
 	if ra := rejected.Header().Get("Retry-After"); ra == "" {
 		t.Fatal("queue_full response lacks Retry-After")
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
@@ -171,9 +172,26 @@ func TestEventsBackpressure(t *testing.T) {
 		t.Fatalf("post-drain events: status %d body %s", w.Code, w.Body.String())
 	}
 	accepted++
-	ds := decode[DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
+	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
 	if ds.Rows != accepted {
 		t.Fatalf("rows = %d, want %d (an acked event was dropped)", ds.Rows, accepted)
+	}
+}
+
+// doRawWithin is doRaw on its own goroutine, failing the test if the
+// request has not returned within d. A handler that queued for a table lock
+// the test itself holds would otherwise hang the run until the package
+// timeout.
+func doRawWithin(t *testing.T, d time.Duration, s *Server, method, path, contentType string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- doRaw(t, s, method, path, contentType, body) }()
+	select {
+	case w := <-done:
+		return w
+	case <-time.After(d):
+		t.Fatalf("%s %s blocked for %v", method, path, d)
+		return nil
 	}
 }
 
@@ -236,7 +254,7 @@ func TestEventsBackpressureHammer(t *testing.T) {
 		t.Fatalf("flush post: status %d body %s", w.Code, w.Body.String())
 	}
 	accepted.Add(3)
-	ds := decode[DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
+	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
 	if int64(ds.Rows) != accepted.Load() {
 		t.Fatalf("rows = %d, want %d acked appends (rejected batches: %d)",
 			ds.Rows, accepted.Load(), rejectedCount.Load())

@@ -26,17 +26,17 @@ func (e *APIError) Error() string { return e.Code + ": " + e.Message }
 // the default covers uncoded fallback strings from writeError callers.
 func httpStatus(code string) int {
 	switch code {
-	case CodeBadRequest:
+	case service.CodeBadRequest:
 		return http.StatusBadRequest
-	case CodeUnknownPolicy, CodeUnknownDataset, CodeUnknownSession, CodeUnknownStream:
+	case service.CodeUnknownPolicy, service.CodeUnknownDataset, service.CodeUnknownSession, service.CodeUnknownStream:
 		return http.StatusNotFound
-	case CodeBudgetExhausted, CodePolicyInUse, CodeDatasetInUse:
+	case service.CodeBudgetExhausted, service.CodePolicyInUse, service.CodeDatasetInUse:
 		return http.StatusConflict
-	case CodeDomainMismatch:
+	case service.CodeDomainMismatch:
 		return http.StatusUnprocessableEntity
-	case CodeDurability:
+	case service.CodeDurability:
 		return http.StatusInternalServerError
-	case CodeQueueFull:
+	case service.CodeQueueFull:
 		return http.StatusTooManyRequests
 	default:
 		return http.StatusBadRequest
@@ -62,7 +62,7 @@ func writeError(w http.ResponseWriter, code, message string) {
 func writeServiceError(w http.ResponseWriter, err error) {
 	var se *service.Error
 	if errors.As(err, &se) {
-		if se.Code == CodeQueueFull {
+		if se.Code == service.CodeQueueFull {
 			w.Header().Set("Retry-After", "1")
 		}
 		writeError(w, se.Code, se.Message)
@@ -77,10 +77,10 @@ func writeServiceError(w http.ResponseWriter, err error) {
 func writeLibError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, blowfish.ErrBudgetExceeded):
-		writeError(w, CodeBudgetExhausted, err.Error())
+		writeError(w, service.CodeBudgetExhausted, err.Error())
 	case errors.Is(err, blowfish.ErrDomainMismatch):
-		writeError(w, CodeDomainMismatch, err.Error())
+		writeError(w, service.CodeDomainMismatch, err.Error())
 	default:
-		writeError(w, CodeBadRequest, err.Error())
+		writeError(w, service.CodeBadRequest, err.Error())
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"reflect"
 	"testing"
+
+	"blowfish/internal/service"
 )
 
 // bandEdges is a small "salary bands" graph over v:64: values are secrets
@@ -32,14 +34,14 @@ func TestExplicitPolicyEndToEnd(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 
-	w := do(t, s, "POST", "/v1/policies", CreatePolicyRequest{
+	w := do(t, s, "POST", "/v1/policies", service.CreatePolicyRequest{
 		Domain: lineDomain,
-		Graph:  GraphSpec{Kind: "explicit", Name: "bands", Edges: bandEdges()},
+		Graph:  service.GraphSpec{Kind: "explicit", Name: "bands", Edges: bandEdges()},
 	})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create explicit policy: %d %s", w.Code, w.Body.String())
 	}
-	pol := decode[PolicyResponse](t, w)
+	pol := decode[service.PolicyResponse](t, w)
 	if pol.Edges != len(bandEdges()) || pol.Components != 1 {
 		t.Fatalf("policy stats = %d edges, %d components; want %d edges, 1 component",
 			pol.Edges, pol.Components, len(bandEdges()))
@@ -48,21 +50,21 @@ func TestExplicitPolicyEndToEnd(t *testing.T) {
 		t.Fatalf("histogram sensitivity = %v, want 2", pol.HistogramSensitivity)
 	}
 
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(200, 64)})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: pol.ID, Budget: 10, Seed: i64(5)})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(200, 64)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: pol.ID, Budget: 10, Seed: i64(5)})
 
-	hist := decode[HistogramResponse](t, do(t, s, "POST",
-		"/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
+	hist := decode[service.HistogramResponse](t, do(t, s, "POST",
+		"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
 	if len(hist.Counts) != 64 {
 		t.Fatalf("histogram length %d", len(hist.Counts))
 	}
-	cum := decode[CumulativeResponse](t, do(t, s, "POST",
-		"/v1/sessions/"+sessID+"/releases/cumulative", CumulativeRequest{DatasetID: dsID, Epsilon: 0.5}))
+	cum := decode[service.CumulativeResponse](t, do(t, s, "POST",
+		"/v1/sessions/"+sessID+"/releases/cumulative", service.CumulativeRequest{DatasetID: dsID, Epsilon: 0.5}))
 	if len(cum.Inferred) != 64 {
 		t.Fatalf("cumulative length %d", len(cum.Inferred))
 	}
-	rng := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", RangeRequest{
-		DatasetID: dsID, Epsilon: 0.5, Queries: []RangeQuery{{Lo: 0, Hi: 30}, {Lo: 16, Hi: 39}},
+	rng := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", service.RangeRequest{
+		DatasetID: dsID, Epsilon: 0.5, Queries: []service.RangeQuery{{Lo: 0, Hi: 30}, {Lo: 16, Hi: 39}},
 	})
 	if rng.Code != http.StatusOK {
 		t.Fatalf("range release over explicit policy: %d %s", rng.Code, rng.Body.String())
@@ -76,14 +78,14 @@ func TestExplicitPolicySeededDeterminism(t *testing.T) {
 	run := func() []float64 {
 		s, _ := newTestServer(t)
 		defer s.Close()
-		polID := mustCreatePolicy(t, s, CreatePolicyRequest{
+		polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{
 			Domain: lineDomain,
-			Graph:  GraphSpec{Kind: "explicit", Edges: bandEdges()},
+			Graph:  service.GraphSpec{Kind: "explicit", Edges: bandEdges()},
 		})
-		dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(100, 64)})
-		sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 5, Seed: i64(99)})
-		return decode[HistogramResponse](t, do(t, s, "POST",
-			"/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: 0.4})).Counts
+		dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(100, 64)})
+		sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 5, Seed: i64(99)})
+		return decode[service.HistogramResponse](t, do(t, s, "POST",
+			"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.4})).Counts
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -96,9 +98,9 @@ func TestComposePolicyKinds(t *testing.T) {
 	defer s.Close()
 
 	// Union: line graph plus a wrap-around edge.
-	union := decode[PolicyResponse](t, do(t, s, "POST", "/v1/policies", CreatePolicyRequest{
+	union := decode[service.PolicyResponse](t, do(t, s, "POST", "/v1/policies", service.CreatePolicyRequest{
 		Domain: lineDomain,
-		Graph: GraphSpec{Kind: "compose", Op: "union", Graphs: []GraphSpec{
+		Graph: service.GraphSpec{Kind: "compose", Op: "union", Graphs: []service.GraphSpec{
 			{Kind: "line"},
 			{Kind: "explicit", Edges: [][2][]int{{{0}, {63}}}},
 		}},
@@ -108,9 +110,9 @@ func TestComposePolicyKinds(t *testing.T) {
 	}
 
 	// Intersection: threshold θ=4 ∩ explicit pairs keeps only short pairs.
-	inter := decode[PolicyResponse](t, do(t, s, "POST", "/v1/policies", CreatePolicyRequest{
+	inter := decode[service.PolicyResponse](t, do(t, s, "POST", "/v1/policies", service.CreatePolicyRequest{
 		Domain: lineDomain,
-		Graph: GraphSpec{Kind: "compose", Op: "intersect", Graphs: []GraphSpec{
+		Graph: service.GraphSpec{Kind: "compose", Op: "intersect", Graphs: []service.GraphSpec{
 			{Kind: "l1", Theta: 4},
 			{Kind: "explicit", Edges: [][2][]int{{{0}, {2}}, {{0}, {40}}}},
 		}},
@@ -121,10 +123,10 @@ func TestComposePolicyKinds(t *testing.T) {
 
 	// Product over a grid: free x moves, neighbor-only y moves. The product
 	// stays implicit, so no edge stats are reported.
-	grid := []AttrSpec{{Name: "x", Size: 20}, {Name: "y", Size: 12}}
-	prod := decode[PolicyResponse](t, do(t, s, "POST", "/v1/policies", CreatePolicyRequest{
+	grid := []service.AttrSpec{{Name: "x", Size: 20}, {Name: "y", Size: 12}}
+	prod := decode[service.PolicyResponse](t, do(t, s, "POST", "/v1/policies", service.CreatePolicyRequest{
 		Domain: grid,
-		Graph: GraphSpec{Kind: "compose", Op: "product", Graphs: []GraphSpec{
+		Graph: service.GraphSpec{Kind: "compose", Op: "product", Graphs: []service.GraphSpec{
 			{Kind: "full"},
 			{Kind: "line"},
 		}},
@@ -135,10 +137,10 @@ func TestComposePolicyKinds(t *testing.T) {
 	if prod.HistogramSensitivity != 2 {
 		t.Fatalf("product histogram sensitivity = %v, want 2", prod.HistogramSensitivity)
 	}
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: prod.ID, Rows: [][]int{{1, 2}, {3, 4}, {19, 11}}})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: prod.ID, Budget: 2, Seed: i64(3)})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: prod.ID, Rows: [][]int{{1, 2}, {3, 4}, {19, 11}}})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: prod.ID, Budget: 2, Seed: i64(3)})
 	hist := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram",
-		HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
+		service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
 	if hist.Code != http.StatusOK {
 		t.Fatalf("histogram over product policy: %d %s", hist.Code, hist.Body.String())
 	}
@@ -149,18 +151,18 @@ func TestExplicitPolicyValidation(t *testing.T) {
 	defer s.Close()
 	cases := []struct {
 		name  string
-		graph GraphSpec
+		graph service.GraphSpec
 	}{
-		{"no edges", GraphSpec{Kind: "explicit"}},
-		{"self loop", GraphSpec{Kind: "explicit", Edges: [][2][]int{{{3}, {3}}}}},
-		{"row out of range", GraphSpec{Kind: "explicit", Edges: [][2][]int{{{0}, {64}}}}},
-		{"row arity", GraphSpec{Kind: "explicit", Edges: [][2][]int{{{0, 1}, {2, 3}}}}},
-		{"compose bad op", GraphSpec{Kind: "compose", Op: "xor", Graphs: []GraphSpec{{Kind: "full"}}}},
-		{"compose no operands", GraphSpec{Kind: "compose", Op: "union"}},
-		{"product arity", GraphSpec{Kind: "compose", Op: "product", Graphs: []GraphSpec{{Kind: "full"}, {Kind: "full"}}}},
+		{"no edges", service.GraphSpec{Kind: "explicit"}},
+		{"self loop", service.GraphSpec{Kind: "explicit", Edges: [][2][]int{{{3}, {3}}}}},
+		{"row out of range", service.GraphSpec{Kind: "explicit", Edges: [][2][]int{{{0}, {64}}}}},
+		{"row arity", service.GraphSpec{Kind: "explicit", Edges: [][2][]int{{{0, 1}, {2, 3}}}}},
+		{"compose bad op", service.GraphSpec{Kind: "compose", Op: "xor", Graphs: []service.GraphSpec{{Kind: "full"}}}},
+		{"compose no operands", service.GraphSpec{Kind: "compose", Op: "union"}},
+		{"product arity", service.GraphSpec{Kind: "compose", Op: "product", Graphs: []service.GraphSpec{{Kind: "full"}, {Kind: "full"}}}},
 	}
 	for _, tc := range cases {
-		w := do(t, s, "POST", "/v1/policies", CreatePolicyRequest{Domain: lineDomain, Graph: tc.graph})
+		w := do(t, s, "POST", "/v1/policies", service.CreatePolicyRequest{Domain: lineDomain, Graph: tc.graph})
 		if w.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400 (body %s)", tc.name, w.Code, w.Body.String())
 		}
@@ -176,12 +178,12 @@ func TestStreamExhaustedPlainPoll(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
-	stID := mustCreateStream(t, s, CreateStreamRequest{
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
 		PolicyID:  polID,
 		DatasetID: dsID,
 		Budget:    0.2,
 		Seed:      i64(21),
-		Epoch:     EpochSpec{Epsilon: 0.1},
+		Epoch:     service.EpochSpec{Epsilon: 0.1},
 	})
 	postEvents(t, s, dsID, appendEvents(1, 2, 3))
 	for i := 0; i < 2; i++ {
@@ -191,26 +193,26 @@ func TestStreamExhaustedPlainPoll(t *testing.T) {
 	}
 	// The third close is refused for budget, which flags the stream as
 	// permanently exhausted.
-	wantError(t, do(t, s, "POST", "/v1/streams/"+stID+"/epochs", nil), http.StatusConflict, CodeBudgetExhausted)
-	st := decode[StreamResponse](t, do(t, s, "GET", "/v1/streams/"+stID, nil))
+	wantError(t, do(t, s, "POST", "/v1/streams/"+stID+"/epochs", nil), http.StatusConflict, service.CodeBudgetExhausted)
+	st := decode[service.StreamResponse](t, do(t, s, "GET", "/v1/streams/"+stID, nil))
 	if !st.Exhausted {
 		t.Fatalf("stream not exhausted after spending the budget: %+v", st)
 	}
 
 	// Buffered releases still drain normally on a plain poll.
 	w := do(t, s, "GET", "/v1/streams/"+stID+"/releases", nil)
-	drained := decode[StreamReleasesResponse](t, w)
+	drained := decode[service.StreamReleasesResponse](t, w)
 	if w.Code != http.StatusOK || len(drained.Releases) != 2 {
 		t.Fatalf("drain poll = %d with %d releases, want 200 with 2", w.Code, len(drained.Releases))
 	}
 
 	// Past the last release, a plain poll gets the terminal signal.
 	w = do(t, s, "GET", "/v1/streams/"+stID+"/releases?since=2", nil)
-	wantError(t, w, http.StatusConflict, CodeBudgetExhausted)
+	wantError(t, w, http.StatusConflict, service.CodeBudgetExhausted)
 
 	// And it stays terminal on repeat polls.
 	w = do(t, s, "GET", "/v1/streams/"+stID+"/releases?since=2", nil)
-	wantError(t, w, http.StatusConflict, CodeBudgetExhausted)
+	wantError(t, w, http.StatusConflict, service.CodeBudgetExhausted)
 }
 
 // TestRecoveryExplicitPolicy pins the durable path for custom graphs: an
@@ -220,18 +222,18 @@ func TestStreamExhaustedPlainPoll(t *testing.T) {
 // have produced.
 func TestRecoveryExplicitPolicy(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}}
+	cfg := service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}}
 
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := GraphSpec{Kind: "explicit", Name: "bands", Edges: bandEdges()}
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: spec})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(150, 64)})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 5, Seed: i64(77)})
-	pre := decode[HistogramResponse](t, do(t, s, "POST",
-		"/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
+	spec := service.GraphSpec{Kind: "explicit", Name: "bands", Edges: bandEdges()}
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: spec})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(150, 64)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 5, Seed: i64(77)})
+	pre := decode[service.HistogramResponse](t, do(t, s, "POST",
+		"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
 	abandon(s) // crash stand-in: WAL only, no snapshot
 
 	r, err := Open(cfg)
@@ -239,27 +241,27 @@ func TestRecoveryExplicitPolicy(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer abandon(r)
-	pol := decode[PolicyResponse](t, do(t, r, "GET", "/v1/policies/"+polID, nil))
+	pol := decode[service.PolicyResponse](t, do(t, r, "GET", "/v1/policies/"+polID, nil))
 	if pol.Edges != len(bandEdges()) || pol.Components != 1 {
 		t.Fatalf("recovered policy stats = %+v", pol)
 	}
-	sess := decode[SessionResponse](t, do(t, r, "GET", "/v1/sessions/"+sessID, nil))
+	sess := decode[service.SessionResponse](t, do(t, r, "GET", "/v1/sessions/"+sessID, nil))
 	if sess.Spent != 0.5 {
 		t.Fatalf("recovered session spent %v, want 0.5", sess.Spent)
 	}
-	post := decode[HistogramResponse](t, do(t, r, "POST",
-		"/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
+	post := decode[service.HistogramResponse](t, do(t, r, "POST",
+		"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
 
 	// Control: the same request sequence on one in-memory server.
 	ctl, _ := newTestServer(t)
 	defer ctl.Close()
-	cPol := mustCreatePolicy(t, ctl, CreatePolicyRequest{Domain: lineDomain, Graph: spec})
-	cDS := mustCreateDataset(t, ctl, CreateDatasetRequest{PolicyID: cPol, Rows: lineRows(150, 64)})
-	cSess := mustCreateSession(t, ctl, CreateSessionRequest{PolicyID: cPol, Budget: 5, Seed: i64(77)})
-	want1 := decode[HistogramResponse](t, do(t, ctl, "POST",
-		"/v1/sessions/"+cSess+"/releases/histogram", HistogramRequest{DatasetID: cDS, Epsilon: 0.5}))
-	want2 := decode[HistogramResponse](t, do(t, ctl, "POST",
-		"/v1/sessions/"+cSess+"/releases/histogram", HistogramRequest{DatasetID: cDS, Epsilon: 0.5}))
+	cPol := mustCreatePolicy(t, ctl, service.CreatePolicyRequest{Domain: lineDomain, Graph: spec})
+	cDS := mustCreateDataset(t, ctl, service.CreateDatasetRequest{PolicyID: cPol, Rows: lineRows(150, 64)})
+	cSess := mustCreateSession(t, ctl, service.CreateSessionRequest{PolicyID: cPol, Budget: 5, Seed: i64(77)})
+	want1 := decode[service.HistogramResponse](t, do(t, ctl, "POST",
+		"/v1/sessions/"+cSess+"/releases/histogram", service.HistogramRequest{DatasetID: cDS, Epsilon: 0.5}))
+	want2 := decode[service.HistogramResponse](t, do(t, ctl, "POST",
+		"/v1/sessions/"+cSess+"/releases/histogram", service.HistogramRequest{DatasetID: cDS, Epsilon: 0.5}))
 	if !reflect.DeepEqual(pre.Counts, want1.Counts) {
 		t.Fatal("pre-crash explicit release diverges from control")
 	}

@@ -14,7 +14,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, CodeBadRequest, "invalid JSON body: "+err.Error())
+		writeError(w, service.CodeBadRequest, "invalid JSON body: "+err.Error())
 		return false
 	}
 	return true
@@ -29,7 +29,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCreatePolicy(w http.ResponseWriter, r *http.Request) {
-	var req CreatePolicyRequest
+	var req service.CreatePolicyRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -63,7 +63,7 @@ func (s *Server) handleDeletePolicy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
-	var req CreateDatasetRequest
+	var req service.CreateDatasetRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -97,7 +97,7 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var req CreateSessionRequest
+	var req service.CreateSessionRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -131,7 +131,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
-	var req HistogramRequest
+	var req service.HistogramRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -144,7 +144,7 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCumulative(w http.ResponseWriter, r *http.Request) {
-	var req CumulativeRequest
+	var req service.CumulativeRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -157,7 +157,7 @@ func (s *Server) handleCumulative(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req RangeRequest
+	var req service.RangeRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -175,9 +175,9 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	stats, err := s.svc.Checkpoint()
 	switch {
 	case errors.Is(err, service.ErrNotDurable):
-		writeError(w, CodeBadRequest, "server is not durable (no data directory configured)")
+		writeError(w, service.CodeBadRequest, "server is not durable (no data directory configured)")
 	case err != nil:
-		writeError(w, CodeDurability, err.Error())
+		writeError(w, service.CodeDurability, err.Error())
 	default:
 		writeJSON(w, http.StatusOK, stats)
 	}

@@ -11,13 +11,14 @@ import (
 
 	"blowfish"
 	"blowfish/internal/codec"
+	"blowfish/internal/service"
 )
 
 // ingestBenchFixture stands up a server with an empty streamable dataset
 // and returns the events path plus the 256-event batch in every encoding.
 func ingestBenchFixture(b *testing.B) (s *Server, path string, ndjson, binary, envelope []byte) {
 	b.Helper()
-	s = New(Config{Seed: 1})
+	s = New(service.Config{Seed: 1})
 	b.Cleanup(s.Close)
 	post := func(p string, body any) []byte {
 		b.Helper()
@@ -30,10 +31,10 @@ func ingestBenchFixture(b *testing.B) (s *Server, path string, ndjson, binary, e
 		}
 		return w.Body.Bytes()
 	}
-	var pol PolicyResponse
-	_ = json.Unmarshal(post("/v1/policies", CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "v", Size: 1024}},
-		Graph:  GraphSpec{Kind: "l1", Theta: 16},
+	var pol service.PolicyResponse
+	_ = json.Unmarshal(post("/v1/policies", service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 1024}},
+		Graph:  service.GraphSpec{Kind: "l1", Theta: 16},
 	}), &pol)
 	// Preload the rows the benchmark batches upsert over, so the dataset
 	// holds a constant 256 tuples however long the bench runs — appends
@@ -44,24 +45,24 @@ func ingestBenchFixture(b *testing.B) (s *Server, path string, ndjson, binary, e
 	for i := range rows {
 		rows[i] = []int{i % 1024}
 	}
-	var ds DatasetResponse
-	_ = json.Unmarshal(post("/v1/datasets", CreateDatasetRequest{PolicyID: pol.ID, Rows: rows}), &ds)
+	var ds service.DatasetResponse
+	_ = json.Unmarshal(post("/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID, Rows: rows}), &ds)
 	path = "/v1/datasets/" + ds.ID + "/events"
 
 	events := make([]blowfish.StreamEvent, batch)
-	wires := make([]EventWire, batch)
+	wires := make([]service.EventWire, batch)
 	var nd bytes.Buffer
 	for i := range events {
 		v := (i + 1) % 1024
 		events[i] = blowfish.StreamEvent{Op: "upsert", ID: i, Row: []int{v}}
-		wires[i] = EventWire{Op: "upsert", ID: i, Row: []int{v}}
+		wires[i] = service.EventWire{Op: "upsert", ID: i, Row: []int{v}}
 		fmt.Fprintf(&nd, `{"op":"upsert","id":%d,"row":[%d]}`+"\n", i, v)
 	}
 	bin, err := codec.EncodeFrame(events, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	env, _ := json.Marshal(EventsRequest{Events: wires})
+	env, _ := json.Marshal(service.EventsRequest{Events: wires})
 	return s, path, nd.Bytes(), bin, env
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"blowfish/internal/leak"
+	"blowfish/internal/service"
 )
 
 // metricsFixture drives one of everything through a durable server so the
@@ -16,30 +17,30 @@ import (
 // stream with a closed epoch.
 func metricsFixture(t *testing.T, s *Server) {
 	t.Helper()
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{
 		Domain: lineDomain,
-		Graph:  GraphSpec{Kind: "line"},
+		Graph:  service.GraphSpec{Kind: "line"},
 	})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(128, 64)})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 10})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(128, 64)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 10})
 	if w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram",
-		HistogramRequest{DatasetID: dsID, Epsilon: 0.5}); w.Code != http.StatusOK {
+		service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}); w.Code != http.StatusOK {
 		t.Fatalf("histogram release: status %d body %s", w.Code, w.Body.String())
 	}
-	if w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", RangeRequest{
-		DatasetID: dsID, Epsilon: 0.5, Queries: []RangeQuery{{Lo: 0, Hi: 31}},
+	if w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", service.RangeRequest{
+		DatasetID: dsID, Epsilon: 0.5, Queries: []service.RangeQuery{{Lo: 0, Hi: 31}},
 	}); w.Code != http.StatusOK {
 		t.Fatalf("range release: status %d body %s", w.Code, w.Body.String())
 	}
-	if w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{
-		Events: []EventWire{{Op: "append", Row: []int{7}}, {Op: "append", Row: []int{9}}},
+	if w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{
+		Events: []service.EventWire{{Op: "append", Row: []int{7}}, {Op: "append", Row: []int{9}}},
 		Wait:   true,
 	}); w.Code != http.StatusAccepted {
 		t.Fatalf("events: status %d body %s", w.Code, w.Body.String())
 	}
-	stID := mustCreateStream(t, s, CreateStreamRequest{
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: dsID, Budget: 10,
-		Epoch: EpochSpec{Epsilon: 0.01},
+		Epoch: service.EpochSpec{Epsilon: 0.01},
 	})
 	if w := do(t, s, "POST", "/v1/streams/"+stID+"/epochs", nil); w.Code != http.StatusOK {
 		t.Fatalf("epoch close: status %d body %s", w.Code, w.Body.String())
@@ -51,7 +52,7 @@ func metricsFixture(t *testing.T, s *Server) {
 // present in the Prometheus text exposition.
 func TestMetricsEndpoint(t *testing.T) {
 	leak.Check(t)
-	s, err := Open(Config{Seed: 7, Durability: DurabilityConfig{Dir: t.TempDir(), Fsync: "always"}})
+	s, err := Open(service.Config{Seed: 7, Durability: service.DurabilityConfig{Dir: t.TempDir(), Fsync: "always"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +129,9 @@ func TestLongPollShutdownRace(t *testing.T) {
 	leak.Check(t)
 	s, _ := newTestServer(t)
 	polID, dsID := streamFixtureIDs(t, s)
-	stID := mustCreateStream(t, s, CreateStreamRequest{
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: dsID, Budget: 1e9,
-		Epoch: EpochSpec{Epsilon: 0.01},
+		Epoch: service.EpochSpec{Epsilon: 0.01},
 	})
 
 	const waiters = 24

@@ -30,6 +30,7 @@ import (
 
 	"blowfish"
 
+	"blowfish/internal/service"
 	"blowfish/internal/wal"
 )
 
@@ -48,7 +49,7 @@ func TestMain(m *testing.M) {
 // runCrashChild serves a durable server on a random port, writing the
 // address to <dir>/../addr for the parent, with the WAL in <dir>.
 func runCrashChild(dir string) {
-	srv, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "always"}})
+	srv, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crash child: %v\n", err)
 		os.Exit(1)
@@ -104,7 +105,7 @@ func i64(v int64) *int64 { return &v }
 // The crash child registers it over HTTP and the control server replays
 // it, so recovery must rebuild the identical compiled plan from the
 // journaled spec for the bit-for-bit assertions below to hold.
-var crashGraphSpec = GraphSpec{Kind: "compose", Op: "union", Graphs: []GraphSpec{
+var crashGraphSpec = service.GraphSpec{Kind: "compose", Op: "union", Graphs: []service.GraphSpec{
 	{Kind: "line"},
 	{Kind: "explicit", Edges: [][2][]int{{{0}, {15}}}},
 }}
@@ -117,17 +118,17 @@ func abandon(s *Server) {
 }
 
 // appendRows submits one wait=true events batch of the given rows.
-func appendRows(t *testing.T, s *Server, dsID string, rows [][]int) EventsResponse {
+func appendRows(t *testing.T, s *Server, dsID string, rows [][]int) service.EventsResponse {
 	t.Helper()
-	evs := make([]EventWire, len(rows))
+	evs := make([]service.EventWire, len(rows))
 	for i, r := range rows {
-		evs[i] = EventWire{Op: "append", Row: r}
+		evs[i] = service.EventWire{Op: "append", Row: r}
 	}
-	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{Events: evs, Wait: true})
+	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: evs, Wait: true})
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("events: %d %s", w.Code, w.Body.String())
 	}
-	return decode[EventsResponse](t, w)
+	return decode[service.EventsResponse](t, w)
 }
 
 // TestCrashRecovery is the kill -9 harness (the CI `recovery` job runs it
@@ -170,39 +171,39 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// --- drive the child over HTTP -----------------------------------
-	var pol PolicyResponse
-	httpJSON(t, "POST", base+"/v1/policies", CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "v", Size: 16}},
+	var pol service.PolicyResponse
+	httpJSON(t, "POST", base+"/v1/policies", service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 16}},
 		Graph:  crashGraphSpec,
 	}, &pol)
 	if pol.Edges != 16 || pol.Components != 1 {
 		t.Fatalf("custom-graph policy = %+v, want 16 edges in 1 component (line + wrap)", pol)
 	}
 
-	var dsA, dsB DatasetResponse
-	httpJSON(t, "POST", base+"/v1/datasets", CreateDatasetRequest{PolicyID: pol.ID}, &dsA)
-	httpJSON(t, "POST", base+"/v1/datasets", CreateDatasetRequest{PolicyID: pol.ID}, &dsB)
+	var dsA, dsB service.DatasetResponse
+	httpJSON(t, "POST", base+"/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID}, &dsA)
+	httpJSON(t, "POST", base+"/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID}, &dsB)
 
 	// Two seeded single-shard streams: A takes the mid-ingest kill, B is
 	// quiesced before the kill and carries the bit-for-bit assertion.
-	var stA, stB StreamResponse
-	httpJSON(t, "POST", base+"/v1/streams", CreateStreamRequest{
+	var stA, stB service.StreamResponse
+	httpJSON(t, "POST", base+"/v1/streams", service.CreateStreamRequest{
 		PolicyID: pol.ID, DatasetID: dsA.ID, Budget: 3.0, Seed: i64(7),
-		Epoch: EpochSpec{Epsilon: 0.5},
+		Epoch: service.EpochSpec{Epsilon: 0.5},
 	}, &stA)
-	httpJSON(t, "POST", base+"/v1/streams", CreateStreamRequest{
+	httpJSON(t, "POST", base+"/v1/streams", service.CreateStreamRequest{
 		PolicyID: pol.ID, DatasetID: dsB.ID, Budget: 3.0, Seed: i64(11),
-		Epoch: EpochSpec{Epsilon: 0.5},
+		Epoch: service.EpochSpec{Epsilon: 0.5},
 	}, &stB)
 
-	ingest := func(dsID string, vals []int) EventsResponse {
-		evs := make([]EventWire, len(vals))
+	ingest := func(dsID string, vals []int) service.EventsResponse {
+		evs := make([]service.EventWire, len(vals))
 		for i, v := range vals {
-			evs[i] = EventWire{Op: "append", Row: []int{v}}
+			evs[i] = service.EventWire{Op: "append", Row: []int{v}}
 		}
-		var out EventsResponse
+		var out service.EventsResponse
 		code := httpJSON(t, "POST", base+"/v1/datasets/"+dsID+"/events",
-			EventsRequest{Events: evs, Wait: true}, &out)
+			service.EventsRequest{Events: evs, Wait: true}, &out)
 		if code != http.StatusAccepted {
 			t.Fatalf("ingest on %s: status %d", dsID, code)
 		}
@@ -213,8 +214,8 @@ func TestCrashRecovery(t *testing.T) {
 	ingest(dsA.ID, valsA1)
 	ackB := ingest(dsB.ID, valsB1)
 
-	closeEpoch := func(stID string) EpochReleaseWire {
-		var rel EpochReleaseWire
+	closeEpoch := func(stID string) service.EpochReleaseWire {
+		var rel service.EpochReleaseWire
 		code := httpJSON(t, "POST", base+"/v1/streams/"+stID+"/epochs", nil, &rel)
 		if code != http.StatusOK {
 			t.Fatalf("epoch close on %s: status %d", stID, code)
@@ -241,12 +242,12 @@ func TestCrashRecovery(t *testing.T) {
 				return
 			default:
 			}
-			evs := make([]EventWire, 20)
+			evs := make([]service.EventWire, 20)
 			for i := range evs {
-				evs[i] = EventWire{Op: "append", Row: []int{(n + i) % 16}}
+				evs[i] = service.EventWire{Op: "append", Row: []int{(n + i) % 16}}
 			}
 			n++
-			b, _ := json.Marshal(EventsRequest{Events: evs})
+			b, _ := json.Marshal(service.EventsRequest{Events: evs})
 			resp, err := cl.Post(base+"/v1/datasets/"+dsA.ID+"/events", "application/json", bytes.NewReader(b))
 			if err != nil {
 				return // child died mid-request: expected
@@ -264,7 +265,7 @@ func TestCrashRecovery(t *testing.T) {
 	<-stormDone
 
 	// --- recover in-process ------------------------------------------
-	rec, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "always"}})
+	rec, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -298,11 +299,11 @@ func TestCrashRecovery(t *testing.T) {
 	// Acked pre-crash releases are in the recovered buffers bit-for-bit.
 	for _, tc := range []struct {
 		st    *blowfish.Stream
-		want  []EpochReleaseWire
+		want  []service.EpochReleaseWire
 		label string
 	}{
-		{entAst, []EpochReleaseWire{ackedA1, ackedA2}, "A"},
-		{entBst, []EpochReleaseWire{ackedB1}, "B"},
+		{entAst, []service.EpochReleaseWire{ackedA1, ackedA2}, "A"},
+		{entBst, []service.EpochReleaseWire{ackedB1}, "B"},
 	} {
 		got := tc.st.ExportState().Releases
 		if len(got) != len(tc.want) {
@@ -318,27 +319,27 @@ func TestCrashRecovery(t *testing.T) {
 	// Bit-for-bit vs the no-crash run: replay the acked operation
 	// sequence for stream B on an in-memory control server and compare
 	// the post-recovery epoch close.
-	ctl := New(Config{})
-	polID := mustCreatePolicy(t, ctl, CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "v", Size: 16}},
+	ctl := New(service.Config{})
+	polID := mustCreatePolicy(t, ctl, service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 16}},
 		Graph:  crashGraphSpec,
 	})
-	ctlDS := mustCreateDataset(t, ctl, CreateDatasetRequest{PolicyID: polID})
-	w := do(t, ctl, "POST", "/v1/streams", CreateStreamRequest{
+	ctlDS := mustCreateDataset(t, ctl, service.CreateDatasetRequest{PolicyID: polID})
+	w := do(t, ctl, "POST", "/v1/streams", service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: ctlDS, Budget: 3.0, Seed: i64(11),
-		Epoch: EpochSpec{Epsilon: 0.5},
+		Epoch: service.EpochSpec{Epsilon: 0.5},
 	})
-	ctlStream := decode[StreamResponse](t, w)
+	ctlStream := decode[service.StreamResponse](t, w)
 	rowsB := make([][]int, len(valsB1))
 	for i, v := range valsB1 {
 		rowsB[i] = []int{v}
 	}
 	appendRows(t, ctl, ctlDS, rowsB)
-	ctlRel1 := decode[EpochReleaseWire](t, do(t, ctl, "POST", "/v1/streams/"+ctlStream.ID+"/epochs", nil))
+	ctlRel1 := decode[service.EpochReleaseWire](t, do(t, ctl, "POST", "/v1/streams/"+ctlStream.ID+"/epochs", nil))
 	if !reflect.DeepEqual(ctlRel1.Histogram, ackedB1.Histogram) {
 		t.Fatalf("control epoch 1 diverges from the acked pre-crash release:\n%v\n%v", ctlRel1.Histogram, ackedB1.Histogram)
 	}
-	ctlRel2 := decode[EpochReleaseWire](t, do(t, ctl, "POST", "/v1/streams/"+ctlStream.ID+"/epochs", nil))
+	ctlRel2 := decode[service.EpochReleaseWire](t, do(t, ctl, "POST", "/v1/streams/"+ctlStream.ID+"/epochs", nil))
 	recRel2, err := entBst.CloseEpoch()
 	if err != nil {
 		t.Fatalf("post-recovery close: %v", err)
@@ -358,25 +359,25 @@ func TestCrashRecovery(t *testing.T) {
 // graceful restart.
 func TestGracefulShutdownPreservesAckedEvents(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+	s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "v", Size: 8}},
-		Graph:  GraphSpec{Kind: "full"},
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 8}},
+		Graph:  service.GraphSpec{Kind: "full"},
 	})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID})
 	// Submit without wait: the 202 acks enqueueing only.
-	evs := make([]EventWire, 500)
+	evs := make([]service.EventWire, 500)
 	for i := range evs {
-		evs[i] = EventWire{Op: "append", Row: []int{i % 8}}
+		evs[i] = service.EventWire{Op: "append", Row: []int{i % 8}}
 	}
-	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{Events: evs})
+	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: evs})
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("events: %d %s", w.Code, w.Body.String())
 	}
-	ack := decode[EventsResponse](t, w)
+	ack := decode[service.EventsResponse](t, w)
 	if ack.Accepted != 500 {
 		t.Fatalf("accepted %d", ack.Accepted)
 	}
@@ -384,7 +385,7 @@ func TestGracefulShutdownPreservesAckedEvents(t *testing.T) {
 	// must drain it before the final snapshot.
 	s.Close()
 
-	r, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+	r, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,29 +416,29 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 99))
 			dir := t.TempDir()
-			live, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+			live, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			polID := mustCreatePolicy(t, live, CreatePolicyRequest{
-				Domain: []AttrSpec{{Name: "v", Size: 12}},
-				Graph:  GraphSpec{Kind: "l1", Theta: 2},
+			polID := mustCreatePolicy(t, live, service.CreatePolicyRequest{
+				Domain: []service.AttrSpec{{Name: "v", Size: 12}},
+				Graph:  service.GraphSpec{Kind: "l1", Theta: 2},
 			})
-			dsID := mustCreateDataset(t, live, CreateDatasetRequest{
+			dsID := mustCreateDataset(t, live, service.CreateDatasetRequest{
 				PolicyID: polID, Rows: lineRows(30, 12),
 			})
-			sessID := mustCreateSession(t, live, CreateSessionRequest{
+			sessID := mustCreateSession(t, live, service.CreateSessionRequest{
 				PolicyID: polID, Budget: 1000, Seed: i64(int64(seed) * 17),
 			})
-			w := do(t, live, "POST", "/v1/streams", CreateStreamRequest{
+			w := do(t, live, "POST", "/v1/streams", service.CreateStreamRequest{
 				PolicyID: polID, DatasetID: dsID, Budget: 1000, Seed: i64(int64(seed) * 31),
-				Epoch: EpochSpec{Epsilon: 0.25},
+				Epoch: service.EpochSpec{Epsilon: 0.25},
 				Kinds: []string{"histogram", "cumulative"},
 			})
 			if w.Code != http.StatusCreated {
 				t.Fatalf("stream: %d %s", w.Code, w.Body.String())
 			}
-			stID := decode[StreamResponse](t, w).ID
+			stID := decode[service.StreamResponse](t, w).ID
 
 			for op := 0; op < 120; op++ {
 				switch rng.IntN(10) {
@@ -453,11 +454,11 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 					var body any
 					switch kind {
 					case "range":
-						body = RangeRequest{DatasetID: dsID, Epsilon: 0.1, Queries: []RangeQuery{{Lo: 0, Hi: 5}}}
+						body = service.RangeRequest{DatasetID: dsID, Epsilon: 0.1, Queries: []service.RangeQuery{{Lo: 0, Hi: 5}}}
 					case "cumulative":
-						body = CumulativeRequest{DatasetID: dsID, Epsilon: 0.1}
+						body = service.CumulativeRequest{DatasetID: dsID, Epsilon: 0.1}
 					default:
-						body = HistogramRequest{DatasetID: dsID, Epsilon: 0.1}
+						body = service.HistogramRequest{DatasetID: dsID, Epsilon: 0.1}
 					}
 					w := do(t, live, "POST", "/v1/sessions/"+sessID+"/releases/"+kind, body)
 					if w.Code != http.StatusOK {
@@ -477,7 +478,7 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 						t.Fatalf("op %d checkpoint: %v", op, err)
 					}
 					w := do(t, live, "POST", "/v1/sessions/"+sessID+"/releases/histogram",
-						HistogramRequest{DatasetID: dsID, Epsilon: 0.05})
+						service.HistogramRequest{DatasetID: dsID, Epsilon: 0.05})
 					if w.Code != http.StatusOK {
 						t.Fatalf("op %d release: %d %s", op, w.Code, w.Body.String())
 					}
@@ -491,7 +492,7 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			rec, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+			rec, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
 			}
@@ -541,19 +542,19 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 // collide with pre-crash ones.
 func TestRecoveryRoundTripRegistries(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+	s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := mustCreatePolicy(t, s, CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "v", Size: 8}}, Graph: GraphSpec{Kind: "full"},
+	p1 := mustCreatePolicy(t, s, service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 8}}, Graph: service.GraphSpec{Kind: "full"},
 	})
-	p2 := mustCreatePolicy(t, s, CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "x", Size: 4}, {Name: "y", Size: 4}},
-		Graph:  GraphSpec{Kind: "partition", Blocks: 4},
+	p2 := mustCreatePolicy(t, s, service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "x", Size: 4}, {Name: "y", Size: 4}},
+		Graph:  service.GraphSpec{Kind: "partition", Blocks: 4},
 	})
-	d1 := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: p1, Rows: lineRows(10, 8)})
-	sess := mustCreateSession(t, s, CreateSessionRequest{PolicyID: p2, Budget: 5})
+	d1 := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: p1, Rows: lineRows(10, 8)})
+	sess := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: p2, Budget: 5})
 	if w := do(t, s, "DELETE", "/v1/sessions/"+sess, nil); w.Code != http.StatusNoContent {
 		t.Fatalf("delete session: %d", w.Code)
 	}
@@ -562,7 +563,7 @@ func TestRecoveryRoundTripRegistries(t *testing.T) {
 	}
 	abandon(s)
 
-	r, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+	r, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,8 +581,8 @@ func TestRecoveryRoundTripRegistries(t *testing.T) {
 		t.Fatalf("dataset %s lost", d1)
 	}
 	// Fresh ids continue past the recovered counters.
-	p3 := mustCreatePolicy(t, r, CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "v", Size: 8}}, Graph: GraphSpec{Kind: "full"},
+	p3 := mustCreatePolicy(t, r, service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 8}}, Graph: service.GraphSpec{Kind: "full"},
 	})
 	if p3 == p1 || p3 == p2 {
 		t.Fatalf("recovered server reused id %s", p3)
@@ -595,7 +596,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, tail := range []int{0, 20000} {
 		b.Run(fmt.Sprintf("tailEvents=%d", tail), func(b *testing.B) {
 			dir := b.TempDir()
-			s, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+			s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -614,16 +615,16 @@ func BenchmarkRecovery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			var pol PolicyResponse
-			post("/v1/policies", CreatePolicyRequest{
-				Domain: []AttrSpec{{Name: "v", Size: 64}}, Graph: GraphSpec{Kind: "full"},
+			var pol service.PolicyResponse
+			post("/v1/policies", service.CreatePolicyRequest{
+				Domain: []service.AttrSpec{{Name: "v", Size: 64}}, Graph: service.GraphSpec{Kind: "full"},
 			}, &pol)
-			var ds DatasetResponse
-			post("/v1/datasets", CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(50000, 64)}, &ds)
-			var st StreamResponse
-			post("/v1/streams", CreateStreamRequest{
+			var ds service.DatasetResponse
+			post("/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(50000, 64)}, &ds)
+			var st service.StreamResponse
+			post("/v1/streams", service.CreateStreamRequest{
 				PolicyID: pol.ID, DatasetID: ds.ID, Budget: 10000, Seed: i64(3),
-				Epoch: EpochSpec{Epsilon: 0.1},
+				Epoch: service.EpochSpec{Epsilon: 0.1},
 			}, &st)
 			// Snapshot covers the upload; the tail is ingest + closes.
 			if _, err := s.Checkpoint(); err != nil {
@@ -634,11 +635,11 @@ func BenchmarkRecovery(b *testing.B) {
 				if tail-done < n {
 					n = tail - done
 				}
-				evs := make([]EventWire, n)
+				evs := make([]service.EventWire, n)
 				for i := range evs {
-					evs[i] = EventWire{Op: "append", Row: []int{(done + i) % 64}}
+					evs[i] = service.EventWire{Op: "append", Row: []int{(done + i) % 64}}
 				}
-				body, _ := json.Marshal(EventsRequest{Events: evs, Wait: true})
+				body, _ := json.Marshal(service.EventsRequest{Events: evs, Wait: true})
 				req := httptest.NewRequest("POST", "/v1/datasets/"+ds.ID+"/events", bytes.NewReader(body))
 				rec := httptest.NewRecorder()
 				s.ServeHTTP(rec, req)
@@ -658,7 +659,7 @@ func BenchmarkRecovery(b *testing.B) {
 			abandon(s)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+				r, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -675,21 +676,21 @@ func BenchmarkRecovery(b *testing.B) {
 // SnapshotEvery record-count loop.
 func TestCheckpointEndpointAndAutoSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never", SnapshotEvery: 5}})
+	s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never", SnapshotEvery: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer abandon(s)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "v", Size: 8}}, Graph: GraphSpec{Kind: "full"},
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 8}}, Graph: service.GraphSpec{Kind: "full"},
 	})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(5, 8)})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(5, 8)})
 
 	w := do(t, s, "POST", "/v1/admin/checkpoint", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("checkpoint: %d %s", w.Code, w.Body.String())
 	}
-	stats := decode[CheckpointStats](t, w)
+	stats := decode[service.CheckpointStats](t, w)
 	if stats.LSN == 0 || stats.Bytes == 0 {
 		t.Fatalf("checkpoint stats %+v", stats)
 	}
@@ -714,9 +715,9 @@ func TestCheckpointEndpointAndAutoSnapshot(t *testing.T) {
 	}
 
 	// A non-durable server refuses the endpoint.
-	mem := New(Config{})
+	mem := New(service.Config{})
 	w = do(t, mem, "POST", "/v1/admin/checkpoint", nil)
-	wantError(t, w, http.StatusBadRequest, CodeBadRequest)
+	wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
 }
 
 // walLatestSnapshotLSN reports the newest snapshot boundary in dir.
@@ -731,7 +732,7 @@ func walLatestSnapshotLSN(dir string) (uint64, []byte, error) {
 func TestMultiGenerationRestarts(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {
-		s, err := Open(Config{Durability: DurabilityConfig{Dir: dir, Fsync: "never"}})
+		s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -739,15 +740,15 @@ func TestMultiGenerationRestarts(t *testing.T) {
 	}
 	// Generation 1: create everything, charge one epoch, clean shutdown.
 	s1 := open()
-	polID := mustCreatePolicy(t, s1, CreatePolicyRequest{
-		Domain: []AttrSpec{{Name: "v", Size: 8}}, Graph: GraphSpec{Kind: "full"},
+	polID := mustCreatePolicy(t, s1, service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 8}}, Graph: service.GraphSpec{Kind: "full"},
 	})
-	dsID := mustCreateDataset(t, s1, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(5, 8)})
-	w := do(t, s1, "POST", "/v1/streams", CreateStreamRequest{
+	dsID := mustCreateDataset(t, s1, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(5, 8)})
+	w := do(t, s1, "POST", "/v1/streams", service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: dsID, Budget: 1.0, Seed: i64(3),
-		Epoch: EpochSpec{Epsilon: 0.25},
+		Epoch: service.EpochSpec{Epsilon: 0.25},
 	})
-	stID := decode[StreamResponse](t, w).ID
+	stID := decode[service.StreamResponse](t, w).ID
 	if w := do(t, s1, "POST", "/v1/streams/"+stID+"/epochs", nil); w.Code != http.StatusOK {
 		t.Fatalf("gen1 epoch: %d %s", w.Code, w.Body.String())
 	}

@@ -1,3 +1,9 @@
+// Package server is the HTTP front for a blowfish service: it decodes wire
+// requests, delegates to a transport-agnostic Service (a single
+// service.Core or the shard router), and encodes responses. All domain
+// logic — registries, budget accounting, journaling, recovery — lives in
+// internal/service; this package owns only routing, content negotiation,
+// error-to-status mapping, and request metrics.
 package server
 
 import (
@@ -18,34 +24,34 @@ import (
 type Service interface {
 	Config() service.Config
 
-	CreatePolicy(req CreatePolicyRequest) (PolicyResponse, error)
-	GetPolicy(id string) (PolicyResponse, error)
-	ListPolicies() ListPoliciesResponse
+	CreatePolicy(req service.CreatePolicyRequest) (service.PolicyResponse, error)
+	GetPolicy(id string) (service.PolicyResponse, error)
+	ListPolicies() service.ListPoliciesResponse
 	DeletePolicy(id string) error
 
-	CreateDataset(req CreateDatasetRequest) (DatasetResponse, error)
-	GetDataset(id string) (DatasetResponse, error)
-	ListDatasets() ListDatasetsResponse
+	CreateDataset(req service.CreateDatasetRequest) (service.DatasetResponse, error)
+	GetDataset(id string) (service.DatasetResponse, error)
+	ListDatasets() service.ListDatasetsResponse
 	DeleteDataset(id string) error
-	IngestEvents(ctx context.Context, datasetID string, events []blowfish.StreamEvent, wait bool) (EventsResponse, error)
+	IngestEvents(ctx context.Context, datasetID string, events []blowfish.StreamEvent, wait bool) (service.EventsResponse, error)
 
-	CreateSession(req CreateSessionRequest) (SessionResponse, error)
-	GetSession(id string) (SessionResponse, error)
-	ListSessions() ListSessionsResponse
+	CreateSession(req service.CreateSessionRequest) (service.SessionResponse, error)
+	GetSession(id string) (service.SessionResponse, error)
+	ListSessions() service.ListSessionsResponse
 	DeleteSession(id string) error
 
-	Histogram(sessionID string, req HistogramRequest) (HistogramResponse, error)
-	Cumulative(sessionID string, req CumulativeRequest) (CumulativeResponse, error)
-	Range(sessionID string, req RangeRequest) (RangeResponse, error)
+	Histogram(sessionID string, req service.HistogramRequest) (service.HistogramResponse, error)
+	Cumulative(sessionID string, req service.CumulativeRequest) (service.CumulativeResponse, error)
+	Range(sessionID string, req service.RangeRequest) (service.RangeResponse, error)
 
-	CreateStream(req CreateStreamRequest) (StreamResponse, error)
-	GetStream(id string) (StreamResponse, error)
-	ListStreams() ListStreamsResponse
+	CreateStream(req service.CreateStreamRequest) (service.StreamResponse, error)
+	GetStream(id string) (service.StreamResponse, error)
+	ListStreams() service.ListStreamsResponse
 	DeleteStream(id string) error
-	CloseEpoch(ctx context.Context, id string) (EpochReleaseWire, error)
-	StreamReleases(ctx context.Context, id string, since uint64, wait time.Duration) (StreamReleasesResponse, error)
+	CloseEpoch(ctx context.Context, id string) (service.EpochReleaseWire, error)
+	StreamReleases(ctx context.Context, id string, since uint64, wait time.Duration) (service.StreamReleasesResponse, error)
 
-	Checkpoint() (CheckpointStats, error)
+	Checkpoint() (service.CheckpointStats, error)
 	ExpireSessions() int
 	SessionCount() int
 	StreamCount() int
@@ -65,7 +71,7 @@ type Server struct {
 	// and Open); the white-box accessors the crash/recovery tests use go
 	// through it. Router-backed fronts (NewWith) leave it nil.
 	core *service.Core
-	cfg  Config
+	cfg  service.Config
 	mux  *http.ServeMux
 
 	httpRequests *metrics.CounterVec
@@ -77,13 +83,13 @@ type Server struct {
 }
 
 // New creates an in-memory single-core server.
-func New(cfg Config) *Server {
+func New(cfg service.Config) *Server {
 	return newFront(service.New(cfg))
 }
 
 // Open creates a single-core server, recovering durable state from
 // cfg.Durability.Dir when one is configured.
-func Open(cfg Config) (*Server, error) {
+func Open(cfg service.Config) (*Server, error) {
 	core, err := service.Open(cfg)
 	if err != nil {
 		return nil, err
@@ -219,7 +225,7 @@ func (s *Server) Close() { s.svc.Close() }
 func (s *Server) CloseLeaked() int { return s.svc.CloseLeaked() }
 
 // Checkpoint snapshots the registries; see service.Core.Checkpoint.
-func (s *Server) Checkpoint() (CheckpointStats, error) { return s.svc.Checkpoint() }
+func (s *Server) Checkpoint() (service.CheckpointStats, error) { return s.svc.Checkpoint() }
 
 // MetricsHandler returns the handler behind GET /metrics, for mounting
 // the same exposition on an admin mux.

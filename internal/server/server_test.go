@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"blowfish/internal/service"
 )
 
 // testClock is a fake clock advanced manually by expiry tests.
@@ -35,7 +37,7 @@ func (c *testClock) Advance(d time.Duration) {
 func newTestServer(t *testing.T) (*Server, *testClock) {
 	t.Helper()
 	clk := &testClock{now: time.Unix(1700000000, 0)}
-	return New(Config{Seed: 42, SessionTTL: time.Hour, Now: clk.Now}), clk
+	return New(service.Config{Seed: 42, SessionTTL: time.Hour, Now: clk.Now}), clk
 }
 
 // do issues one in-process request and returns the recorder.
@@ -78,33 +80,33 @@ func wantError(t *testing.T, w *httptest.ResponseRecorder, status int, code stri
 }
 
 // mustCreatePolicy registers a policy and returns its id.
-func mustCreatePolicy(t *testing.T, s *Server, req CreatePolicyRequest) string {
+func mustCreatePolicy(t *testing.T, s *Server, req service.CreatePolicyRequest) string {
 	t.Helper()
 	w := do(t, s, "POST", "/v1/policies", req)
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create policy: status %d body %s", w.Code, w.Body.String())
 	}
-	return decode[PolicyResponse](t, w).ID
+	return decode[service.PolicyResponse](t, w).ID
 }
 
 // mustCreateDataset uploads rows over an inline domain and returns the id.
-func mustCreateDataset(t *testing.T, s *Server, req CreateDatasetRequest) string {
+func mustCreateDataset(t *testing.T, s *Server, req service.CreateDatasetRequest) string {
 	t.Helper()
 	w := do(t, s, "POST", "/v1/datasets", req)
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create dataset: status %d body %s", w.Code, w.Body.String())
 	}
-	return decode[DatasetResponse](t, w).ID
+	return decode[service.DatasetResponse](t, w).ID
 }
 
 // mustCreateSession opens a session and returns its id.
-func mustCreateSession(t *testing.T, s *Server, req CreateSessionRequest) string {
+func mustCreateSession(t *testing.T, s *Server, req service.CreateSessionRequest) string {
 	t.Helper()
 	w := do(t, s, "POST", "/v1/sessions", req)
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create session: status %d body %s", w.Code, w.Body.String())
 	}
-	return decode[SessionResponse](t, w).ID
+	return decode[service.SessionResponse](t, w).ID
 }
 
 // lineRows returns n rows over a 1-D domain, values cycling mod size.
@@ -116,93 +118,93 @@ func lineRows(n, size int) [][]int {
 	return rows
 }
 
-var lineDomain = []AttrSpec{{Name: "v", Size: 64}}
+var lineDomain = []service.AttrSpec{{Name: "v", Size: 64}}
 
 func TestCreatePolicy(t *testing.T) {
 	tests := []struct {
 		name     string
-		req      CreatePolicyRequest
+		req      service.CreatePolicyRequest
 		status   int
 		code     string // expected error code when status != 201
 		wantSens float64
 	}{
 		{
 			name:     "full domain",
-			req:      CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "full"}},
+			req:      service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "full"}},
 			status:   http.StatusCreated,
 			wantSens: 2,
 		},
 		{
 			name:     "attribute secrets",
-			req:      CreatePolicyRequest{Domain: []AttrSpec{{Name: "a", Size: 4}, {Name: "b", Size: 8}}, Graph: GraphSpec{Kind: "attr"}},
+			req:      service.CreatePolicyRequest{Domain: []service.AttrSpec{{Name: "a", Size: 4}, {Name: "b", Size: 8}}, Graph: service.GraphSpec{Kind: "attr"}},
 			status:   http.StatusCreated,
 			wantSens: 2,
 		},
 		{
 			name:     "l1 threshold",
-			req:      CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "l1", Theta: 8}},
+			req:      service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "l1", Theta: 8}},
 			status:   http.StatusCreated,
 			wantSens: 2,
 		},
 		{
 			name:     "linf threshold",
-			req:      CreatePolicyRequest{Domain: []AttrSpec{{Name: "x", Size: 16}, {Name: "y", Size: 16}}, Graph: GraphSpec{Kind: "linf", Theta: 2}},
+			req:      service.CreatePolicyRequest{Domain: []service.AttrSpec{{Name: "x", Size: 16}, {Name: "y", Size: 16}}, Graph: service.GraphSpec{Kind: "linf", Theta: 2}},
 			status:   http.StatusCreated,
 			wantSens: 2,
 		},
 		{
 			name:     "line graph",
-			req:      CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "line"}},
+			req:      service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "line"}},
 			status:   http.StatusCreated,
 			wantSens: 2,
 		},
 		{
 			name:     "partition by blocks",
-			req:      CreatePolicyRequest{Domain: []AttrSpec{{Name: "x", Size: 16}, {Name: "y", Size: 16}}, Graph: GraphSpec{Kind: "partition", Blocks: 16}},
+			req:      service.CreatePolicyRequest{Domain: []service.AttrSpec{{Name: "x", Size: 16}, {Name: "y", Size: 16}}, Graph: service.GraphSpec{Kind: "partition", Blocks: 16}},
 			status:   http.StatusCreated,
 			wantSens: 2,
 		},
 		{
 			name:     "partition by widths",
-			req:      CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "partition", Widths: []int{8}}},
+			req:      service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "partition", Widths: []int{8}}},
 			status:   http.StatusCreated,
 			wantSens: 2,
 		},
 		{
 			name:   "unknown graph kind",
-			req:    CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "banana"}},
+			req:    service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "banana"}},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 		{
 			name:   "empty domain",
-			req:    CreatePolicyRequest{Graph: GraphSpec{Kind: "full"}},
+			req:    service.CreatePolicyRequest{Graph: service.GraphSpec{Kind: "full"}},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 		{
 			name:   "non-positive attribute size",
-			req:    CreatePolicyRequest{Domain: []AttrSpec{{Name: "v", Size: 0}}, Graph: GraphSpec{Kind: "full"}},
+			req:    service.CreatePolicyRequest{Domain: []service.AttrSpec{{Name: "v", Size: 0}}, Graph: service.GraphSpec{Kind: "full"}},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 		{
 			name:   "l1 without theta",
-			req:    CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "l1"}},
+			req:    service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "l1"}},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 		{
 			name:   "partition without blocks or widths",
-			req:    CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "partition"}},
+			req:    service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "partition"}},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 		{
 			name:   "line graph over 2-D domain",
-			req:    CreatePolicyRequest{Domain: []AttrSpec{{Name: "x", Size: 4}, {Name: "y", Size: 4}}, Graph: GraphSpec{Kind: "line"}},
+			req:    service.CreatePolicyRequest{Domain: []service.AttrSpec{{Name: "x", Size: 4}, {Name: "y", Size: 4}}, Graph: service.GraphSpec{Kind: "line"}},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 	}
 	for _, tc := range tests {
@@ -216,7 +218,7 @@ func TestCreatePolicy(t *testing.T) {
 			if w.Code != http.StatusCreated {
 				t.Fatalf("status = %d, want 201 (body %s)", w.Code, w.Body.String())
 			}
-			resp := decode[PolicyResponse](t, w)
+			resp := decode[service.PolicyResponse](t, w)
 			if resp.ID == "" || resp.Name == "" {
 				t.Fatalf("incomplete policy response: %+v", resp)
 			}
@@ -237,64 +239,64 @@ func TestCreatePolicyRejectsMalformedJSON(t *testing.T) {
 		req := httptest.NewRequest("POST", "/v1/policies", strings.NewReader(body))
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, req)
-		wantError(t, w, http.StatusBadRequest, CodeBadRequest)
+		wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
 	}
 }
 
 func TestGetPolicyUnknown(t *testing.T) {
 	s, _ := newTestServer(t)
-	wantError(t, do(t, s, "GET", "/v1/policies/pol-99", nil), http.StatusNotFound, CodeUnknownPolicy)
+	wantError(t, do(t, s, "GET", "/v1/policies/pol-99", nil), http.StatusNotFound, service.CodeUnknownPolicy)
 }
 
 func TestCreateDataset(t *testing.T) {
 	s, _ := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "full"}})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "full"}})
 
 	tests := []struct {
 		name   string
-		req    CreateDatasetRequest
+		req    service.CreateDatasetRequest
 		status int
 		code   string
 	}{
 		{
 			name:   "inline domain",
-			req:    CreateDatasetRequest{Domain: lineDomain, Rows: lineRows(10, 64)},
+			req:    service.CreateDatasetRequest{Domain: lineDomain, Rows: lineRows(10, 64)},
 			status: http.StatusCreated,
 		},
 		{
 			name:   "borrow policy domain",
-			req:    CreateDatasetRequest{PolicyID: polID, Rows: lineRows(5, 64)},
+			req:    service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(5, 64)},
 			status: http.StatusCreated,
 		},
 		{
 			name:   "both policy and domain",
-			req:    CreateDatasetRequest{PolicyID: polID, Domain: lineDomain, Rows: lineRows(1, 64)},
+			req:    service.CreateDatasetRequest{PolicyID: polID, Domain: lineDomain, Rows: lineRows(1, 64)},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 		{
 			name:   "neither policy nor domain",
-			req:    CreateDatasetRequest{Rows: lineRows(1, 64)},
+			req:    service.CreateDatasetRequest{Rows: lineRows(1, 64)},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 		{
 			name:   "unknown policy",
-			req:    CreateDatasetRequest{PolicyID: "pol-404", Rows: lineRows(1, 64)},
+			req:    service.CreateDatasetRequest{PolicyID: "pol-404", Rows: lineRows(1, 64)},
 			status: http.StatusNotFound,
-			code:   CodeUnknownPolicy,
+			code:   service.CodeUnknownPolicy,
 		},
 		{
 			name:   "row value out of range",
-			req:    CreateDatasetRequest{Domain: lineDomain, Rows: [][]int{{64}}},
+			req:    service.CreateDatasetRequest{Domain: lineDomain, Rows: [][]int{{64}}},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 		{
 			name:   "row arity mismatch",
-			req:    CreateDatasetRequest{Domain: lineDomain, Rows: [][]int{{1, 2}}},
+			req:    service.CreateDatasetRequest{Domain: lineDomain, Rows: [][]int{{1, 2}}},
 			status: http.StatusBadRequest,
-			code:   CodeBadRequest,
+			code:   service.CodeBadRequest,
 		},
 	}
 	for _, tc := range tests {
@@ -307,7 +309,7 @@ func TestCreateDataset(t *testing.T) {
 			if w.Code != http.StatusCreated {
 				t.Fatalf("status = %d, want 201 (body %s)", w.Code, w.Body.String())
 			}
-			resp := decode[DatasetResponse](t, w)
+			resp := decode[service.DatasetResponse](t, w)
 			if resp.Rows != len(tc.req.Rows) {
 				t.Errorf("rows = %d, want %d", resp.Rows, len(tc.req.Rows))
 			}
@@ -321,17 +323,17 @@ func TestCreateDataset(t *testing.T) {
 
 func TestCreateSessionValidation(t *testing.T) {
 	s, _ := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "full"}})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "full"}})
 
-	wantError(t, do(t, s, "POST", "/v1/sessions", CreateSessionRequest{PolicyID: "pol-404", Budget: 1}),
-		http.StatusNotFound, CodeUnknownPolicy)
-	wantError(t, do(t, s, "POST", "/v1/sessions", CreateSessionRequest{PolicyID: polID, Budget: 0}),
-		http.StatusBadRequest, CodeBadRequest)
-	wantError(t, do(t, s, "POST", "/v1/sessions", CreateSessionRequest{PolicyID: polID, Budget: -2}),
-		http.StatusBadRequest, CodeBadRequest)
+	wantError(t, do(t, s, "POST", "/v1/sessions", service.CreateSessionRequest{PolicyID: "pol-404", Budget: 1}),
+		http.StatusNotFound, service.CodeUnknownPolicy)
+	wantError(t, do(t, s, "POST", "/v1/sessions", service.CreateSessionRequest{PolicyID: polID, Budget: 0}),
+		http.StatusBadRequest, service.CodeBadRequest)
+	wantError(t, do(t, s, "POST", "/v1/sessions", service.CreateSessionRequest{PolicyID: polID, Budget: -2}),
+		http.StatusBadRequest, service.CodeBadRequest)
 
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1.5})
-	resp := decode[SessionResponse](t, do(t, s, "GET", "/v1/sessions/"+sessID, nil))
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1.5})
+	resp := decode[service.SessionResponse](t, do(t, s, "GET", "/v1/sessions/"+sessID, nil))
 	if resp.Budget != 1.5 || resp.Remaining != 1.5 || resp.Spent != 0 {
 		t.Fatalf("fresh session ledger: %+v", resp)
 	}
@@ -339,26 +341,26 @@ func TestCreateSessionValidation(t *testing.T) {
 
 func TestSessionDeleteAndExpiry(t *testing.T) {
 	s, clk := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "full"}})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "full"}})
 
 	// Delete.
-	id := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1})
+	id := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1})
 	if w := do(t, s, "DELETE", "/v1/sessions/"+id, nil); w.Code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", w.Code)
 	}
-	wantError(t, do(t, s, "GET", "/v1/sessions/"+id, nil), http.StatusNotFound, CodeUnknownSession)
-	wantError(t, do(t, s, "DELETE", "/v1/sessions/"+id, nil), http.StatusNotFound, CodeUnknownSession)
+	wantError(t, do(t, s, "GET", "/v1/sessions/"+id, nil), http.StatusNotFound, service.CodeUnknownSession)
+	wantError(t, do(t, s, "DELETE", "/v1/sessions/"+id, nil), http.StatusNotFound, service.CodeUnknownSession)
 
 	// Expiry: an idle session dies, a touched one survives.
-	idle := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1})
-	live := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1})
+	idle := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1})
+	live := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1})
 	clk.Advance(50 * time.Minute)
 	do(t, s, "GET", "/v1/sessions/"+live, nil) // refreshes the idle timer
 	clk.Advance(30 * time.Minute)              // idle is now 80m old, live 30m
 	if n := s.ExpireSessions(); n != 1 {
 		t.Fatalf("expired %d sessions, want 1", n)
 	}
-	wantError(t, do(t, s, "GET", "/v1/sessions/"+idle, nil), http.StatusNotFound, CodeUnknownSession)
+	wantError(t, do(t, s, "GET", "/v1/sessions/"+idle, nil), http.StatusNotFound, service.CodeUnknownSession)
 	if w := do(t, s, "GET", "/v1/sessions/"+live, nil); w.Code != http.StatusOK {
 		t.Fatalf("live session gone: status %d", w.Code)
 	}
@@ -366,12 +368,12 @@ func TestSessionDeleteAndExpiry(t *testing.T) {
 
 func TestDeletePolicyAndDataset(t *testing.T) {
 	s, _ := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "full"}})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(4, 64)})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "full"}})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(4, 64)})
 
 	// A policy with a live session cannot be deleted.
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1})
-	wantError(t, do(t, s, "DELETE", "/v1/policies/"+polID, nil), http.StatusConflict, CodePolicyInUse)
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1})
+	wantError(t, do(t, s, "DELETE", "/v1/policies/"+polID, nil), http.StatusConflict, service.CodePolicyInUse)
 	if w := do(t, s, "GET", "/v1/policies/"+polID, nil); w.Code != http.StatusOK {
 		t.Fatalf("policy vanished after refused delete: %d", w.Code)
 	}
@@ -383,28 +385,28 @@ func TestDeletePolicyAndDataset(t *testing.T) {
 	if w := do(t, s, "DELETE", "/v1/policies/"+polID, nil); w.Code != http.StatusNoContent {
 		t.Fatalf("delete policy: %d %s", w.Code, w.Body.String())
 	}
-	wantError(t, do(t, s, "GET", "/v1/policies/"+polID, nil), http.StatusNotFound, CodeUnknownPolicy)
-	wantError(t, do(t, s, "DELETE", "/v1/policies/"+polID, nil), http.StatusNotFound, CodeUnknownPolicy)
+	wantError(t, do(t, s, "GET", "/v1/policies/"+polID, nil), http.StatusNotFound, service.CodeUnknownPolicy)
+	wantError(t, do(t, s, "DELETE", "/v1/policies/"+polID, nil), http.StatusNotFound, service.CodeUnknownPolicy)
 
 	// Datasets delete unconditionally.
 	if w := do(t, s, "DELETE", "/v1/datasets/"+dsID, nil); w.Code != http.StatusNoContent {
 		t.Fatalf("delete dataset: %d", w.Code)
 	}
-	wantError(t, do(t, s, "GET", "/v1/datasets/"+dsID, nil), http.StatusNotFound, CodeUnknownDataset)
-	wantError(t, do(t, s, "DELETE", "/v1/datasets/"+dsID, nil), http.StatusNotFound, CodeUnknownDataset)
+	wantError(t, do(t, s, "GET", "/v1/datasets/"+dsID, nil), http.StatusNotFound, service.CodeUnknownDataset)
+	wantError(t, do(t, s, "DELETE", "/v1/datasets/"+dsID, nil), http.StatusNotFound, service.CodeUnknownDataset)
 }
 
 func TestHistogramRelease(t *testing.T) {
 	s, _ := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "l1", Theta: 4}})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(100, 64)})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "l1", Theta: 4}})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(100, 64)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1})
 
-	w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
+	w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
 	if w.Code != http.StatusOK {
 		t.Fatalf("histogram: status %d body %s", w.Code, w.Body.String())
 	}
-	resp := decode[HistogramResponse](t, w)
+	resp := decode[service.HistogramResponse](t, w)
 	if len(resp.Counts) != 64 {
 		t.Fatalf("len(counts) = %d, want 64", len(resp.Counts))
 	}
@@ -413,35 +415,35 @@ func TestHistogramRelease(t *testing.T) {
 	}
 
 	// The ledger shows the spend.
-	sess := decode[SessionResponse](t, do(t, s, "GET", "/v1/sessions/"+sessID, nil))
+	sess := decode[service.SessionResponse](t, do(t, s, "GET", "/v1/sessions/"+sessID, nil))
 	if len(sess.Releases) != 1 || sess.Releases[0].Label != "histogram" {
 		t.Fatalf("ledger = %+v", sess.Releases)
 	}
 
 	// Invalid epsilon never charges.
-	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: -1}),
-		http.StatusBadRequest, CodeBadRequest)
+	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: -1}),
+		http.StatusBadRequest, service.CodeBadRequest)
 
 	// Exhaust, then verify the structured budget error.
-	if w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: 0.5}); w.Code != http.StatusOK {
+	if w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}); w.Code != http.StatusOK {
 		t.Fatalf("second histogram: status %d", w.Code)
 	}
-	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: 0.1}),
-		http.StatusConflict, CodeBudgetExhausted)
+	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.1}),
+		http.StatusConflict, service.CodeBudgetExhausted)
 }
 
 func TestHistogramDomainMismatch(t *testing.T) {
 	s, _ := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "full"}})
-	otherDS := mustCreateDataset(t, s, CreateDatasetRequest{Domain: []AttrSpec{{Name: "w", Size: 8}}, Rows: lineRows(4, 8)})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "full"}})
+	otherDS := mustCreateDataset(t, s, service.CreateDatasetRequest{Domain: []service.AttrSpec{{Name: "w", Size: 8}}, Rows: lineRows(4, 8)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1})
 
-	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: otherDS, Epsilon: 0.5}),
-		http.StatusUnprocessableEntity, CodeDomainMismatch)
-	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: "ds-404", Epsilon: 0.5}),
-		http.StatusNotFound, CodeUnknownDataset)
-	wantError(t, do(t, s, "POST", "/v1/sessions/sess-404/releases/histogram", HistogramRequest{DatasetID: otherDS, Epsilon: 0.5}),
-		http.StatusNotFound, CodeUnknownSession)
+	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: otherDS, Epsilon: 0.5}),
+		http.StatusUnprocessableEntity, service.CodeDomainMismatch)
+	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: "ds-404", Epsilon: 0.5}),
+		http.StatusNotFound, service.CodeUnknownDataset)
+	wantError(t, do(t, s, "POST", "/v1/sessions/sess-404/releases/histogram", service.HistogramRequest{DatasetID: otherDS, Epsilon: 0.5}),
+		http.StatusNotFound, service.CodeUnknownSession)
 }
 
 func TestPartitionHistogramIsExactAndFree(t *testing.T) {
@@ -449,18 +451,18 @@ func TestPartitionHistogramIsExactAndFree(t *testing.T) {
 	// Partition policy whose blocks are the histogram blocks: every secret
 	// pair stays inside a block, so h_P has sensitivity 0 and the release
 	// is exact and costs nothing (Section 5's coarse-grid observation).
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{
 		Domain: lineDomain,
-		Graph:  GraphSpec{Kind: "partition", Widths: []int{8}},
+		Graph:  service.GraphSpec{Kind: "partition", Widths: []int{8}},
 	})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(64, 64)})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(64, 64)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1})
 
-	w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
+	w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
 	if w.Code != http.StatusOK {
 		t.Fatalf("partition histogram: status %d body %s", w.Code, w.Body.String())
 	}
-	resp := decode[HistogramResponse](t, w)
+	resp := decode[service.HistogramResponse](t, w)
 	if len(resp.Counts) != 8 {
 		t.Fatalf("len(counts) = %d, want 8 blocks", len(resp.Counts))
 	}
@@ -474,26 +476,26 @@ func TestPartitionHistogramIsExactAndFree(t *testing.T) {
 	}
 
 	// A free release may even be requested with epsilon 0.
-	w = do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", HistogramRequest{DatasetID: dsID})
+	w = do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID})
 	if w.Code != http.StatusOK {
 		t.Fatalf("epsilon-0 exact release: status %d body %s", w.Code, w.Body.String())
 	}
-	if free := decode[HistogramResponse](t, w); free.Remaining != 1 {
+	if free := decode[service.HistogramResponse](t, w); free.Remaining != 1 {
 		t.Fatalf("epsilon-0 release charged budget: remaining %v", free.Remaining)
 	}
 }
 
 func TestCumulativeRelease(t *testing.T) {
 	s, _ := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "line"}})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(200, 64)})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "line"}})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(200, 64)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1})
 
-	w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/cumulative", CumulativeRequest{DatasetID: dsID, Epsilon: 0.5})
+	w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/cumulative", service.CumulativeRequest{DatasetID: dsID, Epsilon: 0.5})
 	if w.Code != http.StatusOK {
 		t.Fatalf("cumulative: status %d body %s", w.Code, w.Body.String())
 	}
-	resp := decode[CumulativeResponse](t, w)
+	resp := decode[service.CumulativeResponse](t, w)
 	if len(resp.Raw) != 64 || len(resp.Inferred) != 64 {
 		t.Fatalf("lengths raw=%d inferred=%d, want 64", len(resp.Raw), len(resp.Inferred))
 	}
@@ -509,19 +511,19 @@ func TestCumulativeRelease(t *testing.T) {
 
 func TestRangeRelease(t *testing.T) {
 	s, _ := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "l1", Theta: 8}})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(500, 64)})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 2})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "l1", Theta: 8}})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(500, 64)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 2})
 
-	w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", RangeRequest{
+	w := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", service.RangeRequest{
 		DatasetID: dsID,
 		Epsilon:   1,
-		Queries:   []RangeQuery{{Lo: 0, Hi: 63}, {Lo: 10, Hi: 20}, {Lo: 5, Hi: 5}},
+		Queries:   []service.RangeQuery{{Lo: 0, Hi: 63}, {Lo: 10, Hi: 20}, {Lo: 5, Hi: 5}},
 	})
 	if w.Code != http.StatusOK {
 		t.Fatalf("range: status %d body %s", w.Code, w.Body.String())
 	}
-	resp := decode[RangeResponse](t, w)
+	resp := decode[service.RangeResponse](t, w)
 	if len(resp.Answers) != 3 {
 		t.Fatalf("len(answers) = %d, want 3", len(resp.Answers))
 	}
@@ -535,23 +537,23 @@ func TestRangeRelease(t *testing.T) {
 	}
 
 	// A malformed query is rejected before any budget is spent.
-	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", RangeRequest{
-		DatasetID: dsID, Epsilon: 1, Queries: []RangeQuery{{Lo: 10, Hi: 200}},
-	}), http.StatusBadRequest, CodeBadRequest)
-	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", RangeRequest{
+	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", service.RangeRequest{
+		DatasetID: dsID, Epsilon: 1, Queries: []service.RangeQuery{{Lo: 10, Hi: 200}},
+	}), http.StatusBadRequest, service.CodeBadRequest)
+	wantError(t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/range", service.RangeRequest{
 		DatasetID: dsID, Epsilon: 1,
-	}), http.StatusBadRequest, CodeBadRequest)
-	sess := decode[SessionResponse](t, do(t, s, "GET", "/v1/sessions/"+sessID, nil))
+	}), http.StatusBadRequest, service.CodeBadRequest)
+	sess := decode[service.SessionResponse](t, do(t, s, "GET", "/v1/sessions/"+sessID, nil))
 	if math.Abs(sess.Remaining-1) > 1e-9 {
 		t.Fatalf("failed queries charged budget: remaining %v", sess.Remaining)
 	}
 
 	// An attr-graph policy cannot serve range queries: structured error.
-	attrPol := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "attr"}})
-	attrSess := mustCreateSession(t, s, CreateSessionRequest{PolicyID: attrPol, Budget: 1})
-	wantError(t, do(t, s, "POST", "/v1/sessions/"+attrSess+"/releases/range", RangeRequest{
-		DatasetID: dsID, Epsilon: 1, Queries: []RangeQuery{{Lo: 0, Hi: 5}},
-	}), http.StatusBadRequest, CodeBadRequest)
+	attrPol := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "attr"}})
+	attrSess := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: attrPol, Budget: 1})
+	wantError(t, do(t, s, "POST", "/v1/sessions/"+attrSess+"/releases/range", service.RangeRequest{
+		DatasetID: dsID, Epsilon: 1, Queries: []service.RangeQuery{{Lo: 0, Hi: 5}},
+	}), http.StatusBadRequest, service.CodeBadRequest)
 }
 
 func TestHealthz(t *testing.T) {
@@ -570,19 +572,19 @@ func TestHealthz(t *testing.T) {
 func TestIntegrationFullFlow(t *testing.T) {
 	specs := []struct {
 		name  string
-		graph GraphSpec
+		graph service.GraphSpec
 		// useCumulative swaps the range draw for a cumulative-histogram
 		// draw: range releases require a distance-threshold or full-domain
 		// graph, which the attr specification is not.
 		useCumulative bool
 	}{
-		{name: "full", graph: GraphSpec{Kind: "full"}},
-		{name: "attr", graph: GraphSpec{Kind: "attr"}, useCumulative: true},
-		{name: "l1-theta", graph: GraphSpec{Kind: "l1", Theta: 8}},
+		{name: "full", graph: service.GraphSpec{Kind: "full"}},
+		{name: "attr", graph: service.GraphSpec{Kind: "attr"}, useCumulative: true},
+		{name: "l1-theta", graph: service.GraphSpec{Kind: "l1", Theta: 8}},
 	}
 	for _, spec := range specs {
 		t.Run(spec.name, func(t *testing.T) {
-			srv := New(Config{Seed: 7})
+			srv := New(service.Config{Seed: 7})
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
 
@@ -606,16 +608,16 @@ func TestIntegrationFullFlow(t *testing.T) {
 				return resp.StatusCode, string(raw)
 			}
 
-			var pol PolicyResponse
-			if code, raw := post("/v1/policies", CreatePolicyRequest{Domain: lineDomain, Graph: spec.graph}, &pol); code != http.StatusCreated {
+			var pol service.PolicyResponse
+			if code, raw := post("/v1/policies", service.CreatePolicyRequest{Domain: lineDomain, Graph: spec.graph}, &pol); code != http.StatusCreated {
 				t.Fatalf("create policy: %d %s", code, raw)
 			}
-			var ds DatasetResponse
-			if code, raw := post("/v1/datasets", CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(300, 64)}, &ds); code != http.StatusCreated {
+			var ds service.DatasetResponse
+			if code, raw := post("/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(300, 64)}, &ds); code != http.StatusCreated {
 				t.Fatalf("create dataset: %d %s", code, raw)
 			}
-			var sess SessionResponse
-			if code, raw := post("/v1/sessions", CreateSessionRequest{PolicyID: pol.ID, Budget: 1.0}, &sess); code != http.StatusCreated {
+			var sess service.SessionResponse
+			if code, raw := post("/v1/sessions", service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1.0}, &sess); code != http.StatusCreated {
 				t.Fatalf("create session: %d %s", code, raw)
 			}
 
@@ -623,8 +625,8 @@ func TestIntegrationFullFlow(t *testing.T) {
 
 			// Draw releases until the budget runs out: 2 × 0.4 fits in
 			// ε=1.0, the third draw of 0.4 must be refused.
-			var hist HistogramResponse
-			if code, raw := post(base+"/histogram", HistogramRequest{DatasetID: ds.ID, Epsilon: 0.4}, &hist); code != http.StatusOK {
+			var hist service.HistogramResponse
+			if code, raw := post(base+"/histogram", service.HistogramRequest{DatasetID: ds.ID, Epsilon: 0.4}, &hist); code != http.StatusOK {
 				t.Fatalf("histogram: %d %s", code, raw)
 			}
 			if len(hist.Counts) != 64 {
@@ -632,8 +634,8 @@ func TestIntegrationFullFlow(t *testing.T) {
 			}
 
 			if spec.useCumulative {
-				var cum CumulativeResponse
-				if code, raw := post(base+"/cumulative", CumulativeRequest{DatasetID: ds.ID, Epsilon: 0.4}, &cum); code != http.StatusOK {
+				var cum service.CumulativeResponse
+				if code, raw := post(base+"/cumulative", service.CumulativeRequest{DatasetID: ds.ID, Epsilon: 0.4}, &cum); code != http.StatusOK {
 					t.Fatalf("cumulative: %d %s", code, raw)
 				}
 				if len(cum.Inferred) != 64 {
@@ -643,10 +645,10 @@ func TestIntegrationFullFlow(t *testing.T) {
 					t.Fatalf("remaining = %v, want 0.2", cum.Remaining)
 				}
 			} else {
-				var rng RangeResponse
-				if code, raw := post(base+"/range", RangeRequest{
+				var rng service.RangeResponse
+				if code, raw := post(base+"/range", service.RangeRequest{
 					DatasetID: ds.ID, Epsilon: 0.4,
-					Queries: []RangeQuery{{Lo: 0, Hi: 31}, {Lo: 32, Hi: 63}},
+					Queries: []service.RangeQuery{{Lo: 0, Hi: 31}, {Lo: 32, Hi: 63}},
 				}, &rng); code != http.StatusOK {
 					t.Fatalf("range: %d %s", code, raw)
 				}
@@ -659,17 +661,17 @@ func TestIntegrationFullFlow(t *testing.T) {
 			}
 
 			// Third draw exceeds the budget: structured 409.
-			code, raw := post(base+"/histogram", HistogramRequest{DatasetID: ds.ID, Epsilon: 0.4}, nil)
+			code, raw := post(base+"/histogram", service.HistogramRequest{DatasetID: ds.ID, Epsilon: 0.4}, nil)
 			if code != http.StatusConflict {
 				t.Fatalf("over-budget draw: %d %s, want 409", code, raw)
 			}
 			var env errorEnvelope
-			if err := json.Unmarshal([]byte(raw), &env); err != nil || env.Error.Code != CodeBudgetExhausted {
+			if err := json.Unmarshal([]byte(raw), &env); err != nil || env.Error.Code != service.CodeBudgetExhausted {
 				t.Fatalf("over-budget error body %s", raw)
 			}
 
 			// The remaining 0.2 is still spendable.
-			if code, raw := post(base+"/histogram", HistogramRequest{DatasetID: ds.ID, Epsilon: 0.2}, &hist); code != http.StatusOK {
+			if code, raw := post(base+"/histogram", service.HistogramRequest{DatasetID: ds.ID, Epsilon: 0.2}, &hist); code != http.StatusOK {
 				t.Fatalf("final draw: %d %s", code, raw)
 			}
 		})
@@ -682,8 +684,8 @@ func TestIntegrationFullFlow(t *testing.T) {
 // number of successful releases.
 func TestConcurrentReleasesNeverOverspend(t *testing.T) {
 	s, _ := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "l1", Theta: 4}})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(50, 64)})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "l1", Theta: 4}})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(50, 64)})
 
 	const (
 		budget     = 1.0
@@ -691,7 +693,7 @@ func TestConcurrentReleasesNeverOverspend(t *testing.T) {
 		goroutines = 8
 		perG       = 10 // 80 attempts total, at most 20 can succeed
 	)
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: budget})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: budget})
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -701,7 +703,7 @@ func TestConcurrentReleasesNeverOverspend(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				body, _ := json.Marshal(HistogramRequest{DatasetID: dsID, Epsilon: eps})
+				body, _ := json.Marshal(service.HistogramRequest{DatasetID: dsID, Epsilon: eps})
 				req := httptest.NewRequest("POST", "/v1/sessions/"+sessID+"/releases/histogram", bytes.NewReader(body))
 				w := httptest.NewRecorder()
 				s.ServeHTTP(w, req)
@@ -726,7 +728,7 @@ func TestConcurrentReleasesNeverOverspend(t *testing.T) {
 	if okCount+exhausted != goroutines*perG {
 		t.Fatalf("accounted %d responses, want %d", okCount+exhausted, goroutines*perG)
 	}
-	sess := decode[SessionResponse](t, do(t, s, "GET", "/v1/sessions/"+sessID, nil))
+	sess := decode[service.SessionResponse](t, do(t, s, "GET", "/v1/sessions/"+sessID, nil))
 	if sess.Spent > budget+1e-9 {
 		t.Fatalf("overspent: %v > %v", sess.Spent, budget)
 	}
@@ -745,8 +747,8 @@ func TestConcurrentReleasesNeverOverspend(t *testing.T) {
 // deletion and expiry sweeps to shake out registry races under -race.
 func TestConcurrentSessionCreateAndExpire(t *testing.T) {
 	s, clk := newTestServer(t)
-	polID := mustCreatePolicy(t, s, CreatePolicyRequest{Domain: lineDomain, Graph: GraphSpec{Kind: "full"}})
-	dsID := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID, Rows: lineRows(10, 64)})
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "full"}})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(10, 64)})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -754,7 +756,7 @@ func TestConcurrentSessionCreateAndExpire(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				body, _ := json.Marshal(CreateSessionRequest{PolicyID: polID, Budget: 1})
+				body, _ := json.Marshal(service.CreateSessionRequest{PolicyID: polID, Budget: 1})
 				req := httptest.NewRequest("POST", "/v1/sessions", bytes.NewReader(body))
 				w := httptest.NewRecorder()
 				s.ServeHTTP(w, req)
@@ -762,10 +764,10 @@ func TestConcurrentSessionCreateAndExpire(t *testing.T) {
 					t.Errorf("create session: %d", w.Code)
 					return
 				}
-				var resp SessionResponse
+				var resp service.SessionResponse
 				_ = json.Unmarshal(w.Body.Bytes(), &resp)
 
-				rbody, _ := json.Marshal(HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
+				rbody, _ := json.Marshal(service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
 				rreq := httptest.NewRequest("POST", fmt.Sprintf("/v1/sessions/%s/releases/histogram", resp.ID), bytes.NewReader(rbody))
 				rw := httptest.NewRecorder()
 				s.ServeHTTP(rw, rreq)

@@ -14,6 +14,7 @@ import (
 
 	"blowfish"
 	"blowfish/internal/codec"
+	"blowfish/internal/service"
 )
 
 // handleDatasetEvents appends a batch of events to the dataset's event log.
@@ -46,7 +47,7 @@ func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 		defer codec.PutDecoder(dec)
 		evs, err := dec.DecodeAll(r.Body, len(ds.Domain), maxEvents)
 		if err != nil {
-			writeError(w, CodeBadRequest, err.Error())
+			writeError(w, service.CodeBadRequest, err.Error())
 			return
 		}
 		events = evs
@@ -55,13 +56,13 @@ func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 		sc := getNDJSONScratch()
 		defer putNDJSONScratch(sc)
 		if err := sc.decode(r.Body, maxEvents); err != nil {
-			writeError(w, CodeBadRequest, err.Error())
+			writeError(w, service.CodeBadRequest, err.Error())
 			return
 		}
 		events = sc.events
 		wait = waitParam(r)
 	default:
-		var req EventsRequest
+		var req service.EventsRequest
 		if !decodeJSON(w, r, &req) {
 			return
 		}
@@ -103,7 +104,7 @@ func waitParam(r *http.Request) bool {
 type ndjsonScratch struct {
 	buf    []byte
 	rd     bytes.Reader
-	wire   []EventWire
+	wire   []service.EventWire
 	events []blowfish.StreamEvent
 }
 
@@ -136,7 +137,7 @@ func (sc *ndjsonScratch) decode(body io.Reader, max int) error {
 		if len(out) < cap(out) {
 			out = out[:len(out)+1]
 		} else {
-			out = append(out, EventWire{})
+			out = append(out, service.EventWire{})
 		}
 		ev := &out[len(out)-1]
 		ev.Op, ev.ID, ev.Row = "", 0, ev.Row[:0]
@@ -161,7 +162,7 @@ func (sc *ndjsonScratch) decode(body io.Reader, max int) error {
 }
 
 func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
-	var req CreateStreamRequest
+	var req service.CreateStreamRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -215,7 +216,7 @@ func (s *Server) handleStreamReleases(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, CodeBadRequest, "invalid since cursor: "+err.Error())
+			writeError(w, service.CodeBadRequest, "invalid since cursor: "+err.Error())
 			return
 		}
 		since = n
@@ -224,7 +225,7 @@ func (s *Server) handleStreamReleases(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("wait_ms"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, CodeBadRequest, "invalid wait_ms")
+			writeError(w, service.CodeBadRequest, "invalid wait_ms")
 			return
 		}
 		wait = time.Duration(n) * time.Millisecond

@@ -13,44 +13,45 @@ import (
 
 	"blowfish"
 	"blowfish/internal/leak"
+	"blowfish/internal/service"
 )
 
 // streamFixtureIDs registers an l1 line policy and an empty dataset over
 // its domain, returning both ids.
 func streamFixtureIDs(t *testing.T, s *Server) (polID, dsID string) {
 	t.Helper()
-	polID = mustCreatePolicy(t, s, CreatePolicyRequest{
+	polID = mustCreatePolicy(t, s, service.CreatePolicyRequest{
 		Domain: lineDomain,
-		Graph:  GraphSpec{Kind: "l1", Theta: 4},
+		Graph:  service.GraphSpec{Kind: "l1", Theta: 4},
 	})
-	dsID = mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID})
+	dsID = mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID})
 	return polID, dsID
 }
 
 // mustCreateStream opens a stream and returns its id.
-func mustCreateStream(t *testing.T, s *Server, req CreateStreamRequest) string {
+func mustCreateStream(t *testing.T, s *Server, req service.CreateStreamRequest) string {
 	t.Helper()
 	w := do(t, s, "POST", "/v1/streams", req)
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create stream: status %d body %s", w.Code, w.Body.String())
 	}
-	return decode[StreamResponse](t, w).ID
+	return decode[service.StreamResponse](t, w).ID
 }
 
 // postEvents submits an events batch with wait=true and asserts acceptance.
-func postEvents(t *testing.T, s *Server, dsID string, events []EventWire) EventsResponse {
+func postEvents(t *testing.T, s *Server, dsID string, events []service.EventWire) service.EventsResponse {
 	t.Helper()
-	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{Events: events, Wait: true})
+	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: events, Wait: true})
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("post events: status %d body %s", w.Code, w.Body.String())
 	}
-	return decode[EventsResponse](t, w)
+	return decode[service.EventsResponse](t, w)
 }
 
-func appendEvents(vals ...int) []EventWire {
-	evs := make([]EventWire, len(vals))
+func appendEvents(vals ...int) []service.EventWire {
+	evs := make([]service.EventWire, len(vals))
 	for i, v := range vals {
-		evs[i] = EventWire{Op: "append", Row: []int{v}}
+		evs[i] = service.EventWire{Op: "append", Row: []int{v}}
 	}
 	return evs
 }
@@ -62,12 +63,12 @@ func TestStreamLifecycle(t *testing.T) {
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
 	seed := int64(7)
-	stID := mustCreateStream(t, s, CreateStreamRequest{
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
 		PolicyID:  polID,
 		DatasetID: dsID,
 		Budget:    0.3,
 		Seed:      &seed,
-		Epoch:     EpochSpec{Epsilon: 0.1},
+		Epoch:     service.EpochSpec{Epsilon: 0.1},
 	})
 
 	resp := postEvents(t, s, dsID, appendEvents(1, 2, 2, 3))
@@ -80,7 +81,7 @@ func TestStreamLifecycle(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("close epoch: status %d body %s", w.Code, w.Body.String())
 	}
-	rel := decode[EpochReleaseWire](t, w)
+	rel := decode[service.EpochReleaseWire](t, w)
 	if rel.Seq != 1 || rel.Epoch != 0 || rel.Rows != 4 || len(rel.Histogram) != 64 {
 		t.Fatalf("release = %+v", rel)
 	}
@@ -96,7 +97,7 @@ func TestStreamLifecycle(t *testing.T) {
 		t.Fatalf("close epoch 2: status %d body %s", w.Code, w.Body.String())
 	}
 	w = do(t, s, "GET", "/v1/streams/"+stID+"/releases?since=1", nil)
-	polled := decode[StreamReleasesResponse](t, w)
+	polled := decode[service.StreamReleasesResponse](t, w)
 	if len(polled.Releases) != 1 || polled.Releases[0].Seq != 2 || polled.NextSince != 2 {
 		t.Fatalf("poll = %+v", polled)
 	}
@@ -110,16 +111,16 @@ func TestStreamLifecycle(t *testing.T) {
 		t.Fatalf("close epoch 3: status %d body %s", w.Code, w.Body.String())
 	}
 	w = do(t, s, "POST", "/v1/streams/"+stID+"/epochs", nil)
-	wantError(t, w, http.StatusConflict, CodeBudgetExhausted)
+	wantError(t, w, http.StatusConflict, service.CodeBudgetExhausted)
 
-	st := decode[StreamResponse](t, do(t, s, "GET", "/v1/streams/"+stID, nil))
+	st := decode[service.StreamResponse](t, do(t, s, "GET", "/v1/streams/"+stID, nil))
 	if !st.Exhausted || st.Epoch != 3 || st.Spent < 0.3-1e-9 {
 		t.Fatalf("stream status = %+v, want exhausted after 3 epochs", st)
 	}
 	// A poll past the last release on an exhausted stream tells the poller
 	// to stop (budget_exhausted) instead of hanging.
 	w = do(t, s, "GET", "/v1/streams/"+stID+"/releases?since=3&wait_ms=50", nil)
-	wantError(t, w, http.StatusConflict, CodeBudgetExhausted)
+	wantError(t, w, http.StatusConflict, service.CodeBudgetExhausted)
 }
 
 // TestStreamReproducible pins the acceptance criterion end to end: two
@@ -131,19 +132,19 @@ func TestStreamReproducible(t *testing.T) {
 		defer s.Close()
 		polID, dsID := streamFixtureIDs(t, s)
 		seed := int64(99)
-		stID := mustCreateStream(t, s, CreateStreamRequest{
+		stID := mustCreateStream(t, s, service.CreateStreamRequest{
 			PolicyID:  polID,
 			DatasetID: dsID,
 			Budget:    1,
 			Seed:      &seed,
-			Epoch:     EpochSpec{Epsilon: 0.5},
+			Epoch:     service.EpochSpec{Epsilon: 0.5},
 		})
 		postEvents(t, s, dsID, appendEvents(5, 9, 9, 30, 31))
 		w := do(t, s, "POST", "/v1/streams/"+stID+"/epochs", nil)
 		if w.Code != http.StatusOK {
 			t.Fatalf("close epoch: status %d body %s", w.Code, w.Body.String())
 		}
-		return decode[EpochReleaseWire](t, w).Histogram
+		return decode[service.EpochReleaseWire](t, w).Histogram
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -170,11 +171,11 @@ func TestStreamNDJSONEvents(t *testing.T) {
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("ndjson post: status %d body %s", w.Code, w.Body.String())
 	}
-	resp := decode[EventsResponse](t, w)
+	resp := decode[service.EventsResponse](t, w)
 	if resp.Accepted != 3 || resp.ProcessedSeq != 3 {
 		t.Fatalf("ndjson response = %+v", resp)
 	}
-	ds := decode[DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
+	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
 	if ds.Rows != 2 {
 		t.Fatalf("rows = %d, want 2", ds.Rows)
 	}
@@ -183,7 +184,7 @@ func TestStreamNDJSONEvents(t *testing.T) {
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	w = httptest.NewRecorder()
 	s.ServeHTTP(w, req)
-	wantError(t, w, http.StatusBadRequest, CodeBadRequest)
+	wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
 }
 
 // TestStreamLongPoll asserts a waiting releases poll wakes on epoch close.
@@ -191,8 +192,8 @@ func TestStreamLongPoll(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
-	stID := mustCreateStream(t, s, CreateStreamRequest{
-		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
 	})
 	postEvents(t, s, dsID, appendEvents(1))
 	type result struct {
@@ -211,7 +212,7 @@ func TestStreamLongPoll(t *testing.T) {
 		if r.w.Code != http.StatusOK {
 			t.Fatalf("long-poll: status %d body %s", r.w.Code, r.w.Body.String())
 		}
-		resp := decode[StreamReleasesResponse](t, r.w)
+		resp := decode[service.StreamReleasesResponse](t, r.w)
 		if len(resp.Releases) != 1 || resp.NextSince != 1 {
 			t.Fatalf("long-poll = %+v", resp)
 		}
@@ -223,7 +224,7 @@ func TestStreamLongPoll(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("elapsed wait: status %d body %s", w.Code, w.Body.String())
 	}
-	if resp := decode[StreamReleasesResponse](t, w); len(resp.Releases) != 0 || resp.NextSince != 1 {
+	if resp := decode[service.StreamReleasesResponse](t, w); len(resp.Releases) != 0 || resp.NextSince != 1 {
 		t.Fatalf("elapsed wait = %+v", resp)
 	}
 	// A hostile cursor (uint64 max) is an empty answer, not a panic.
@@ -231,7 +232,7 @@ func TestStreamLongPoll(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("huge cursor: status %d body %s", w.Code, w.Body.String())
 	}
-	if resp := decode[StreamReleasesResponse](t, w); len(resp.Releases) != 0 {
+	if resp := decode[service.StreamReleasesResponse](t, w); len(resp.Releases) != 0 {
 		t.Fatalf("huge cursor = %+v", resp)
 	}
 }
@@ -242,16 +243,16 @@ func TestStreamAutomaticEpochs(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
-	stID := mustCreateStream(t, s, CreateStreamRequest{
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: dsID, Budget: 1,
-		Epoch: EpochSpec{Epsilon: 0.01, IntervalMS: 1},
+		Epoch: service.EpochSpec{Epsilon: 0.01, IntervalMS: 1},
 	})
 	postEvents(t, s, dsID, appendEvents(1, 2))
 	w := do(t, s, "GET", "/v1/streams/"+stID+"/releases?wait_ms=10000", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("poll: status %d body %s", w.Code, w.Body.String())
 	}
-	if resp := decode[StreamReleasesResponse](t, w); len(resp.Releases) == 0 {
+	if resp := decode[service.StreamReleasesResponse](t, w); len(resp.Releases) == 0 {
 		t.Fatal("no automatic release arrived")
 	}
 	if w := do(t, s, "DELETE", "/v1/streams/"+stID, nil); w.Code != http.StatusNoContent {
@@ -268,11 +269,11 @@ func TestDeletionGuards(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
-	stID := mustCreateStream(t, s, CreateStreamRequest{
-		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
 	})
-	wantError(t, do(t, s, "DELETE", "/v1/datasets/"+dsID, nil), http.StatusConflict, CodeDatasetInUse)
-	wantError(t, do(t, s, "DELETE", "/v1/policies/"+polID, nil), http.StatusConflict, CodePolicyInUse)
+	wantError(t, do(t, s, "DELETE", "/v1/datasets/"+dsID, nil), http.StatusConflict, service.CodeDatasetInUse)
+	wantError(t, do(t, s, "DELETE", "/v1/policies/"+polID, nil), http.StatusConflict, service.CodePolicyInUse)
 	if w := do(t, s, "DELETE", "/v1/streams/"+stID, nil); w.Code != http.StatusNoContent {
 		t.Fatalf("delete stream: status %d", w.Code)
 	}
@@ -292,27 +293,27 @@ func TestWindowedStreamExclusivity(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
-	mustCreateStream(t, s, CreateStreamRequest{
-		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
+	mustCreateStream(t, s, service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
 	})
 	// A second cumulative stream coexists.
-	mustCreateStream(t, s, CreateStreamRequest{
-		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
+	mustCreateStream(t, s, service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
 	})
 	// A windowed stream on the shared dataset is refused...
-	wantError(t, do(t, s, "POST", "/v1/streams", CreateStreamRequest{
-		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
-		Window: WindowSpec{Kind: "tumbling"},
-	}), http.StatusConflict, CodeDatasetInUse)
+	wantError(t, do(t, s, "POST", "/v1/streams", service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
+		Window: service.WindowSpec{Kind: "tumbling"},
+	}), http.StatusConflict, service.CodeDatasetInUse)
 	// ...and a dataset carrying a windowed stream admits no second stream.
-	ds2 := mustCreateDataset(t, s, CreateDatasetRequest{PolicyID: polID})
-	mustCreateStream(t, s, CreateStreamRequest{
-		PolicyID: polID, DatasetID: ds2, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
-		Window: WindowSpec{Kind: "sliding", Epochs: 2},
+	ds2 := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID})
+	mustCreateStream(t, s, service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: ds2, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
+		Window: service.WindowSpec{Kind: "sliding", Epochs: 2},
 	})
-	wantError(t, do(t, s, "POST", "/v1/streams", CreateStreamRequest{
-		PolicyID: polID, DatasetID: ds2, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
-	}), http.StatusConflict, CodeDatasetInUse)
+	wantError(t, do(t, s, "POST", "/v1/streams", service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: ds2, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
+	}), http.StatusConflict, service.CodeDatasetInUse)
 }
 
 // TestListEndpoints pins the enumeration surface: ids come back in numeric
@@ -322,19 +323,19 @@ func TestListEndpoints(t *testing.T) {
 	defer s.Close()
 	var polIDs, dsIDs []string
 	for i := 0; i < 3; i++ {
-		polIDs = append(polIDs, mustCreatePolicy(t, s, CreatePolicyRequest{
-			Domain: lineDomain, Graph: GraphSpec{Kind: "l1", Theta: float64(i + 1)},
+		polIDs = append(polIDs, mustCreatePolicy(t, s, service.CreatePolicyRequest{
+			Domain: lineDomain, Graph: service.GraphSpec{Kind: "l1", Theta: float64(i + 1)},
 		}))
-		dsIDs = append(dsIDs, mustCreateDataset(t, s, CreateDatasetRequest{
+		dsIDs = append(dsIDs, mustCreateDataset(t, s, service.CreateDatasetRequest{
 			Domain: lineDomain, Rows: lineRows(i+1, 64),
 		}))
 	}
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polIDs[1], Budget: 2})
-	stID := mustCreateStream(t, s, CreateStreamRequest{
-		PolicyID: polIDs[0], DatasetID: dsIDs[0], Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polIDs[1], Budget: 2})
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
+		PolicyID: polIDs[0], DatasetID: dsIDs[0], Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
 	})
 
-	pols := decode[ListPoliciesResponse](t, do(t, s, "GET", "/v1/policies", nil))
+	pols := decode[service.ListPoliciesResponse](t, do(t, s, "GET", "/v1/policies", nil))
 	if len(pols.Policies) != 3 {
 		t.Fatalf("policies = %d, want 3", len(pols.Policies))
 	}
@@ -343,7 +344,7 @@ func TestListEndpoints(t *testing.T) {
 			t.Fatalf("policy order: got %q at %d, want %q", p.ID, i, polIDs[i])
 		}
 	}
-	dss := decode[ListDatasetsResponse](t, do(t, s, "GET", "/v1/datasets", nil))
+	dss := decode[service.ListDatasetsResponse](t, do(t, s, "GET", "/v1/datasets", nil))
 	if len(dss.Datasets) != 3 {
 		t.Fatalf("datasets = %d, want 3", len(dss.Datasets))
 	}
@@ -352,11 +353,11 @@ func TestListEndpoints(t *testing.T) {
 			t.Fatalf("dataset %d = %+v", i, d)
 		}
 	}
-	sessions := decode[ListSessionsResponse](t, do(t, s, "GET", "/v1/sessions", nil))
+	sessions := decode[service.ListSessionsResponse](t, do(t, s, "GET", "/v1/sessions", nil))
 	if len(sessions.Sessions) != 1 || sessions.Sessions[0].ID != sessID || sessions.Sessions[0].Budget != 2 {
 		t.Fatalf("sessions = %+v", sessions)
 	}
-	streams := decode[ListStreamsResponse](t, do(t, s, "GET", "/v1/streams", nil))
+	streams := decode[service.ListStreamsResponse](t, do(t, s, "GET", "/v1/streams", nil))
 	if len(streams.Streams) != 1 || streams.Streams[0].ID != stID {
 		t.Fatalf("streams = %+v", streams)
 	}
@@ -367,26 +368,26 @@ func TestStreamBadRequests(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
-	wantError(t, do(t, s, "POST", "/v1/streams", CreateStreamRequest{
-		PolicyID: "pol-404", DatasetID: dsID, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
-	}), http.StatusNotFound, CodeUnknownPolicy)
-	wantError(t, do(t, s, "POST", "/v1/streams", CreateStreamRequest{
-		PolicyID: polID, DatasetID: "ds-404", Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
-	}), http.StatusNotFound, CodeUnknownDataset)
-	wantError(t, do(t, s, "POST", "/v1/streams", CreateStreamRequest{
+	wantError(t, do(t, s, "POST", "/v1/streams", service.CreateStreamRequest{
+		PolicyID: "pol-404", DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
+	}), http.StatusNotFound, service.CodeUnknownPolicy)
+	wantError(t, do(t, s, "POST", "/v1/streams", service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: "ds-404", Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
+	}), http.StatusNotFound, service.CodeUnknownDataset)
+	wantError(t, do(t, s, "POST", "/v1/streams", service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: dsID, Budget: 1, // no epsilon schedule
-	}), http.StatusBadRequest, CodeBadRequest)
+	}), http.StatusBadRequest, service.CodeBadRequest)
 	// Foreign-domain dataset → structured domain mismatch.
-	otherDS := mustCreateDataset(t, s, CreateDatasetRequest{Domain: []AttrSpec{{Name: "w", Size: 9}}})
-	wantError(t, do(t, s, "POST", "/v1/streams", CreateStreamRequest{
-		PolicyID: polID, DatasetID: otherDS, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
-	}), http.StatusUnprocessableEntity, CodeDomainMismatch)
-	wantError(t, do(t, s, "GET", "/v1/streams/stream-404", nil), http.StatusNotFound, CodeUnknownStream)
-	wantError(t, do(t, s, "POST", "/v1/streams/stream-404/epochs", nil), http.StatusNotFound, CodeUnknownStream)
-	wantError(t, do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{}), http.StatusBadRequest, CodeBadRequest)
-	wantError(t, do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{
-		Events: []EventWire{{Op: "append", Row: []int{999}}},
-	}), http.StatusBadRequest, CodeBadRequest)
+	otherDS := mustCreateDataset(t, s, service.CreateDatasetRequest{Domain: []service.AttrSpec{{Name: "w", Size: 9}}})
+	wantError(t, do(t, s, "POST", "/v1/streams", service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: otherDS, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
+	}), http.StatusUnprocessableEntity, service.CodeDomainMismatch)
+	wantError(t, do(t, s, "GET", "/v1/streams/stream-404", nil), http.StatusNotFound, service.CodeUnknownStream)
+	wantError(t, do(t, s, "POST", "/v1/streams/stream-404/epochs", nil), http.StatusNotFound, service.CodeUnknownStream)
+	wantError(t, do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{}), http.StatusBadRequest, service.CodeBadRequest)
+	wantError(t, do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{
+		Events: []service.EventWire{{Op: "append", Row: []int{999}}},
+	}), http.StatusBadRequest, service.CodeBadRequest)
 }
 
 // TestServerClose pins shutdown semantics: Close is idempotent, stops the
@@ -395,30 +396,30 @@ func TestStreamBadRequests(t *testing.T) {
 func TestServerClose(t *testing.T) {
 	s, _ := newTestServer(t)
 	polID, dsID := streamFixtureIDs(t, s)
-	mustCreateStream(t, s, CreateStreamRequest{
+	mustCreateStream(t, s, service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: dsID, Budget: 1,
-		Epoch: EpochSpec{Epsilon: 0.01, IntervalMS: 1},
+		Epoch: service.EpochSpec{Epsilon: 0.01, IntervalMS: 1},
 	})
 	// Submit without waiting, then Close: the queue must flush.
-	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{Events: appendEvents(1, 2, 3)})
+	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: appendEvents(1, 2, 3)})
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("events: status %d body %s", w.Code, w.Body.String())
 	}
 	s.Close()
 	s.Close() // idempotent
-	ds := decode[DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
+	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
 	if ds.Rows != 3 {
 		t.Fatalf("rows after Close = %d, want 3 (queue not flushed)", ds.Rows)
 	}
-	wantError(t, do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{Events: appendEvents(4)}),
-		http.StatusBadRequest, CodeBadRequest)
-	wantError(t, do(t, s, "POST", "/v1/streams", CreateStreamRequest{
-		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: EpochSpec{Epsilon: 0.1},
-	}), http.StatusBadRequest, CodeBadRequest)
+	wantError(t, do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: appendEvents(4)}),
+		http.StatusBadRequest, service.CodeBadRequest)
+	wantError(t, do(t, s, "POST", "/v1/streams", service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
+	}), http.StatusBadRequest, service.CodeBadRequest)
 	// A dataset that never ingested refuses a post-Close first event (no
 	// writer goroutine may start after shutdown).
 	// (Datasets can no longer be created post-Close, so reuse the same one.)
-	reads := decode[ListStreamsResponse](t, do(t, s, "GET", "/v1/streams", nil))
+	reads := decode[service.ListStreamsResponse](t, do(t, s, "GET", "/v1/streams", nil))
 	if len(reads.Streams) != 1 {
 		t.Fatalf("streams = %d, want 1 (reads still served)", len(reads.Streams))
 	}
@@ -434,12 +435,12 @@ func TestServerStreamHammer(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
-	stID := mustCreateStream(t, s, CreateStreamRequest{
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: dsID, Budget: 1e9,
-		Epoch: EpochSpec{Epsilon: 0.01},
+		Epoch: service.EpochSpec{Epsilon: 0.01},
 		Kinds: []string{"histogram", "cumulative"},
 	})
-	sessID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1e9})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1e9})
 
 	tbl := s.Core().DatasetTable(dsID)
 
@@ -462,7 +463,7 @@ func TestServerStreamHammer(t *testing.T) {
 					return
 				default:
 				}
-				rec := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", EventsRequest{
+				rec := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{
 					Events: appendEvents((i*3+w)%64, (i*7)%64),
 				})
 				if rec.Code == http.StatusTooManyRequests {
@@ -493,7 +494,7 @@ func TestServerStreamHammer(t *testing.T) {
 			default:
 			}
 			rec := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram",
-				HistogramRequest{DatasetID: dsID, Epsilon: 0.01})
+				service.HistogramRequest{DatasetID: dsID, Epsilon: 0.01})
 			if rec.Code != http.StatusOK {
 				fail("session release: status %d body %s", rec.Code, rec.Body.String())
 				return
@@ -534,7 +535,7 @@ func TestServerStreamHammer(t *testing.T) {
 				fail("poll: status %d body %s", rec.Code, rec.Body.String())
 				return
 			}
-			since = decode[StreamReleasesResponse](t, rec).NextSince
+			since = decode[service.StreamReleasesResponse](t, rec).NextSince
 			do(t, s, "GET", "/v1/datasets", nil)
 			do(t, s, "GET", "/v1/streams", nil)
 			time.Sleep(200 * time.Microsecond)
@@ -567,13 +568,13 @@ func TestServerStreamHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkID := mustCreateSession(t, s, CreateSessionRequest{PolicyID: polID, Budget: 1e12})
+	checkID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1e12})
 	rec := do(t, s, "POST", "/v1/sessions/"+checkID+"/releases/histogram",
-		HistogramRequest{DatasetID: dsID, Epsilon: 1e9})
+		service.HistogramRequest{DatasetID: dsID, Epsilon: 1e9})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("check release: status %d body %s", rec.Code, rec.Body.String())
 	}
-	got := decode[HistogramResponse](t, rec).Counts
+	got := decode[service.HistogramResponse](t, rec).Counts
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 0.5 {
 			t.Fatalf("hist[%d] = %v, want %v (index torn)", i, got[i], want[i])

@@ -207,11 +207,10 @@ func (c *Core) GetDataset(id string) (DatasetResponse, error) {
 	if !ok {
 		return DatasetResponse{}, errf(CodeUnknownDataset, "no dataset %q", id)
 	}
-	// Row counts read under the table lock: ingestion may be landing.
-	e.tbl.RLock()
-	rows := e.ds.Len()
-	e.tbl.RUnlock()
-	return DatasetResponse{ID: e.id, Rows: rows, Domain: e.attrs}, nil
+	// The table's lock-free row count: the events handler resolves the
+	// dataset here while ingestion may be landing, and must never queue
+	// behind a waiting ingest writer (see stream.Table.Len).
+	return DatasetResponse{ID: e.id, Rows: e.tbl.Len(), Domain: e.attrs}, nil
 }
 
 // ListDatasets enumerates registered datasets in id order.
@@ -219,11 +218,7 @@ func (c *Core) ListDatasets() ListDatasetsResponse {
 	entries := snapshotSorted(c, c.datasets, func(e *datasetEntry) string { return e.id })
 	resp := ListDatasetsResponse{Datasets: make([]DatasetResponse, len(entries))}
 	for i, e := range entries {
-		// Row counts read under the table lock: ingestion may be landing.
-		e.tbl.RLock()
-		rows := e.ds.Len()
-		e.tbl.RUnlock()
-		resp.Datasets[i] = DatasetResponse{ID: e.id, Rows: rows, Domain: e.attrs}
+		resp.Datasets[i] = DatasetResponse{ID: e.id, Rows: e.tbl.Len(), Domain: e.attrs}
 	}
 	return resp
 }

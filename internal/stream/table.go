@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"blowfish/internal/domain"
 	"blowfish/internal/engine"
@@ -48,6 +49,9 @@ var ErrJournalFailed = errors.New("stream: write-ahead journal append failed")
 type Table struct {
 	mu sync.RWMutex
 	ds *domain.Dataset
+	// rows is ds.Len() as of the last write through the table, stored
+	// before the write lock is released, so Len needs no lock.
+	rows atomic.Int64
 	// idx, when bound, keeps one plan's count vectors incremental under
 	// ingestion; other plans' indexes rebuild via the generation counter.
 	idx *engine.DatasetIndex
@@ -77,7 +81,9 @@ func NewTable(ds *domain.Dataset) (*Table, error) {
 	if ds == nil {
 		return nil, errors.New("stream: nil dataset")
 	}
-	return &Table{ds: ds}, nil
+	t := &Table{ds: ds}
+	t.rows.Store(int64(ds.Len()))
+	return t, nil
 }
 
 // Dataset returns the wrapped dataset. Read it only under RLock; mutate it
@@ -129,12 +135,12 @@ func (t *Table) TrackEpochs() {
 	}
 }
 
-// Len returns the dataset cardinality under the read lock.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ds.Len()
-}
+// Len returns the dataset cardinality as of the last write through the
+// table, without taking the lock. A caller that only needs the count must
+// not queue behind a waiting writer: Go's RWMutex blocks new readers once a
+// writer waits, so a read lock taken while the same goroutine (or one it
+// waits on) already holds one would deadlock.
+func (t *Table) Len() int { return int(t.rows.Load()) }
 
 // Applied returns the number of mutations applied through the table.
 func (t *Table) Applied() uint64 {
@@ -190,6 +196,7 @@ func (t *Table) applyLocked(muts []engine.Mutation) (int, error) {
 		}
 	}
 	t.applied += uint64(n)
+	t.rows.Store(int64(t.ds.Len()))
 	return n, err
 }
 
@@ -307,6 +314,7 @@ func (t *Table) Mutate(f func(ds *domain.Dataset) error) error {
 	defer t.mu.Unlock()
 	gen := t.ds.Generation()
 	err := f(t.ds)
+	t.rows.Store(int64(t.ds.Len()))
 	if t.tracking && t.ds.Generation() != gen {
 		if cap(t.epochOf) < t.ds.Len() {
 			t.epochOf = make([]int32, t.ds.Len())

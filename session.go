@@ -2,13 +2,10 @@ package blowfish
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"sync"
 
 	"blowfish/internal/domain"
 	"blowfish/internal/engine"
-	"blowfish/internal/mechanism"
 	"blowfish/internal/stream"
 )
 
@@ -22,31 +19,21 @@ import (
 // underlying Accountant's SpendParallel for disjoint-subset workloads
 // (Theorem 4.2).
 //
-// Unconstrained policies run on the compiled release engine: the policy's
-// sensitivities and tree layouts are computed once at session creation, and
-// each dataset's count vectors are indexed on first use and maintained
-// incrementally, so repeated releases never rescan the tuples. Constrained
-// policies keep the legacy per-release path (package constraints).
+// Every session runs on the compiled release engine: the policy's
+// sensitivities and tree layouts are computed once at session creation
+// (for a constrained policy, its Section 8 histogram bound too), and each
+// dataset's count vectors are indexed on first use and maintained
+// incrementally, so repeated releases never rescan the tuples.
 //
 // A Session is safe for concurrent use and never overspends: each charge is
 // atomic against the remaining budget. A Session from NewSession draws all
-// noise from one stream, so concurrent releases serialize on it (and match
-// the legacy noise stream bit-for-bit); NewSessionShards gives the engine a
-// pool of independent Split streams so releases from many goroutines draw
-// noise in parallel.
+// noise from one stream, so concurrent releases serialize on it;
+// NewSessionShards gives the engine a pool of independent Split streams so
+// releases from many goroutines draw noise in parallel.
 type Session struct {
 	pol  *Policy
 	acct *Accountant
-
-	// eng serves unconstrained policies from the compiled plan; nil for
-	// constrained policies, which use the legacy path below.
-	eng *engine.Engine
-
-	// mu serializes use of src on the legacy path: noise Sources are
-	// deterministic streams and must not be shared across goroutines
-	// without this lock.
-	mu  sync.Mutex
-	src *Source
+	eng  *engine.Engine
 }
 
 // NewSession creates a session for the policy with a total ε budget. The
@@ -60,8 +47,7 @@ func NewSession(pol *Policy, budget float64, src *Source) (*Session, error) {
 // of `shards` independent streams derived from src (values < 1 are treated
 // as 1), so releases issued from many goroutines proceed concurrently
 // instead of serializing on a single source. With shards == 1 the session
-// is bit-for-bit identical to NewSession. Constrained policies always use a
-// single stream.
+// is bit-for-bit identical to NewSession.
 func NewSessionShards(pol *Policy, budget float64, src *Source, shards int) (*Session, error) {
 	return newSession(pol, nil, budget, src, shards)
 }
@@ -77,21 +63,16 @@ func newSession(pol *Policy, plan *engine.Plan, budget float64, src *Source, sha
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{pol: pol, acct: acct, src: src}
-	if plan == nil && pol.Unconstrained() {
-		plan, err = engine.Compile(pol)
-		if err != nil {
+	if plan == nil {
+		if plan, err = engine.Compile(pol); err != nil {
 			return nil, err
 		}
 	}
-	if plan != nil {
-		eng, err := engine.New(plan, acct, src, shards)
-		if err != nil {
-			return nil, err
-		}
-		s.eng = eng
+	eng, err := engine.New(plan, acct, src, shards)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Session{pol: pol, acct: acct, eng: eng}, nil
 }
 
 // Policy returns the session's policy.
@@ -108,14 +89,9 @@ type EngineReleaseMetrics = engine.ReleaseMetrics
 // SetEngineMetrics installs release instrumentation on the session's
 // engine (per-kind latency histograms, release counts, noise-draw
 // stats). Resolve any labeled metric children before the call — the
-// engine's hot paths only ever touch the bare pointers. A no-op for
-// constrained (legacy-path) sessions, which have no engine; pass nil to
+// engine's hot paths only ever touch the bare pointers. Pass nil to
 // disable.
-func (s *Session) SetEngineMetrics(m *EngineMetrics) {
-	if s.eng != nil {
-		s.eng.SetMetrics(m)
-	}
-}
+func (s *Session) SetEngineMetrics(m *EngineMetrics) { s.eng.SetMetrics(m) }
 
 // SessionState is a serializable snapshot of a session's replay-relevant
 // state: the budget ledger and the exact position of every noise stream.
@@ -127,13 +103,8 @@ type SessionState struct {
 	Noise      engine.NoiseState `json:"noise"`
 }
 
-// ExportState captures the session's state. Only engine-backed
-// (unconstrained-policy) sessions support export; the legacy constrained
-// path has no serializable noise pool.
+// ExportState captures the session's state.
 func (s *Session) ExportState() (SessionState, error) {
-	if s.eng == nil {
-		return SessionState{}, errors.New("blowfish: state export requires an unconstrained (engine-compiled) policy")
-	}
 	noise, err := s.eng.ExportNoise()
 	if err != nil {
 		return SessionState{}, err
@@ -145,9 +116,6 @@ func (s *Session) ExportState() (SessionState, error) {
 // state captured by ExportState. The session must have been created with
 // the same budget and shard count; restoration is monotone in spend.
 func (s *Session) RestoreState(st SessionState) error {
-	if s.eng == nil {
-		return errors.New("blowfish: state restore requires an unconstrained (engine-compiled) policy")
-	}
 	if err := s.acct.Restore(st.Accountant); err != nil {
 		return err
 	}
@@ -166,193 +134,63 @@ func (s *Session) Remaining() float64 { return s.acct.Remaining() }
 // datasets; the next release over ds rebuilds the index. For sessions
 // minted from a shared CompiledPolicy the cache is shared, so sibling
 // sessions over the same dataset rebuild on their next release too.
-func (s *Session) Forget(ds *Dataset) {
-	if s.eng != nil {
-		s.eng.Plan().Forget(ds)
-	}
-}
-
-// index resolves the engine's incrementally maintained index for ds,
-// reporting ErrDomainMismatch for foreign-domain datasets.
-func (s *Session) index(ds *Dataset) (*engine.DatasetIndex, error) {
-	return s.eng.Index(ds)
-}
-
-// checkDataset validates the dataset against the session policy's domain
-// (legacy path; the engine path validates through Plan.Index).
-func (s *Session) checkDataset(ds *Dataset) error {
-	if !s.pol.Domain().Equal(ds.Domain()) {
-		return ErrDomainMismatch
-	}
-	return nil
-}
-
-// precheck cheaply refuses a charge that cannot possibly fit the remaining
-// budget, before any noise is computed — an exhausted session would
-// otherwise pay the full release computation (under the source lock) just
-// to be refused at the Spend. The check is advisory: Accountant.Spend
-// remains the authoritative, atomic gate.
-func (s *Session) precheck(eps float64) error {
-	if !(eps > 0) {
-		// Invalid epsilons surface from the mechanism's own validation.
-		return nil
-	}
-	return s.acct.CanSpend(eps)
-}
+func (s *Session) Forget(ds *Dataset) { s.eng.Plan().Forget(ds) }
 
 // ReleaseHistogram releases the complete histogram, charging eps.
 func (s *Session) ReleaseHistogram(ds *Dataset, eps float64) ([]float64, error) {
-	if s.eng != nil {
-		idx, err := s.index(ds)
-		if err != nil {
-			return nil, err
-		}
-		return s.eng.ReleaseHistogram(idx, eps)
-	}
-	if err := s.checkDataset(ds); err != nil {
-		return nil, err
-	}
-	if err := s.precheck(eps); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	rel, err := ReleaseHistogram(s.pol, ds, eps, s.src)
-	s.mu.Unlock()
+	idx, err := s.eng.Index(ds)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.acct.Spend("histogram", eps); err != nil {
-		return nil, err // release discarded unpublished
-	}
-	return rel, nil
+	return s.eng.ReleaseHistogram(idx, eps)
 }
 
 // ReleasePartitionHistogram releases the block histogram, charging eps only
 // when the release is actually noisy; a zero-sensitivity (exact) release is
 // free, as Section 5's coarse-grid observation permits.
 func (s *Session) ReleasePartitionHistogram(ds *Dataset, part Partition, eps float64) ([]float64, error) {
-	if s.eng != nil {
-		idx, err := s.index(ds)
-		if err != nil {
-			return nil, err
-		}
-		return s.eng.ReleasePartitionHistogram(idx, part, eps)
-	}
-	if err := s.checkDataset(ds); err != nil {
-		return nil, err
-	}
-	sens, err := s.pol.PartitionHistogramSensitivity(part)
+	idx, err := s.eng.Index(ds)
 	if err != nil {
 		return nil, err
 	}
-	if sens > 0 {
-		if err := s.precheck(eps); err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	rel, err := mechanism.ReleasePartitionHistogramWithSens(ds, part, sens, eps, s.src)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if sens > 0 {
-		if err := s.acct.Spend(fmt.Sprintf("partition-histogram|%d", part.NumBlocks()), eps); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
+	return s.eng.ReleasePartitionHistogram(idx, part, eps)
 }
 
 // PrivateKMeans runs SuLQ k-means, charging eps.
 func (s *Session) PrivateKMeans(ds *Dataset, k, iterations int, eps float64) (KMeansResult, error) {
-	if s.eng != nil {
-		idx, err := s.index(ds)
-		if err != nil {
-			return KMeansResult{}, err
-		}
-		return s.eng.PrivateKMeans(idx, k, iterations, eps)
-	}
-	if err := s.checkDataset(ds); err != nil {
-		return KMeansResult{}, err
-	}
-	if err := s.precheck(eps); err != nil {
-		return KMeansResult{}, err
-	}
-	s.mu.Lock()
-	res, err := PrivateKMeans(s.pol, ds, k, iterations, eps, s.src)
-	s.mu.Unlock()
+	idx, err := s.eng.Index(ds)
 	if err != nil {
 		return KMeansResult{}, err
 	}
-	if err := s.acct.Spend(fmt.Sprintf("kmeans|k=%d", k), eps); err != nil {
-		return KMeansResult{}, err
-	}
-	return res, nil
+	return s.eng.PrivateKMeans(idx, k, iterations, eps)
 }
 
 // ReleaseCumulativeHistogram runs the Ordered Mechanism, charging eps.
 func (s *Session) ReleaseCumulativeHistogram(ds *Dataset, eps float64) (*CumulativeRelease, error) {
-	if s.eng != nil {
-		idx, err := s.index(ds)
-		if err != nil {
-			return nil, err
-		}
-		raw, inferred, err := s.eng.ReleaseCumulative(idx, eps)
-		if err != nil {
-			return nil, err
-		}
-		return &CumulativeRelease{Raw: raw, Inferred: inferred}, nil
-	}
-	if err := s.checkDataset(ds); err != nil {
-		return nil, err
-	}
-	if err := s.precheck(eps); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	rel, err := ReleaseCumulativeHistogram(s.pol, ds, eps, s.src)
-	s.mu.Unlock()
+	idx, err := s.eng.Index(ds)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.acct.Spend("cumulative-histogram", eps); err != nil {
+	raw, inferred, err := s.eng.ReleaseCumulative(idx, eps)
+	if err != nil {
 		return nil, err
 	}
-	return rel, nil
+	return &CumulativeRelease{Raw: raw, Inferred: inferred}, nil
 }
 
 // NewRangeReleaser builds an Ordered Hierarchical release, charging eps.
-// On the engine path the tree layout comes from the plan's cache, so only
-// the first release for a given fanout pays tree construction.
+// The tree layout comes from the plan's cache, so only the first release
+// for a given fanout pays tree construction.
 func (s *Session) NewRangeReleaser(ds *Dataset, fanout int, eps float64) (*RangeReleaser, error) {
-	if s.eng != nil {
-		idx, err := s.index(ds)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := s.eng.NewRangeRelease(idx, fanout, eps)
-		if err != nil {
-			return nil, err
-		}
-		return &RangeReleaser{release: rel}, nil
-	}
-	if err := s.checkDataset(ds); err != nil {
-		return nil, err
-	}
-	if err := s.precheck(eps); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	rel, err := NewRangeReleaser(s.pol, ds, fanout, eps, s.src)
-	s.mu.Unlock()
+	idx, err := s.eng.Index(ds)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.acct.Spend("range-releaser", eps); err != nil {
+	rel, err := s.eng.NewRangeRelease(idx, fanout, eps)
+	if err != nil {
 		return nil, err
 	}
-	return rel, nil
+	return &RangeReleaser{release: rel}, nil
 }
 
 // NewStream binds a continual-release stream to the session: epoch closes
@@ -360,11 +198,9 @@ func (s *Session) NewRangeReleaser(ds *Dataset, fanout int, eps float64) (*Range
 // stream and ad-hoc releases from the same session spend one shared ε
 // budget by sequential composition. The table's dataset is indexed through
 // the session's compiled plan, keeping its count vectors incremental under
-// ingestion. Constrained policies (legacy release path) do not stream.
+// ingestion. A constrained policy streams histograms only; its other
+// release kinds are refused here, as they are for ad-hoc releases.
 func (s *Session) NewStream(tbl *StreamTable, cfg StreamConfig) (*Stream, error) {
-	if s.eng == nil {
-		return nil, errors.New("blowfish: streaming requires an unconstrained (engine-compiled) policy")
-	}
 	return stream.New(s.eng, tbl, cfg)
 }
 

@@ -3,9 +3,13 @@ package blowfish_test
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"blowfish"
+	"blowfish/internal/policy"
 )
 
 // TestSessionStreamFacade drives the streaming flow end to end through the
@@ -64,9 +68,10 @@ func TestSessionStreamFacade(t *testing.T) {
 	}
 }
 
-// TestConstrainedPolicyRefusesStreaming pins the facade error: constrained
-// policies stay on the legacy per-release path and cannot stream.
-func TestConstrainedPolicyRefusesStreaming(t *testing.T) {
+// constrainedLineSession returns a session over a constrained policy on a
+// line domain (a public count of the values below 4), and its dataset.
+func constrainedLineSession(t *testing.T, budget float64, seed int64) (*blowfish.Session, *blowfish.Dataset) {
+	t.Helper()
 	dom, err := blowfish.LineDomain("v", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +81,10 @@ func TestConstrainedPolicyRefusesStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := blowfish.NewDataset(dom)
-	if err := ds.Add(3); err != nil {
-		t.Fatal(err)
+	for _, v := range []blowfish.Point{3, 5, 6} {
+		if err := ds.Add(v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	set, err := blowfish.ConstraintsFromDataset([]blowfish.CountQuery{
 		{Name: "low", Pred: func(p blowfish.Point) bool { return p < 4 }},
@@ -85,15 +92,103 @@ func TestConstrainedPolicyRefusesStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := blowfish.NewSession(blowfish.NewConstrainedPolicy(g, set), 1.0, blowfish.NewSource(1))
+	sess, err := blowfish.NewSession(blowfish.NewConstrainedPolicy(g, set), budget, blowfish.NewSource(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sess, ds
+}
+
+// TestConstrainedSessionStateRoundTrip asserts a constrained session's
+// state export continues the same noise stream and ledger bit for bit in a
+// restored session, as the durable server needs to recover one.
+func TestConstrainedSessionStateRoundTrip(t *testing.T) {
+	a, ds := constrainedLineSession(t, 10, 5)
+	for i := 0; i < 2; i++ {
+		if _, err := a.ReleaseHistogram(ds, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := a.ExportState()
+	if err != nil {
+		t.Fatalf("ExportState: %v", err)
+	}
+	b, _ := constrainedLineSession(t, 10, 99)
+	if err := b.RestoreState(st); err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		ra, err := a.ReleaseHistogram(ds, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := b.ReleaseHistogram(ds, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range ra {
+			if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
+				t.Fatalf("release %d diverged at bin %d: %v vs %v", i, j, ra[j], rb[j])
+			}
+		}
+	}
+	la, lb := a.Accountant().Releases(), b.Accountant().Releases()
+	if a.Accountant().Spent() != b.Accountant().Spent() || !reflect.DeepEqual(la, lb) {
+		t.Fatalf("ledgers diverged: %v vs %v", la, lb)
+	}
+}
+
+// TestConstrainedPolicyStreamsHistograms asserts a constrained policy
+// streams histograms, each epoch charging the session's shared budget.
+func TestConstrainedPolicyStreamsHistograms(t *testing.T) {
+	sess, ds := constrainedLineSession(t, 1, 1)
 	tbl, err := blowfish.NewStreamTable(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.NewStream(tbl, blowfish.StreamConfig{Epsilon: 0.1}); err == nil {
-		t.Fatal("constrained policy accepted a stream")
+	st, err := sess.NewStream(tbl, blowfish.StreamConfig{Epsilon: 0.1})
+	if err != nil {
+		t.Fatalf("constrained histogram stream: %v", err)
+	}
+	defer st.Stop()
+	rel, err := st.CloseEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.N != 3 || len(rel.Histogram) != 8 {
+		t.Fatalf("release = %+v", rel)
+	}
+	if got := sess.Remaining(); math.Abs(got-0.9) > 1e-12 {
+		t.Fatalf("Remaining = %v, want 0.9", got)
+	}
+}
+
+// TestConstrainedPolicyRefusesStreaming pins the kinds a constrained policy
+// cannot stream: cumulative and range streams are refused with the same
+// errors as the corresponding ad-hoc releases.
+func TestConstrainedPolicyRefusesStreaming(t *testing.T) {
+	sess, ds := constrainedLineSession(t, 1, 1)
+	tbl, err := blowfish.NewStreamTable(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.NewStream(tbl, blowfish.StreamConfig{
+		Epsilon: 0.1, Kinds: []blowfish.StreamReleaseKind{blowfish.StreamCumulative},
+	}); !errors.Is(err, policy.ErrConstrained) {
+		t.Errorf("cumulative stream = %v, want policy.ErrConstrained", err)
+	}
+	_, rangeErr := sess.NewRangeReleaser(ds, 4, 0.1)
+	if rangeErr == nil {
+		t.Fatal("constrained range release accepted")
+	}
+	_, err = sess.NewStream(tbl, blowfish.StreamConfig{
+		Epsilon: 0.1, Kinds: []blowfish.StreamReleaseKind{blowfish.StreamRange},
+		RangeQueries: []blowfish.StreamRangeQuery{{Lo: 0, Hi: 3}},
+	})
+	if err == nil || !strings.HasSuffix(err.Error(), rangeErr.Error()) {
+		t.Errorf("range stream = %v, want the range release refusal %q", err, rangeErr)
+	}
+	if got := sess.Remaining(); got != 1 {
+		t.Errorf("refusals charged the budget: Remaining = %v", got)
 	}
 }
