@@ -249,9 +249,9 @@ func (e *Engine) ReleasePartitionHistogram(idx *DatasetIndex, part domain.Partit
 	return truth, nil
 }
 
-// ReleaseCumulative runs the Ordered Mechanism from the index's maintained
-// cumulative counts, charging eps. It returns the raw noisy counts and the
-// constrained-inference estimate.
+// ReleaseCumulative runs the Ordered Mechanism from the cumulative counts
+// the index sums from its maintained histogram, charging eps. It returns
+// the raw noisy counts and the constrained-inference estimate.
 func (e *Engine) ReleaseCumulative(idx *DatasetIndex, eps float64) (raw, inferred []float64, err error) {
 	if err := e.checkIndex(idx); err != nil {
 		return nil, nil, err

@@ -3,16 +3,18 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"blowfish/internal/domain"
 )
 
 // DatasetIndex materializes the count vectors a plan's releases read — the
-// flat histogram, the per-block counts of the registered partition, and the
-// cumulative counts — and maintains them incrementally as tuples are added,
-// changed or removed, so a release costs O(|T|) snapshotting instead of an
-// O(n) rescan of the tuples.
+// flat histogram and the per-block counts of the registered partition — and
+// maintains them incrementally as tuples are added, changed or removed, so a
+// mutation costs O(1) and a release costs O(|T|) snapshotting instead of an
+// O(n) rescan of the tuples. Cumulative counts are summed from the
+// histogram when read, in the same O(|T|) pass as the copy.
 //
 // Mutations must go through the index (Add, Set, Remove) to stay
 // incremental; direct mutations of the underlying Dataset are detected via
@@ -35,10 +37,6 @@ type DatasetIndex struct {
 	// blocks is the histogram over the registered partition's blocks; nil
 	// when the plan has no partition.
 	blocks []float64
-	// cum is the cumulative histogram S_T(D) over one-dimensional domains;
-	// cumOK marks it valid (it is rebuilt lazily and adjusted in place).
-	cum   []float64
-	cumOK bool
 	// vecs caches the k-means coordinate vectors; invalidated on mutation.
 	vecs [][]float64
 }
@@ -92,7 +90,6 @@ func (x *DatasetIndex) rebuildLocked() {
 			x.blocks[x.plan.blockIndex(p)]++
 		}
 	}
-	x.cumOK = false
 	x.vecs = nil
 	x.built = true
 	x.gen = x.ds.Generation()
@@ -105,8 +102,7 @@ func (x *DatasetIndex) ensureLocked() {
 	}
 }
 
-// Add appends a tuple and maintains every count vector in O(1) (plus the
-// cumulative suffix when materialized).
+// Add appends a tuple and maintains every count vector in O(1).
 func (x *DatasetIndex) Add(p domain.Point) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -233,11 +229,6 @@ func (x *DatasetIndex) applyInsertLocked(p domain.Point) {
 	if x.blocks != nil {
 		x.blocks[x.plan.blockIndex(p)]++
 	}
-	if x.cumOK {
-		for j := int(p); j < len(x.cum); j++ {
-			x.cum[j]++
-		}
-	}
 	x.vecs = nil
 }
 
@@ -247,11 +238,6 @@ func (x *DatasetIndex) applyRemoveLocked(p domain.Point) {
 	}
 	if x.blocks != nil {
 		x.blocks[x.plan.blockIndex(p)]--
-	}
-	if x.cumOK {
-		for j := int(p); j < len(x.cum); j++ {
-			x.cum[j]--
-		}
 	}
 	x.vecs = nil
 }
@@ -282,10 +268,9 @@ func (x *DatasetIndex) HistogramAppend(dst []float64) ([]float64, error) {
 	return append(dst, x.hist...), nil
 }
 
-// CumulativeHistogram returns a private copy of the cumulative counts
-// S_T(D) over a one-dimensional ordered domain. The vector is materialized
-// from the histogram on first use and then adjusted in place by Add, Set
-// and Remove.
+// CumulativeHistogram returns the cumulative counts S_T(D) over a
+// one-dimensional ordered domain, summed from the maintained histogram as
+// they are read. The vector is the caller's.
 func (x *DatasetIndex) CumulativeHistogram() ([]float64, error) {
 	cum, _, err := x.CumulativeSnapshot()
 	return cum, err
@@ -301,7 +286,9 @@ func (x *DatasetIndex) CumulativeSnapshot() ([]float64, int, error) {
 
 // CumulativeAppend is CumulativeSnapshot appending into dst — the recycling
 // variant for callers feeding a release from a pooled scratch vector (pass
-// dst[:0] to reuse its capacity).
+// dst[:0] to reuse its capacity). The prefix sums are formed from the
+// histogram as they are appended; counts are integers below 2^53, so the
+// float64 sums are exact.
 func (x *DatasetIndex) CumulativeAppend(dst []float64) ([]float64, int, error) {
 	if x.ds.Domain().NumAttrs() != 1 {
 		return nil, 0, errors.New("domain: cumulative histogram requires a one-dimensional ordered domain")
@@ -310,8 +297,8 @@ func (x *DatasetIndex) CumulativeAppend(dst []float64) ([]float64, int, error) {
 		return nil, 0, domain.ErrDomainTooLarge
 	}
 	x.mu.RLock()
-	if x.fresh() && x.cumOK {
-		out := append(dst, x.cum...)
+	if x.fresh() {
+		out := appendPrefixSums(dst, x.hist)
 		n := x.ds.Len()
 		x.mu.RUnlock()
 		return out, n, nil
@@ -320,18 +307,19 @@ func (x *DatasetIndex) CumulativeAppend(dst []float64) ([]float64, int, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.ensureLocked()
-	if !x.cumOK {
-		if x.cum == nil || len(x.cum) != len(x.hist) {
-			x.cum = make([]float64, len(x.hist))
-		}
-		run := 0.0
-		for i, c := range x.hist {
-			run += c
-			x.cum[i] = run
-		}
-		x.cumOK = true
+	return appendPrefixSums(dst, x.hist), x.ds.Len(), nil
+}
+
+// appendPrefixSums appends the running sums of hist to dst, growing it
+// at most once.
+func appendPrefixSums(dst, hist []float64) []float64 {
+	dst = slices.Grow(dst, len(hist))
+	run := 0.0
+	for _, c := range hist {
+		run += c
+		dst = append(dst, run)
 	}
-	return append(dst, x.cum...), x.ds.Len(), nil
+	return dst
 }
 
 // BlockCounts returns a private copy of the histogram over the registered

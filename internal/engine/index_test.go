@@ -101,24 +101,27 @@ func checkAgainstRebuild(t *testing.T, idx *DatasetIndex, part domain.Partition,
 	}
 }
 
+// indexCases are the plans the index property tests run over: a 2-D grid
+// with a registered partition (block counts) and a line (cumulative counts).
+var indexCases = []struct {
+	name string
+	mk   func(t *testing.T) (*Plan, *domain.Domain, domain.Partition)
+}{
+	{"grid-partition", func(t *testing.T) (*Plan, *domain.Domain, domain.Partition) {
+		return gridPlan(t)
+	}},
+	{"line-cumulative", func(t *testing.T) (*Plan, *domain.Domain, domain.Partition) {
+		plan, d := linePlan(t, 37)
+		return plan, d, nil
+	}},
+}
+
 // TestDatasetIndexInterleavedOps drives a seeded random interleaving of
 // Add/Set/Remove through the index and cross-checks every maintained vector
 // against a from-scratch rebuild — the property the incremental updates
 // must preserve.
 func TestDatasetIndexInterleavedOps(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func(t *testing.T) (*Plan, *domain.Domain, domain.Partition)
-	}{
-		{"grid-partition", func(t *testing.T) (*Plan, *domain.Domain, domain.Partition) {
-			return gridPlan(t)
-		}},
-		{"line-cumulative", func(t *testing.T) (*Plan, *domain.Domain, domain.Partition) {
-			plan, d := linePlan(t, 37)
-			return plan, d, nil
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range indexCases {
 		t.Run(tc.name, func(t *testing.T) {
 			plan, d, part := tc.mk(t)
 			ds := domain.NewDataset(d)
@@ -143,8 +146,8 @@ func TestDatasetIndexInterleavedOps(t *testing.T) {
 						t.Fatalf("step %d: Add: %v", step, err)
 					}
 				}
-				// Check at uneven strides so the cumulative cache is
-				// exercised both freshly materialized and adjusted in place.
+				// Check at uneven strides so reads follow runs of one to
+				// three mutations, not a fixed pattern.
 				if step%7 == 0 || step%3 == 0 {
 					checkAgainstRebuild(t, idx, part, step)
 				}
@@ -158,37 +161,41 @@ func TestDatasetIndexInterleavedOps(t *testing.T) {
 // ApplyBatch and cross-checks every maintained vector against a rebuild —
 // the same property the per-call mutators satisfy, amortized under one lock.
 func TestDatasetIndexApplyBatch(t *testing.T) {
-	plan, d, part := gridPlan(t)
-	ds := domain.NewDataset(d)
-	idx, err := plan.Index(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := noise.NewSource(7)
-	randPoint := func() domain.Point { return domain.Point(rng.Int63n(d.Size())) }
-	n := 0 // track length ourselves to build valid batches
-	for round := 0; round < 40; round++ {
-		batch := make([]Mutation, 0, 32)
-		for len(batch) < cap(batch) {
-			switch op := rng.Intn(4); {
-			case op == 0 && n > 0:
-				batch = append(batch, Mutation{Op: MutSet, Index: rng.Intn(n), P: randPoint()})
-			case op == 1 && n > 0:
-				batch = append(batch, Mutation{Op: MutRemove, Index: rng.Intn(n)})
-				n--
-			default:
-				batch = append(batch, Mutation{Op: MutAdd, P: randPoint()})
-				n++
+	for _, tc := range indexCases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, d, part := tc.mk(t)
+			ds := domain.NewDataset(d)
+			idx, err := plan.Index(ds)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		applied, err := idx.ApplyBatch(batch)
-		if err != nil {
-			t.Fatalf("round %d: ApplyBatch: %v", round, err)
-		}
-		if applied != len(batch) {
-			t.Fatalf("round %d: applied = %d, want %d", round, applied, len(batch))
-		}
-		checkAgainstRebuild(t, idx, part, round)
+			rng := noise.NewSource(7)
+			randPoint := func() domain.Point { return domain.Point(rng.Int63n(d.Size())) }
+			n := 0 // track length ourselves to build valid batches
+			for round := 0; round < 40; round++ {
+				batch := make([]Mutation, 0, 32)
+				for len(batch) < cap(batch) {
+					switch op := rng.Intn(4); {
+					case op == 0 && n > 0:
+						batch = append(batch, Mutation{Op: MutSet, Index: rng.Intn(n), P: randPoint()})
+					case op == 1 && n > 0:
+						batch = append(batch, Mutation{Op: MutRemove, Index: rng.Intn(n)})
+						n--
+					default:
+						batch = append(batch, Mutation{Op: MutAdd, P: randPoint()})
+						n++
+					}
+				}
+				applied, err := idx.ApplyBatch(batch)
+				if err != nil {
+					t.Fatalf("round %d: ApplyBatch: %v", round, err)
+				}
+				if applied != len(batch) {
+					t.Fatalf("round %d: applied = %d, want %d", round, applied, len(batch))
+				}
+				checkAgainstRebuild(t, idx, part, round)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -175,6 +177,64 @@ func TestEventsBackpressure(t *testing.T) {
 	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
 	if ds.Rows != accepted {
 		t.Fatalf("rows = %d, want %d (an acked event was dropped)", ds.Rows, accepted)
+	}
+}
+
+// TestEventsBatchCap pins the per-request cap: it is the ingest queue
+// depth, because TrySubmit admits a batch only whole. A batch one event
+// larger than the queue is a 400 naming the cap in every body encoding —
+// never a 429 a client would retry forever — and a batch of exactly the
+// queue depth is accepted on an idle queue.
+func TestEventsBatchCap(t *testing.T) {
+	s, dsID := backpressureServer(t)
+	path := "/v1/datasets/" + dsID + "/events?wait=1"
+	bodies := func(n int) map[string][]byte {
+		evs := make([]blowfish.StreamEvent, n)
+		var js, nd bytes.Buffer
+		js.WriteString(`{"wait":true,"events":[`)
+		for i := range evs {
+			evs[i] = blowfish.StreamEvent{Op: "append", Row: []int{i}}
+			if i > 0 {
+				js.WriteByte(',')
+			}
+			fmt.Fprintf(&js, `{"op":"append","row":[%d]}`, i)
+			fmt.Fprintf(&nd, `{"op":"append","row":[%d]}`+"\n", i)
+		}
+		js.WriteString("]}")
+		frame, err := codec.EncodeFrame(evs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string][]byte{
+			"application/json":     js.Bytes(),
+			"application/x-ndjson": nd.Bytes(),
+			codec.ContentType:      frame,
+		}
+	}
+	capRE := regexp.MustCompile(`\b4\b`)
+	for ct, body := range bodies(5) {
+		w := doRaw(t, s, "POST", path, ct, body)
+		wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
+		if ra := w.Header().Get("Retry-After"); ra != "" {
+			t.Errorf("%s: oversized batch carries Retry-After %q", ct, ra)
+		}
+		if msg := decode[errorEnvelope](t, w).Error.Message; !capRE.MatchString(msg) {
+			t.Errorf("%s: message %q does not name the cap 4", ct, msg)
+		}
+	}
+	rows := 0
+	for ct, body := range bodies(4) {
+		w := doRaw(t, s, "POST", path, ct, body)
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("%s: 4-event batch: status %d body %s", ct, w.Code, w.Body.String())
+		}
+		rows += 4
+		if got := decode[service.EventsResponse](t, w); got.Accepted != 4 || got.ProcessedSeq != got.LastSeq {
+			t.Fatalf("%s: events response = %+v", ct, got)
+		}
+	}
+	if ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil)); ds.Rows != rows {
+		t.Fatalf("rows = %d, want %d", ds.Rows, rows)
 	}
 }
 

@@ -34,7 +34,7 @@ func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	maxEvents := s.cfg.MaxEventsPerRequest
+	maxEvents := s.cfg.Ingest.QueueDepth
 	var events []blowfish.StreamEvent
 	var wait bool
 	switch {

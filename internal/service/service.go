@@ -54,10 +54,10 @@ type Config struct {
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
 	// Ingest tunes the per-dataset event ingestors (batch size, flush
-	// interval, queue depth). Zero values take the library defaults.
+	// interval, queue depth). Zero values take the library defaults. The
+	// queue depth also caps one events request: a larger batch could never
+	// fit the queue whole.
 	Ingest blowfish.StreamIngestConfig
-	// MaxEventsPerRequest caps one events batch; defaults to 100k.
-	MaxEventsPerRequest int
 	// MaxLongPollWait caps the wait_ms long-poll parameter of the stream
 	// releases endpoint; defaults to 30s.
 	MaxLongPollWait time.Duration
@@ -83,9 +83,8 @@ type Config struct {
 }
 
 const (
-	defaultMaxEventsPerRequest = 100_000
-	defaultMaxLongPollWait     = 30 * time.Second
-	defaultCloseDrainTimeout   = 10 * time.Second
+	defaultMaxLongPollWait   = 30 * time.Second
+	defaultCloseDrainTimeout = 10 * time.Second
 )
 
 const defaultMaxBodyBytes = 32 << 20
@@ -248,9 +247,7 @@ func New(cfg Config) *Core {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.MaxEventsPerRequest <= 0 {
-		cfg.MaxEventsPerRequest = defaultMaxEventsPerRequest
-	}
+	cfg.Ingest = cfg.Ingest.WithDefaults()
 	if cfg.MaxLongPollWait <= 0 {
 		cfg.MaxLongPollWait = defaultMaxLongPollWait
 	}

@@ -19,10 +19,11 @@ import (
 // IngestEvents appends a batch of events to the dataset's event log.
 // Events are sequence-numbered and applied by the dataset's single
 // writer; the response carries the assigned range and the writer's
-// cursor. The ingest queue is bounded: a batch that does not fit whole is
-// rejected with the structured queue_full error, never parked on the
-// caller (explicit backpressure). With wait set, the call blocks until
-// every submitted event has been applied or rejected (read-your-writes).
+// cursor. The ingest queue is bounded: a batch larger than the whole queue
+// is a bad request, and one that does not fit the free room is rejected
+// with the structured queue_full error, never parked on the caller
+// (explicit backpressure). With wait set, the call blocks until every
+// submitted event has been applied or rejected (read-your-writes).
 func (c *Core) IngestEvents(ctx context.Context, datasetID string, events []blowfish.StreamEvent, wait bool) (EventsResponse, error) {
 	de, ok := c.getDataset(datasetID)
 	if !ok {
@@ -31,8 +32,8 @@ func (c *Core) IngestEvents(ctx context.Context, datasetID string, events []blow
 	if len(events) == 0 {
 		return EventsResponse{}, errf(CodeBadRequest, "events batch is empty")
 	}
-	if len(events) > c.cfg.MaxEventsPerRequest {
-		return EventsResponse{}, errf(CodeBadRequest, "%d events exceed the per-request cap %d", len(events), c.cfg.MaxEventsPerRequest)
+	if limit := c.cfg.Ingest.QueueDepth; len(events) > limit {
+		return EventsResponse{}, errf(CodeBadRequest, "%d events exceed the per-request cap %d (the ingest queue depth)", len(events), limit)
 	}
 	ing, err := de.ingestor()
 	if err != nil {

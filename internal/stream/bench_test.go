@@ -2,8 +2,10 @@
 // n = 200k tuples over |T| ≈ 4k, the adult capital-loss shape used by the
 // engine benchmarks. BenchmarkStreamIngest measures sustained ingestion
 // (one op = one event, wire row → encoded → batched → applied through the
-// index under the amortized lock); BenchmarkEpochRelease measures epoch
-// close latency over the 200k-row index while event producers and release
+// index under the amortized lock); BenchmarkStreamIngestUpsertCumulative is
+// the same path at loadbench's ingest-stream shape, into an index a
+// cumulative stream reads; BenchmarkEpochRelease measures epoch close
+// latency over the 200k-row index while event producers and release
 // pollers run concurrently. Results are recorded in BENCH_stream.json.
 package stream
 
@@ -33,14 +35,14 @@ const (
 // policy, with preload tuples already indexed.
 func benchWorld(b *testing.B, preload int) (*engine.Engine, *Table, *Ingestor) {
 	b.Helper()
-	return benchWorldCfg(b, preload, IngestConfig{})
+	return benchWorldCfg(b, benchDomainSize, preload, IngestConfig{})
 }
 
-// benchWorldCfg is benchWorld with an explicit ingest config (the metrics
-// benchmarks install instruments through it).
-func benchWorldCfg(b *testing.B, preload int, cfg IngestConfig) (*engine.Engine, *Table, *Ingestor) {
+// benchWorldCfg is benchWorld over a line of size values with an explicit
+// ingest config (the metrics benchmarks install instruments through it).
+func benchWorldCfg(b *testing.B, size, preload int, cfg IngestConfig) (*engine.Engine, *Table, *Ingestor) {
 	b.Helper()
-	d, err := domain.Line("v", benchDomainSize)
+	d, err := domain.Line("v", size)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func benchWorldCfg(b *testing.B, preload int, cfg IngestConfig) (*engine.Engine,
 	ds := domain.NewDataset(d)
 	src := noise.NewSource(2)
 	for i := 0; i < preload; i++ {
-		ds.MustAdd(domain.Point(src.Int63n(benchDomainSize)))
+		ds.MustAdd(domain.Point(src.Int63n(int64(size))))
 	}
 	tbl, err := NewTable(ds)
 	if err != nil {
@@ -127,7 +129,7 @@ func BenchmarkStreamIngestMetrics(b *testing.B) {
 		Rejected:        reg.Counter("rejected_total", "bench"),
 		JournalFailures: reg.Counter("journal_failures_total", "bench"),
 	}
-	_, _, ing := benchWorldCfg(b, 0, IngestConfig{Metrics: im})
+	_, _, ing := benchWorldCfg(b, benchDomainSize, 0, IngestConfig{Metrics: im})
 	const chunk = 1024
 	evs := benchEvents(chunk)
 	b.ResetTimer()
@@ -142,6 +144,47 @@ func BenchmarkStreamIngestMetrics(b *testing.B) {
 	}
 	if got := int(im.Events.Value()); got != b.N {
 		b.Fatalf("instruments counted %d events, want %d", got, b.N)
+	}
+}
+
+// BenchmarkStreamIngestUpsertCumulative measures ingest at loadbench's
+// ingest-stream shape: 200k rows over a 1,024-value line, a histogram +
+// cumulative stream primed with one epoch close (so the index serves
+// cumulative counts), and 256-event batches of 80% upserts of existing
+// tuples and 20% appends. One op is one event.
+func BenchmarkStreamIngestUpsertCumulative(b *testing.B) {
+	const size, chunk = 1024, 256
+	eng, tbl, ing := benchWorldCfg(b, size, benchTuples, IngestConfig{})
+	st, err := New(eng, tbl, Config{Epsilon: benchEps, Kinds: []ReleaseKind{KindHistogram, KindCumulative}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Stop()
+	if _, err := st.CloseEpoch(); err != nil {
+		b.Fatal(err)
+	}
+	evs := make([]Event, chunk)
+	for i := range evs {
+		row := []int{(i * 31) % size}
+		if i%5 == 4 {
+			evs[i] = Event{Op: "append", Row: row}
+		} else {
+			evs[i] = Event{Op: "upsert", ID: (i * 7919) % benchTuples, Row: row}
+		}
+	}
+	b.ResetTimer()
+	for done := 0; done < b.N; done += chunk {
+		n := min(chunk, b.N-done)
+		if _, _, err := ing.Submit(evs[:n]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ing.Flush(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if stats := ing.Stats(); stats.Rejected != 0 {
+		b.Fatalf("%d events rejected: %s", stats.Rejected, stats.LastError)
 	}
 }
 

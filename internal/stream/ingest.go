@@ -52,8 +52,8 @@ type IngestConfig struct {
 	// FlushInterval bounds how long a non-full batch waits for more events
 	// before applying; defaults to 2ms.
 	FlushInterval time.Duration
-	// QueueDepth is the channel buffer between Submit and the writer;
-	// Submit blocks (backpressure) when it is full. Defaults to 4096.
+	// QueueDepth is the most events the queue between Submit and the writer
+	// holds; Submit blocks (backpressure) when it is full. Defaults to 4096.
 	QueueDepth int
 	// StartSeq resumes sequence numbering after a recovery: the first
 	// submitted event is assigned StartSeq+1 and the processed cursor
@@ -83,7 +83,9 @@ type IngestMetrics struct {
 	JournalFailures *metrics.Counter
 }
 
-func (c *IngestConfig) fill() {
+// WithDefaults returns c with every zero tuning field set to its default:
+// the configuration NewIngestor runs with.
+func (c IngestConfig) WithDefaults() IngestConfig {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
 	}
@@ -93,6 +95,7 @@ func (c *IngestConfig) fill() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4096
 	}
+	return c
 }
 
 // IngestStats is a snapshot of an ingestor's counters.
@@ -106,31 +109,39 @@ type IngestStats struct {
 	Rejected uint64
 	// LastError describes the most recent apply-time rejection, "" if none.
 	LastError string
-	// Queued is the number of events waiting in the channel.
+	// Queued is the number of events the writer has not taken yet.
 	Queued int
-}
-
-// seqMut is one queued mutation with its assigned sequence number.
-type seqMut struct {
-	seq uint64
-	mut engine.Mutation
 }
 
 // Ingestor is the single-writer event log over a Table: Submit validates
 // and enqueues events, a dedicated goroutine applies them in batches so the
 // per-event cost of the index lock is amortized across the batch. One
 // ingestor per dataset; Submit is safe for concurrent use.
+//
+// The queue is a ring of QueueDepth mutations under mu. Sequence numbers
+// are implicit: events are numbered as they enter the ring, so the head
+// holds seq nextSeq-count+1. Submitters append whole batches and the
+// writer takes up to BatchSize events per lock acquisition.
 type Ingestor struct {
 	tbl *Table
 	cfg IngestConfig
 
-	mu      sync.Mutex // orders seq assignment with channel sends
+	// submitMu serializes blocking Submits, so one Submit's events stay
+	// contiguous while it waits for space.
+	submitMu sync.Mutex
+
+	mu      sync.Mutex // guards the ring, nextSeq, blocked and closed
+	ring    []engine.Mutation
+	head    int // ring index of the oldest queued event
+	count   int // events queued, not yet taken by the writer
 	nextSeq uint64
+	blocked bool // a Submit is mid-batch, waiting for room
 	closed  bool
 
-	ch   chan seqMut
-	quit chan struct{}
-	done chan struct{}
+	wake  chan struct{} // buffer 1: events arrived; wakes the writer
+	space chan struct{} // buffer 1: the writer took events; wakes a blocked Submit
+	quit  chan struct{}
+	done  chan struct{}
 
 	// mutBuf is the writer goroutine's reusable apply batch.
 	mutBuf []engine.Mutation
@@ -149,13 +160,16 @@ func NewIngestor(tbl *Table, cfg IngestConfig) (*Ingestor, error) {
 	if tbl == nil {
 		return nil, errors.New("stream: nil table")
 	}
-	cfg.fill()
+	cfg = cfg.WithDefaults()
 	in := &Ingestor{
 		tbl:       tbl,
 		cfg:       cfg,
 		nextSeq:   cfg.StartSeq,
 		processed: cfg.StartSeq,
-		ch:        make(chan seqMut, cfg.QueueDepth),
+		ring:      make([]engine.Mutation, cfg.QueueDepth),
+		mutBuf:    make([]engine.Mutation, 0, cfg.BatchSize),
+		wake:      make(chan struct{}, 1),
+		space:     make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
 		notify:    make(chan struct{}),
@@ -204,7 +218,7 @@ func EncodeEvents(dom *domain.Domain, events []Event) ([]engine.Mutation, error)
 // assigned to the first and last event. It blocks when the queue is full
 // (backpressure) and fails fast with ErrIngestClosed after Close. A
 // validation error enqueues nothing. When Close lands mid-batch, the
-// already-sent prefix still applies (the writer drains the queue before
+// already-enqueued prefix still applies (the writer drains the queue before
 // exiting); the error then reports the partially enqueued range — first
 // and last cover what actually landed — so callers can tell their clients
 // the truth instead of claiming total failure.
@@ -216,35 +230,39 @@ func (in *Ingestor) Submit(events []Event) (first, last uint64, err error) {
 	if len(muts) == 0 {
 		return 0, 0, nil
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.closed {
-		return 0, 0, ErrIngestClosed
-	}
-	first = in.nextSeq + 1
-	for i, m := range muts {
-		in.nextSeq++
-		select {
-		case in.ch <- seqMut{seq: in.nextSeq, mut: m}:
-		case <-in.quit:
-			in.nextSeq--
-			if i == 0 {
-				return 0, 0, ErrIngestClosed
+	in.submitMu.Lock()
+	defer in.submitMu.Unlock()
+	sent := 0
+	for {
+		start, n, err := in.push(muts[sent:], true)
+		if err != nil {
+			if sent == 0 {
+				return 0, 0, err
 			}
-			return first, in.nextSeq, fmt.Errorf(
+			return first, last, fmt.Errorf(
 				"stream: %d of %d events enqueued (seqs %d-%d) before close: %w",
-				i, len(muts), first, in.nextSeq, ErrIngestClosed)
+				sent, len(muts), first, last, err)
+		}
+		if sent == 0 {
+			first = start
+		}
+		sent += n
+		last = start + uint64(n) - 1
+		if sent == len(muts) {
+			return first, last, nil
+		}
+		select {
+		case <-in.space:
+		case <-in.quit:
 		}
 	}
-	return first, in.nextSeq, nil
 }
 
 // TrySubmit is Submit without the blocking: the whole batch is enqueued
 // atomically if the queue has room for every event, and nothing is
-// enqueued — returning a *QueueFullError — if it does not. All-or-nothing
-// is sound because sequence assignment serializes every sender under the
-// same mutex and only the writer goroutine drains the channel, so the free
-// space observed here cannot shrink before the sends below complete.
+// enqueued — returning a *QueueFullError — if it does not. While a Submit
+// is blocked mid-batch the queue counts as full, so a TrySubmit never
+// splits that Submit's sequence range.
 func (in *Ingestor) TrySubmit(events []Event) (first, last uint64, err error) {
 	muts, err := EncodeEvents(in.tbl.Dataset().Domain(), events)
 	if err != nil {
@@ -253,20 +271,53 @@ func (in *Ingestor) TrySubmit(events []Event) (first, last uint64, err error) {
 	if len(muts) == 0 {
 		return 0, 0, nil
 	}
+	start, n, err := in.push(muts, false)
+	if err != nil {
+		return 0, 0, err
+	}
+	return start, start + uint64(n) - 1, nil
+}
+
+// push appends muts to the ring under one lock acquisition and wakes the
+// writer, returning the sequence number of the first appended event and
+// how many were appended. With partial set (a blocking Submit) it appends
+// what fits and marks the Submit blocked until the rest follows; otherwise
+// it appends all of muts or, when they do not fit, nothing and a
+// *QueueFullError.
+func (in *Ingestor) push(muts []engine.Mutation, partial bool) (start uint64, n int, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.closed {
+		in.blocked = false
 		return 0, 0, ErrIngestClosed
 	}
-	if free := cap(in.ch) - len(in.ch); free < len(muts) {
-		return 0, 0, &QueueFullError{Batch: len(muts), Free: free, Depth: cap(in.ch)}
+	depth := len(in.ring)
+	free := depth - in.count
+	n = len(muts)
+	switch {
+	case partial:
+		n = min(n, free)
+		in.blocked = n < len(muts)
+	case in.blocked:
+		// A blocked Submit owns the free room until its range is complete.
+		return 0, 0, &QueueFullError{Batch: n, Free: 0, Depth: depth}
+	case free < n:
+		return 0, 0, &QueueFullError{Batch: n, Free: free, Depth: depth}
 	}
-	first = in.nextSeq + 1
-	for _, m := range muts {
-		in.nextSeq++
-		in.ch <- seqMut{seq: in.nextSeq, mut: m}
+	start = in.nextSeq + 1
+	if n == 0 {
+		return start, 0, nil
 	}
-	return first, in.nextSeq, nil
+	tail := (in.head + in.count) % depth
+	k := copy(in.ring[tail:], muts[:n])
+	copy(in.ring, muts[k:n])
+	in.count += n
+	in.nextSeq += uint64(n)
+	select {
+	case in.wake <- struct{}{}:
+	default:
+	}
+	return start, n, nil
 }
 
 // SubmittedSeq returns the highest assigned sequence number.
@@ -287,7 +338,7 @@ func (in *Ingestor) ProcessedSeq() uint64 {
 // Stats returns a snapshot of the ingestor's counters.
 func (in *Ingestor) Stats() IngestStats {
 	in.mu.Lock()
-	submitted := in.nextSeq
+	submitted, queued := in.nextSeq, in.count
 	in.mu.Unlock()
 	in.stateMu.Lock()
 	defer in.stateMu.Unlock()
@@ -296,7 +347,7 @@ func (in *Ingestor) Stats() IngestStats {
 		Processed: in.processed,
 		Rejected:  in.rejected,
 		LastError: in.lastErr,
-		Queued:    len(in.ch),
+		Queued:    queued,
 	}
 }
 
@@ -354,84 +405,95 @@ func (in *Ingestor) Shutdown() <-chan struct{} {
 	return in.done
 }
 
-// run is the single writer: it collects events into batches bounded by
+// run is the single writer: it takes events in batches bounded by
 // BatchSize and FlushInterval and applies each batch under one table lock
-// acquisition.
+// acquisition. After Close it drains the queue without waiting and exits.
 func (in *Ingestor) run() {
 	defer close(in.done)
-	batch := make([]seqMut, 0, in.cfg.BatchSize)
+	timer := time.NewTimer(in.cfg.FlushInterval)
+	timer.Stop()
 	for {
-		select {
-		case m := <-in.ch:
-			batch = append(batch[:0], m)
-			in.fill(&batch)
-			in.apply(batch)
-		case <-in.quit:
-			for {
-				select {
-				case m := <-in.ch:
-					batch = append(batch[:0], m)
-					in.fill(&batch)
-					in.apply(batch)
-					continue
-				default:
-				}
-				return
+		queued, closed := in.queued()
+		switch {
+		case queued == 0 && closed:
+			return
+		case queued == 0:
+			select {
+			case <-in.wake:
+			case <-in.quit:
 			}
+			continue
+		case queued < in.cfg.BatchSize && !closed:
+			in.waitFill(timer)
 		}
+		in.apply(in.take())
 	}
 }
 
-// fill tops the batch up to BatchSize, waiting at most FlushInterval for
-// stragglers so light traffic is not delayed and heavy traffic amortizes.
-func (in *Ingestor) fill(batch *[]seqMut) {
-	if len(*batch) >= in.cfg.BatchSize {
-		return
-	}
-	timer := time.NewTimer(in.cfg.FlushInterval)
+// queued reports how many events wait for the writer and whether the
+// ingestor is closed.
+func (in *Ingestor) queued() (int, bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.count, in.closed
+}
+
+// waitFill waits at most FlushInterval for a short batch to fill up to
+// BatchSize, so light traffic is not delayed and heavy traffic amortizes.
+// Close ends the wait: the queue then drains without waiting.
+func (in *Ingestor) waitFill(timer *time.Timer) {
+	timer.Reset(in.cfg.FlushInterval)
 	defer timer.Stop()
-	for len(*batch) < in.cfg.BatchSize {
+	for {
 		select {
-		case m := <-in.ch:
-			*batch = append(*batch, m)
+		case <-in.wake:
+			if queued, _ := in.queued(); queued >= in.cfg.BatchSize {
+				return
+			}
 		case <-timer.C:
 			return
 		case <-in.quit:
-			// Drain without waiting: Close flushes what was submitted.
-			for len(*batch) < in.cfg.BatchSize {
-				select {
-				case m := <-in.ch:
-					*batch = append(*batch, m)
-				default:
-					return
-				}
-			}
 			return
 		}
 	}
 }
 
-// apply pushes one batch through the table via ApplyLogged, which journals
-// it write-ahead (durable servers), applies it skipping over individually
-// rejected mutations (bad tuple ids) so one poison event cannot wedge the
-// stream, and records the sequence cursor — one lock acquisition for all
-// three. Then the processed cursor advances and waiters wake.
-func (in *Ingestor) apply(batch []seqMut) {
-	// mutBuf is only touched here, on the single writer goroutine, so the
-	// per-batch mutation slice is allocated once and reused.
-	if cap(in.mutBuf) < len(batch) {
-		in.mutBuf = make([]engine.Mutation, 0, cap(batch))
+// take moves up to BatchSize events from the head of the ring into the
+// writer's batch buffer under one lock acquisition, returning the first
+// event's sequence number and the batch, and wakes a Submit waiting for
+// room.
+func (in *Ingestor) take() (first uint64, batch []engine.Mutation) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	n := min(in.count, in.cfg.BatchSize)
+	batch = in.mutBuf[:n]
+	k := copy(batch, in.ring[in.head:])
+	copy(batch[k:], in.ring)
+	first = in.nextSeq - uint64(in.count) + 1
+	in.head = (in.head + n) % len(in.ring)
+	in.count -= n
+	if in.blocked {
+		select {
+		case in.space <- struct{}{}:
+		default:
+		}
 	}
-	muts := in.mutBuf[:len(batch)]
-	for i, m := range batch {
-		muts[i] = m.mut
-	}
+	return first, batch
+}
+
+// apply pushes one batch, numbered from first, through the table via
+// ApplyLogged, which journals it write-ahead (durable servers), applies it
+// skipping over individually rejected mutations (bad tuple ids) so one
+// poison event cannot wedge the stream, and records the sequence cursor —
+// one lock acquisition for all three. Then the processed cursor advances
+// and waiters wake.
+func (in *Ingestor) apply(first uint64, muts []engine.Mutation) {
 	met := in.cfg.Metrics
 	var start time.Time
 	if met != nil {
 		start = time.Now()
 	}
-	_, rej, err := in.tbl.ApplyLogged(batch[0].seq, muts)
+	_, rej, err := in.tbl.ApplyLogged(first, muts)
 	if met != nil {
 		if met.ApplySeconds != nil {
 			met.ApplySeconds.ObserveSince(start)
@@ -445,7 +507,7 @@ func (in *Ingestor) apply(batch []seqMut) {
 				met.Batches.Inc()
 			}
 			if met.Events != nil {
-				met.Events.Add(uint64(len(batch)))
+				met.Events.Add(uint64(len(muts)))
 			}
 			if met.Rejected != nil {
 				met.Rejected.Add(uint64(rej))
@@ -467,7 +529,7 @@ func (in *Ingestor) apply(batch []seqMut) {
 		lastErr = err.Error()
 	}
 	in.stateMu.Lock()
-	in.processed = batch[len(batch)-1].seq
+	in.processed = first + uint64(len(muts)) - 1
 	in.rejected += uint64(rej)
 	if lastErr != "" {
 		in.lastErr = lastErr
