@@ -225,9 +225,14 @@ func parseLevel(s string) (slog.Level, error) {
 
 // logRequests is the access log: one debug record per request. The
 // serious per-route accounting lives in the server's metrics; this exists
-// for tailing a dev server.
+// for tailing a dev server. Below debug level it passes w straight
+// through, so a quiet server pays no allocation for it.
 func logRequests(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !logger.Enabled(r.Context(), slog.LevelDebug) {
+			next.ServeHTTP(w, r)
+			return
+		}
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -127,4 +128,39 @@ func BenchmarkServerParallelSessions(b *testing.B) {
 			release(b, s, path, body)
 		}
 	})
+}
+
+// BenchmarkServerEpochFanout measures the front's stream release path at
+// loadbench's ingest-stream shape: a histogram+cumulative stream over the
+// 1024-value l1/θ=16 policy. One op is one epoch close followed by
+// epochFanout plain polls that each return that release, so the front
+// serves every release epochFanout+1 times.
+func BenchmarkServerEpochFanout(b *testing.B) {
+	const epochFanout = 4
+	s, dsID, _ := benchFixture(b, service.GraphSpec{Kind: "l1", Theta: 16})
+	raw, _ := json.Marshal(service.CreateStreamRequest{
+		PolicyID: "pol-1", DatasetID: dsID, Budget: 1e12,
+		Epoch: service.EpochSpec{Epsilon: 0.01}, Kinds: []string{"histogram", "cumulative"},
+	})
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/streams", bytes.NewReader(raw)))
+	if w.Code != http.StatusCreated {
+		b.Fatalf("create stream: %d %s", w.Code, w.Body.String())
+	}
+	var st service.StreamResponse
+	_ = json.Unmarshal(w.Body.Bytes(), &st)
+	closePath := "/v1/streams/" + st.ID + "/epochs"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for seq := 1; seq <= b.N; seq++ {
+		release(b, s, closePath, nil)
+		poll := fmt.Sprintf("/v1/streams/%s/releases?since=%d", st.ID, seq-1)
+		for range epochFanout {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest("GET", poll, nil))
+			if w.Code != http.StatusOK {
+				b.Fatalf("poll: %d %s", w.Code, w.Body.String())
+			}
+		}
+	}
 }

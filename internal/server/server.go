@@ -10,6 +10,7 @@ import (
 	"context"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"blowfish"
@@ -80,6 +81,13 @@ type Server struct {
 	// single-core front (byte-identical to the pre-split exposition), a
 	// merged multi-registry exposition for a router front.
 	metricsHandler http.Handler
+
+	// releases maps a stream id to the *releaseBody of the newest epoch
+	// release the front has served for it; see releaseJSON.
+	releases sync.Map
+	// onReleaseEncode, when set before the first request, runs once per
+	// epoch release the front encodes (tests count encodes with it).
+	onReleaseEncode func()
 }
 
 // New creates an in-memory single-core server.

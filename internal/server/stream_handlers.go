@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -188,10 +189,12 @@ func (s *Server) handleListStreams(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.DeleteStream(r.PathValue("id")); err != nil {
+	id := r.PathValue("id")
+	if err := s.svc.DeleteStream(id); err != nil {
 		writeServiceError(w, err)
 		return
 	}
+	s.releases.Delete(id)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -199,12 +202,22 @@ func (s *Server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 // deterministic trigger (automatic interval-driven closes are configured
 // at stream creation).
 func (s *Server) handleCloseEpoch(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.CloseEpoch(r.Context(), r.PathValue("id"))
+	id := r.PathValue("id")
+	resp, err := s.svc.CloseEpoch(r.Context(), id)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body, err := s.releaseJSON(id, &resp)
+	if err != nil {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	// The bytes json.Encoder would write: the value, then a newline.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	_, _ = io.WriteString(w, "\n")
 }
 
 // handleStreamReleases answers a cursor poll over the stream's published
@@ -228,12 +241,100 @@ func (s *Server) handleStreamReleases(w http.ResponseWriter, r *http.Request) {
 			writeError(w, service.CodeBadRequest, "invalid wait_ms")
 			return
 		}
-		wait = time.Duration(n) * time.Millisecond
+		// Saturate before converting: the service clamps the wait to its
+		// MaxLongPollWait, but a product past math.MaxInt64 would wrap to
+		// a negative wait that does not wait at all.
+		wait = time.Duration(min(int64(n), int64(math.MaxInt64/time.Millisecond))) * time.Millisecond
 	}
-	resp, err := s.svc.StreamReleases(r.Context(), r.PathValue("id"), since, wait)
+	id := r.PathValue("id")
+	resp, err := s.svc.StreamReleases(r.Context(), id, since, wait)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	bodies := make([][]byte, len(resp.Releases))
+	for i := range resp.Releases {
+		if bodies[i], err = s.releaseJSON(id, &resp.Releases[i]); err != nil {
+			writeJSON(w, http.StatusOK, resp)
+			return
+		}
+	}
+	// The bytes json.Encoder would write for resp, written piecewise so
+	// the release bodies are not copied into an envelope.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = io.WriteString(w, `{"releases":[`)
+	for i, b := range bodies {
+		if i > 0 {
+			_, _ = io.WriteString(w, ",")
+		}
+		_, _ = w.Write(b)
+	}
+	_, _ = fmt.Fprintf(w, "],\"next_since\":%d}\n", resp.NextSince)
+}
+
+// releaseBody is the JSON of one epoch release, encoded at most once.
+type releaseBody struct {
+	seq  uint64
+	once sync.Once
+	body []byte
+	err  error
+}
+
+// releaseJSON returns the JSON of rel, a release of stream id, as
+// json.Marshal would. The front keeps one releaseBody per stream, for the
+// newest release it has served: a release with that seq shares its body,
+// encoded once by whichever handler gets there first, and a newer release
+// replaces it. Both the close reply and the polls go through here, because
+// Stream.CloseEpoch wakes the long-pollers before the close handler has
+// the release back, so either may arrive first. An older release (a
+// catch-up poll) is encoded for its caller alone, so the front holds at
+// most one body per live stream; DELETE drops it.
+//
+// Sharing by (id, seq) is sound because the pair names one immutable
+// release for the life of the process: a stream never republishes a seq,
+// and an id is never reused — ids come from monotone counters (Core.newID,
+// the shard router's mint), ApplyStream refuses a live id, and the router
+// applies only ids it has just minted.
+func (s *Server) releaseJSON(id string, rel *service.EpochReleaseWire) ([]byte, error) {
+	for {
+		cur, ok := s.releases.Load(id)
+		if ok {
+			switch e := cur.(*releaseBody); {
+			case rel.Seq == e.seq:
+				return s.sharedJSON(e, rel)
+			case rel.Seq < e.seq:
+				return s.encodeRelease(rel)
+			}
+			fresh := &releaseBody{seq: rel.Seq}
+			if s.releases.CompareAndSwap(id, cur, fresh) {
+				return s.sharedJSON(fresh, rel)
+			}
+			continue
+		}
+		fresh := &releaseBody{seq: rel.Seq}
+		if _, loaded := s.releases.LoadOrStore(id, fresh); loaded {
+			continue
+		}
+		// A release fetched before a concurrent DELETE may land here after
+		// the delete dropped the entry. Entries are replaced only while one
+		// is present, so re-checking on this path alone is enough to keep
+		// a deleted stream's entry from outliving it.
+		if _, err := s.svc.GetStream(id); err != nil {
+			s.releases.Delete(id)
+		}
+		return s.sharedJSON(fresh, rel)
+	}
+}
+
+func (s *Server) sharedJSON(e *releaseBody, rel *service.EpochReleaseWire) ([]byte, error) {
+	e.once.Do(func() { e.body, e.err = s.encodeRelease(rel) })
+	return e.body, e.err
+}
+
+func (s *Server) encodeRelease(rel *service.EpochReleaseWire) ([]byte, error) {
+	if s.onReleaseEncode != nil {
+		s.onReleaseEncode()
+	}
+	return json.Marshal(rel)
 }

@@ -235,6 +235,26 @@ func TestStreamLongPoll(t *testing.T) {
 	if resp := decode[service.StreamReleasesResponse](t, w); len(resp.Releases) != 0 {
 		t.Fatalf("huge cursor = %+v", resp)
 	}
+
+	// A wait too large for time.Duration is clamped to MaxLongPollWait
+	// like any other, not wrapped into a poll that returns at once.
+	capped := New(service.Config{Seed: 42, MaxLongPollWait: 50 * time.Millisecond})
+	defer capped.Close()
+	polID, dsID = streamFixtureIDs(t, capped)
+	stID = mustCreateStream(t, capped, service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
+	})
+	start := time.Now()
+	w = do(t, capped, "GET", "/v1/streams/"+stID+"/releases?wait_ms=10000000000000", nil)
+	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
+		t.Fatalf("huge wait_ms answered after %v, want about the 50ms cap", elapsed)
+	}
+	if w.Code != http.StatusOK {
+		t.Fatalf("huge wait: status %d body %s", w.Code, w.Body.String())
+	}
+	if resp := decode[service.StreamReleasesResponse](t, w); len(resp.Releases) != 0 {
+		t.Fatalf("huge wait = %+v", resp)
+	}
 }
 
 // TestStreamAutomaticEpochs exercises the interval-driven scheduler through
