@@ -100,6 +100,13 @@ func UniformPartitionByCount(d *Domain, blocks int) (Partition, error) {
 // NewSource creates a deterministic noise source.
 func NewSource(seed int64) *Source { return noise.NewSource(seed) }
 
+// NoiseKey is the 32-byte key of a keyed session (NewKeyedSession).
+type NoiseKey = noise.Key
+
+// SeedKey derives a NoiseKey from a 64-bit seed (SHA-256 of its bytes):
+// the noise is exactly as predictable as the seed.
+func SeedKey(seed int64) NoiseKey { return noise.SeedKey(seed) }
+
 // NewAccountant creates a privacy budget accountant (sequential composition
 // per Theorem 4.1; SpendParallel implements Theorem 4.2).
 func NewAccountant(budget float64) (*Accountant, error) { return composition.NewAccountant(budget) }
@@ -405,14 +412,14 @@ func (cp *CompiledPolicy) HopDistance(x, y Point) float64 {
 // NewSession creates a session over the compiled plan with a total ε budget
 // drawing all noise from src.
 func (cp *CompiledPolicy) NewSession(budget float64, src *Source) (*Session, error) {
-	return cp.NewSessionShards(budget, src, 1)
+	return newSession(cp.pol, cp.plan, budget, src, nil)
 }
 
-// NewSessionShards creates a session over the compiled plan whose noise
-// pool holds `shards` independent streams, so concurrent releases draw
-// noise in parallel (see NewSessionShards).
-func (cp *CompiledPolicy) NewSessionShards(budget float64, src *Source, shards int) (*Session, error) {
-	return newSession(cp.pol, cp.plan, budget, src, shards)
+// NewKeyedSession creates a session over the compiled plan whose release
+// with ordinal n draws noise from the generator derived from (key, n), so
+// concurrent releases draw in parallel. Sessions sharing a key share noise.
+func (cp *CompiledPolicy) NewKeyedSession(budget float64, key NoiseKey) (*Session, error) {
+	return newSession(cp.pol, cp.plan, budget, nil, &key)
 }
 
 // Forget drops the compiled plan's cached index for ds, releasing its

@@ -35,10 +35,25 @@ func TestEngineReleaseAllocBudgets(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		ds.MustAdd(blowfish.Point(src.Int63n(1024)))
 	}
-	sess, err := blowfish.NewSession(pol, 1e9, blowfish.NewSource(4))
+	sequential, err := blowfish.NewSession(pol, 1e9, blowfish.NewSource(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp, err := blowfish.Compile(pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed, err := cp.NewKeyedSession(1e9, blowfish.SeedKey(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A keyed release reseeds a pooled generator in place, so the keyed
+	// session is held to the same budgets as the sequential one.
+	t.Run("sequential", func(t *testing.T) { pinReleaseAllocs(t, sequential, ds) })
+	t.Run("keyed", func(t *testing.T) { pinReleaseAllocs(t, keyed, ds) })
+}
+
+func pinReleaseAllocs(t *testing.T, sess *blowfish.Session, ds *blowfish.Dataset) {
 	const eps = 1e-9
 
 	// Prime every cache the releases read: the dataset index, the OH tree

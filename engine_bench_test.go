@@ -1,13 +1,13 @@
 // Benchmarks for the compiled release engine: the policy is compiled once
 // and releases are served from incrementally maintained count vectors, and
-// the sharded noise pool lets RunParallel throughput scale with goroutines
-// instead of flatlining on a single source mutex. Results are recorded in
+// a keyed session's per-release noise derivation lets RunParallel
+// throughput scale with goroutines instead of flatlining on a single
+// source. Results are recorded in
 // BENCH_engine.json, which also keeps the last numbers of the retired
 // pre-engine comparison benches.
 package blowfish_test
 
 import (
-	"runtime"
 	"testing"
 
 	"blowfish"
@@ -42,9 +42,9 @@ func benchWorld(b *testing.B) (*blowfish.Policy, *blowfish.Dataset) {
 	return blowfish.NewPolicy(g), ds
 }
 
-func benchSession(b *testing.B, pol *blowfish.Policy, shards int) *blowfish.Session {
+func benchSession(b *testing.B, pol *blowfish.Policy) *blowfish.Session {
 	b.Helper()
-	sess, err := blowfish.NewSessionShards(pol, benchBudget, blowfish.NewSource(2), shards)
+	sess, err := blowfish.NewSession(pol, benchBudget, blowfish.NewSource(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func benchSession(b *testing.B, pol *blowfish.Policy, shards int) *blowfish.Sess
 // is an O(|T|) snapshot + noise.
 func BenchmarkEngineRepeatedHistogram(b *testing.B) {
 	pol, ds := benchWorld(b)
-	sess := benchSession(b, pol, 1)
+	sess := benchSession(b, pol)
 	if _, err := sess.ReleaseHistogram(ds, benchEps); err != nil { // prime the index
 		b.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func BenchmarkEngineRepeatedHistogram(b *testing.B) {
 // releases on the engine path: the tree layout comes from the plan cache.
 func BenchmarkEngineRepeatedRange(b *testing.B) {
 	pol, ds := benchWorld(b)
-	sess := benchSession(b, pol, 1)
+	sess := benchSession(b, pol)
 	if _, err := sess.NewRangeReleaser(ds, 16, benchEps); err != nil { // prime caches
 		b.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func BenchmarkEngineRepeatedRange(b *testing.B) {
 // counter bumps) inside the hot-path regression threshold.
 func BenchmarkEngineRepeatedRangeMetrics(b *testing.B) {
 	pol, ds := benchWorld(b)
-	sess := benchSession(b, pol, 1)
+	sess := benchSession(b, pol)
 	reg := metrics.NewRegistry()
 	sess.SetEngineMetrics(&blowfish.EngineMetrics{
 		Range: blowfish.EngineReleaseMetrics{
@@ -125,7 +125,7 @@ func BenchmarkEngineRepeatedRangeMetrics(b *testing.B) {
 // maintained cumulative counts.
 func BenchmarkEngineRepeatedCumulative(b *testing.B) {
 	pol, ds := benchWorld(b)
-	sess := benchSession(b, pol, 1)
+	sess := benchSession(b, pol)
 	if _, err := sess.ReleaseCumulativeHistogram(ds, benchEps); err != nil {
 		b.Fatal(err)
 	}
@@ -139,19 +139,27 @@ func BenchmarkEngineRepeatedCumulative(b *testing.B) {
 }
 
 // BenchmarkEngineParallelHistogram measures multi-goroutine release
-// throughput on a sharded session: goroutines draw noise from independent
-// streams and only the (atomic) budget charge is shared.
+// throughput on a keyed session: each release derives its own generator
+// from the session key and its ordinal, and only the (atomic) budget
+// charge is shared.
 func BenchmarkEngineParallelHistogram(b *testing.B) {
 	pol, ds := benchWorld(b)
-	sharded := benchSession(b, pol, runtime.GOMAXPROCS(0))
-	if _, err := sharded.ReleaseHistogram(ds, benchEps); err != nil {
+	cp, err := blowfish.Compile(pol)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keyed, err := cp.NewKeyedSession(benchBudget, blowfish.SeedKey(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := keyed.ReleaseHistogram(ds, benchEps); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sharded.ReleaseHistogram(ds, benchEps); err != nil {
+			if _, err := keyed.ReleaseHistogram(ds, benchEps); err != nil {
 				b.Fatal(err)
 			}
 		}

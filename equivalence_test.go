@@ -437,8 +437,9 @@ func TestEngineSessionStreamContinuity(t *testing.T) {
 	compareGoldens(t, "facade", facade, want)
 }
 
-// TestShardedSessionAccounting asserts a multi-shard session still enforces
-// the budget exactly (the sharded noise pool must not affect accounting).
+// TestShardedSessionAccounting asserts a keyed session — the one servers
+// run, drawing each release's noise from its own derived generator —
+// still enforces the budget exactly.
 func TestShardedSessionAccounting(t *testing.T) {
 	dom, err := blowfish.LineDomain("v", 32)
 	if err != nil {
@@ -452,7 +453,11 @@ func TestShardedSessionAccounting(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		ds.MustAdd(blowfish.Point(i % 32))
 	}
-	sess, err := blowfish.NewSessionShards(blowfish.NewPolicy(g), 1.0, blowfish.NewSource(1), 4)
+	cp, err := blowfish.Compile(blowfish.NewPolicy(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := cp.NewKeyedSession(1.0, blowfish.SeedKey(1))
 	if err != nil {
 		t.Fatal(err)
 	}

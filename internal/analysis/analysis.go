@@ -10,7 +10,7 @@
 // The analyzers under this directory mechanically enforce the invariants
 // the type system cannot see — every noised release is charged to a
 // composition.Accountant, every acked mutation is journaled write-ahead,
-// all randomness flows through the restorable internal/noise source, no
+// all randomness flows through the internal/noise source, no
 // release/encoding path depends on map iteration order, and lock usage
 // follows the documented discipline. See DESIGN.md §5.
 package analysis

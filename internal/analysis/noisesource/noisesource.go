@@ -1,10 +1,10 @@
-// Package noisesource forbids randomness that bypasses the restorable
-// internal/noise PCG source. Recovery replays a crashed server to
-// bit-for-bit identical noise streams only because every variate is drawn
-// from a Source whose full generator state marshals into snapshots; a
-// stray math/rand import, a crypto/rand draw, or a wall-clock seed breaks
-// that equivalence silently — releases after a crash would stop matching
-// the pre-crash stream and the crash suites would chase ghosts.
+// Package noisesource forbids randomness that bypasses the internal/noise
+// source. A recovered server draws the noise the pre-crash server would
+// have drawn only because every variate comes from a noise.Source, a
+// function of a seed or of a key and a release ordinal; a stray math/rand
+// import, a crypto/rand draw, or a wall-clock seed breaks that equivalence
+// silently — releases after a crash would stop matching the pre-crash
+// server's and the crash suites would chase ghosts.
 package noisesource
 
 import (
@@ -49,7 +49,7 @@ func New(cfg Config) *analysis.Analyzer {
 	cfg.fill()
 	return &analysis.Analyzer{
 		Name: "noisesource",
-		Doc:  "forbid randomness outside the restorable internal/noise source (crash-replay determinism)",
+		Doc:  "forbid randomness outside the internal/noise source (crash-replay determinism)",
 		Run:  func(pass *analysis.Pass) error { return run(pass, cfg) },
 	}
 }
@@ -73,7 +73,7 @@ func run(pass *analysis.Pass, cfg Config) error {
 				}
 				for _, banned := range cfg.BannedImports {
 					if path == banned {
-						pass.Reportf(imp.Pos(), "import of %q outside internal/noise: all randomness must flow through the restorable noise.Source (crash replay would diverge)", path)
+						pass.Reportf(imp.Pos(), "import of %q outside internal/noise: all randomness must flow through noise.Source (crash replay would diverge)", path)
 					}
 				}
 			}
@@ -104,7 +104,7 @@ func run(pass *analysis.Pass, cfg Config) error {
 			for _, arg := range call.Args {
 				if pos, found := wallClockIn(pass.TypesInfo, arg); found && !reported[pos] {
 					reported[pos] = true
-					pass.Reportf(pos, "%s seeded from the wall clock: a time-seeded stream can never be replayed bit-for-bit after a crash; derive the seed from configuration or Split", fn.Name())
+					pass.Reportf(pos, "%s seeded from the wall clock: a time-seeded stream can never be replayed bit-for-bit after a crash; derive the seed from configuration", fn.Name())
 				}
 			}
 			return true

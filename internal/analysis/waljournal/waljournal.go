@@ -2,7 +2,7 @@
 // durable state changes must hit the journal before they hit memory, and
 // budget-bearing releases must hit the journal before their result is
 // acknowledged. Recovery replays the WAL to reconstruct the registries and
-// re-execute releases; a registry write that precedes its journal record
+// re-charge releases; a registry write that precedes its journal record
 // can be observed by a client, then lost in a crash, and the replayed
 // server will happily re-spend budget a client already saw spent — the
 // exact durability hole PR 4's crash hammer exists to catch, moved from a

@@ -51,7 +51,7 @@ func TestReleaseHistogramUnderConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(plan, acct, noise.NewSource(3), 1)
+	eng, err := engine.New(plan, acct, noise.NewSource(3))
 	if err != nil {
 		t.Fatal(err)
 	}

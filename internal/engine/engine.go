@@ -14,53 +14,58 @@ import (
 	"blowfish/internal/ordered"
 )
 
-// noiseShard is one independently seeded noise stream with its own lock, so
-// concurrent releases draw noise in parallel instead of serializing on a
-// single source mutex.
-type noiseShard struct {
-	mu  sync.Mutex
-	src *noise.Source
-}
-
 // Engine serves releases from a compiled Plan: truth vectors come from
-// DatasetIndexes, noise from a shard pool, and every charge goes through
-// one atomic Accountant, so parallel releases from many goroutines never
-// overspend and never contend on a single noise stream.
+// DatasetIndexes, and every charge goes through one atomic Accountant, so
+// parallel releases never overspend. Releases are computed first and
+// charged second, exactly like Session: a failed charge discards the
+// computed values unpublished.
 //
-// Releases are computed first and charged second, exactly like Session: a
-// failed charge discards the computed values unpublished.
+// Every release takes the next ordinal. A sequential engine (New) draws all
+// noise from the caller's Source in turn — the library's determinism
+// contract; a keyed engine (NewKeyed) draws each release's noise from the
+// generator derived from (key, ordinal), without a lock. No (key, ordinal)
+// pair may serve two published releases: ordinals only rise, and a durable
+// server resumes them from its snapshot and WAL (RestoreOrdinal, Replay).
+// An ordinal whose release was refused or never journaled published
+// nothing, so a restart may hand it out again.
 type Engine struct {
-	plan    *Plan
-	acct    *composition.Accountant
-	shards  []*noiseShard
-	ctr     atomic.Uint64
+	plan *Plan
+	acct *composition.Accountant
+	// seq holds a sequential engine's Source (nil when keyed): a release
+	// takes it out and puts it back, so no two releases draw at once.
+	seq     chan *noise.Source
+	key     noise.Key
+	ord     atomic.Uint64 // the latest release's ordinal
 	metrics atomic.Pointer[Metrics]
 }
 
-// New creates an engine over a compiled plan. src seeds the shard pool:
-// with shards <= 1 the engine draws directly from src, so a sequence of
-// releases consumes src's stream in order, as callers sharing one source
-// expect; with shards = n the pool holds src plus n−1 Split substreams and
-// releases rotate across them.
-func New(plan *Plan, acct *composition.Accountant, src *noise.Source, shards int) (*Engine, error) {
+// keyedNoise recycles the generators keyed releases reseed in place.
+var keyedNoise = sync.Pool{New: func() any { return new(noise.Source) }}
+
+// New creates an engine over a compiled plan that draws all noise from src.
+func New(plan *Plan, acct *composition.Accountant, src *noise.Source) (*Engine, error) {
+	e, err := NewKeyed(plan, acct, noise.Key{})
+	if err != nil {
+		return nil, err
+	}
+	if src == nil {
+		return nil, errors.New("engine: nil noise source")
+	}
+	e.seq = make(chan *noise.Source, 1)
+	e.seq <- src
+	return e, nil
+}
+
+// NewKeyed creates an engine over a compiled plan whose release with
+// ordinal n draws from the generator derived from (key, n).
+func NewKeyed(plan *Plan, acct *composition.Accountant, key noise.Key) (*Engine, error) {
 	if plan == nil {
 		return nil, errors.New("engine: nil plan")
 	}
 	if acct == nil {
 		return nil, errors.New("engine: nil accountant")
 	}
-	if src == nil {
-		return nil, errors.New("engine: nil noise source")
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	e := &Engine{plan: plan, acct: acct, shards: make([]*noiseShard, shards)}
-	e.shards[0] = &noiseShard{src: src}
-	for i := 1; i < shards; i++ {
-		e.shards[i] = &noiseShard{src: src.Split(fmt.Sprintf("engine-shard-%d", i))}
-	}
-	return e, nil
+	return &Engine{plan: plan, acct: acct, key: key}, nil
 }
 
 // Plan returns the compiled policy plan.
@@ -69,67 +74,110 @@ func (e *Engine) Plan() *Plan { return e.plan }
 // Accountant returns the budget ledger shared by every release.
 func (e *Engine) Accountant() *composition.Accountant { return e.acct }
 
-// Shards returns the size of the noise pool.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // Index returns the shared dataset index for ds (see Plan.Index).
 func (e *Engine) Index(ds *domain.Dataset) (*DatasetIndex, error) { return e.plan.Index(ds) }
 
-// NoiseState is a serializable snapshot of the engine's noise pool: the
-// rotation counter plus every shard's marshaled generator state. Restoring
-// it resumes each noise stream bit-for-bit where the snapshot left off, so
-// a recovered server's future releases draw exactly the noise the pre-crash
-// server would have drawn.
-type NoiseState struct {
-	Ctr    uint64   `json:"ctr"`
-	Shards [][]byte `json:"shards"`
-}
+// Ordinal returns the latest release's ordinal (0 before any).
+func (e *Engine) Ordinal() uint64 { return e.ord.Load() }
 
-// ExportNoise captures the noise pool's state. Each shard is locked for the
-// marshal, so the capture of one shard is atomic against concurrent draws;
-// callers that need the pool as a whole to be quiescent (checkpointing)
-// must serialize releases externally.
-func (e *Engine) ExportNoise() (NoiseState, error) {
-	st := NoiseState{Ctr: e.ctr.Load(), Shards: make([][]byte, len(e.shards))}
-	for i, sh := range e.shards {
-		sh.mu.Lock()
-		b, err := sh.src.MarshalBinary()
-		sh.mu.Unlock()
-		if err != nil {
-			return NoiseState{}, fmt.Errorf("engine: marshaling noise shard %d: %w", i, err)
-		}
-		st.Shards[i] = b
+// RestoreOrdinal resumes the counter at a checkpointed ordinal. It refuses
+// to move the counter back, which would hand a keyed engine's next
+// release a published release's noise.
+func (e *Engine) RestoreOrdinal(ord uint64) error {
+	if cur := e.ord.Load(); ord < cur {
+		return fmt.Errorf("engine: restoring ordinal %d behind the current %d", ord, cur)
 	}
-	return st, nil
-}
-
-// RestoreNoise overwrites the noise pool with a state captured by
-// ExportNoise. The shard count must match the engine's.
-func (e *Engine) RestoreNoise(st NoiseState) error {
-	if len(st.Shards) != len(e.shards) {
-		return fmt.Errorf("engine: restoring %d noise shards onto an engine with %d", len(st.Shards), len(e.shards))
-	}
-	for i, sh := range e.shards {
-		sh.mu.Lock()
-		err := sh.src.UnmarshalBinary(st.Shards[i])
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("engine: restoring noise shard %d: %w", i, err)
-		}
-	}
-	e.ctr.Store(st.Ctr)
+	e.ord.Store(ord)
 	return nil
 }
 
-// noiseShard picks the next shard of the pool round-robin, so concurrent
-// releases spread across independent streams. Callers lock the shard's
-// mutex around their draws inline — a closure-based wrapper here would cost
-// an allocation on every release of the hot paths.
-func (e *Engine) noiseShard() *noiseShard {
+// kind names a release kind for the ledger. K-means charges under its own
+// label, which carries k; a server never journals it, so no replay needs it.
+type kind uint8
+
+const (
+	kindHistogram  kind = iota + 1 // the complete histogram h
+	kindPartition                  // a partition's block histogram h_P
+	kindCumulative                 // the Ordered Mechanism
+	kindRange                      // the Ordered Hierarchical structure
+)
+
+// charge records a release's ledger entry: eps under its kind's label, or
+// nothing for an exact partition release (no secret pair crosses a block).
+// part is a kindPartition release's partition, nil for the plan's own. The
+// release paths and Replay all charge through it.
+func (e *Engine) charge(k kind, part domain.Partition, eps float64) error {
+	var label string
+	switch k {
+	case kindHistogram:
+		label = "histogram"
+	case kindPartition:
+		if part == nil {
+			part = e.plan.part
+		}
+		if sens, err := e.plan.PartitionSensitivity(part); err != nil || sens == 0 {
+			return err
+		}
+		label = fmt.Sprintf("partition-histogram|%d", part.NumBlocks())
+	case kindCumulative:
+		label = "cumulative-histogram"
+	case kindRange:
+		label = "range-releaser"
+	}
+	return e.acct.Spend(label, eps)
+}
+
+// replayKinds maps the release kinds a journal records, named as an epoch
+// close names them, to ledger kinds.
+var replayKinds = map[string]kind{"histogram": kindHistogram, "cumulative": kindCumulative, "range": kindRange}
+
+// Replay applies a journaled release without running it again: it charges
+// what the live release charged and raises the ordinal to the record's. A
+// record at or below the ordinal is already reflected (a snapshot covered
+// it) and applies nothing. Under a partition policy a histogram is the
+// block histogram, as for an epoch close.
+func (e *Engine) Replay(name string, eps float64, ordinal uint64) error {
+	k, ok := replayKinds[name]
+	if !ok {
+		return fmt.Errorf("engine: unknown release kind %q", name)
+	}
+	if k == kindHistogram && e.plan.part != nil {
+		k = kindPartition
+	}
+	if ordinal <= e.ord.Load() {
+		return nil
+	}
+	if err := e.charge(k, nil, eps); err != nil {
+		return err
+	}
+	e.ord.Store(ordinal)
+	return nil
+}
+
+// noiseFor takes the next ordinal for a noisy release and returns the
+// generator it draws from; callers hand it back with doneNoise inline — a
+// closure-based wrapper would cost an allocation on every release.
+func (e *Engine) noiseFor() *noise.Source {
 	if m := e.metrics.Load(); m != nil && m.NoiseDraws != nil {
 		m.NoiseDraws.Inc()
 	}
-	return e.shards[e.ctr.Add(1)%uint64(len(e.shards))]
+	if e.seq != nil {
+		src := <-e.seq
+		e.ord.Add(1)
+		return src
+	}
+	src := keyedNoise.Get().(*noise.Source)
+	src.Reseed(&e.key, e.ord.Add(1))
+	return src
+}
+
+// doneNoise hands back the generator noiseFor returned.
+func (e *Engine) doneNoise(src *noise.Source) {
+	if e.seq != nil {
+		e.seq <- src
+		return
+	}
+	keyedNoise.Put(src)
 }
 
 // checkIndex guards against an index compiled for a different plan, whose
@@ -172,17 +220,16 @@ func (e *Engine) ReleaseHistogram(idx *DatasetIndex, eps float64) ([]float64, er
 	if err != nil {
 		return nil, err
 	}
-	sh := e.noiseShard()
-	sh.mu.Lock()
-	m, err := mechanism.NewLaplace(eps, sens, sh.src)
+	src := e.noiseFor()
+	m, err := mechanism.NewLaplace(eps, sens, src)
 	if err == nil {
 		m.ReleaseInPlace(truth)
 	}
-	sh.mu.Unlock()
+	e.doneNoise(src)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.acct.Spend("histogram", eps); err != nil {
+	if err := e.charge(kindHistogram, nil, eps); err != nil {
 		return nil, err // release discarded unpublished
 	}
 	if mt != nil {
@@ -224,23 +271,24 @@ func (e *Engine) ReleasePartitionHistogram(idx *DatasetIndex, part domain.Partit
 		return nil, err
 	}
 	if sens == 0 {
-		// No secret pair crosses blocks: exact, free, no noise drawn.
+		// No secret pair crosses blocks: exact, free, no noise drawn. It
+		// still takes an ordinal, as every release a server journals does.
+		e.ord.Add(1)
 		if mt != nil {
 			mt.Partition.observe(start)
 		}
 		return truth, nil
 	}
-	sh := e.noiseShard()
-	sh.mu.Lock()
-	m, err := mechanism.NewLaplace(eps, sens, sh.src)
+	src := e.noiseFor()
+	m, err := mechanism.NewLaplace(eps, sens, src)
 	if err == nil {
 		m.ReleaseInPlace(truth)
 	}
-	sh.mu.Unlock()
+	e.doneNoise(src)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.acct.Spend(fmt.Sprintf("partition-histogram|%d", part.NumBlocks()), eps); err != nil {
+	if err := e.charge(kindPartition, part, eps); err != nil {
 		return nil, err
 	}
 	if mt != nil {
@@ -272,17 +320,16 @@ func (e *Engine) ReleaseCumulative(idx *DatasetIndex, eps float64) (raw, inferre
 		e.plan.putVec(buf)
 		return nil, nil, err
 	}
-	sh := e.noiseShard()
-	sh.mu.Lock()
-	raw, err = ordered.ReleaseCumulative(cum, sens, eps, sh.src)
-	sh.mu.Unlock()
+	src := e.noiseFor()
+	raw, err = ordered.ReleaseCumulative(cum, sens, eps, src)
+	e.doneNoise(src)
 	*buf = cum
 	e.plan.putVec(buf)
 	if err != nil {
 		return nil, nil, err
 	}
 	inferred = ordered.InferCumulative(raw, float64(n))
-	if err := e.acct.Spend("cumulative-histogram", eps); err != nil {
+	if err := e.charge(kindCumulative, nil, eps); err != nil {
 		return nil, nil, err
 	}
 	if m != nil {
@@ -313,16 +360,15 @@ func (e *Engine) NewRangeRelease(idx *DatasetIndex, fanout int, eps float64) (*o
 		e.plan.putVec(buf)
 		return nil, err
 	}
-	sh := e.noiseShard()
-	sh.mu.Lock()
-	rel, err := oh.Release(counts, eps, sh.src)
-	sh.mu.Unlock()
+	src := e.noiseFor()
+	rel, err := oh.Release(counts, eps, src)
+	e.doneNoise(src)
 	*buf = counts
 	e.plan.putVec(buf)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.acct.Spend("range-releaser", eps); err != nil {
+	if err := e.charge(kindRange, nil, eps); err != nil {
 		return nil, err
 	}
 	if m != nil {
@@ -366,10 +412,9 @@ func (e *Engine) PrivateKMeans(idx *DatasetIndex, k, iterations int, eps float64
 		SumSensitivity:  sumSens,
 	}
 	vecs := idx.Vectors()
-	sh := e.noiseShard()
-	sh.mu.Lock()
-	res, err := kmeans.PrivateLloyd(vecs, cfg, sh.src)
-	sh.mu.Unlock()
+	src := e.noiseFor()
+	res, err := kmeans.PrivateLloyd(vecs, cfg, src)
+	e.doneNoise(src)
 	if err != nil {
 		return kmeans.Result{}, err
 	}

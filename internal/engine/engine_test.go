@@ -10,6 +10,7 @@ import (
 	"blowfish/internal/constraints"
 	"blowfish/internal/domain"
 	"blowfish/internal/noise"
+	"blowfish/internal/ordered"
 	"blowfish/internal/policy"
 	"blowfish/internal/secgraph"
 )
@@ -117,7 +118,7 @@ func TestCompileConstrainedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(plan, acct, noise.NewSource(3), 1)
+	eng, err := New(plan, acct, noise.NewSource(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestPartitionSensitivityUncomparablePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(plan, acct, noise.NewSource(5), 1)
+	eng, err := New(plan, acct, noise.NewSource(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,8 @@ func TestPartitionSensitivityUncomparablePartition(t *testing.T) {
 }
 
 // TestPlanOHCaching asserts the tree layout is built once per fanout and
-// invalid fanouts error without being cached.
+// invalid fanouts error without being cached. The fanout is within the
+// block width θ = 8; wider fanouts are TestPlanOHWideFanouts' subject.
 func TestPlanOHCaching(t *testing.T) {
 	d := domain.MustLine("v", 64)
 	g, err := secgraph.NewDistanceThreshold(d, 8)
@@ -291,11 +293,11 @@ func TestPlanOHCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := plan.OHFor(16)
+	a, err := plan.OHFor(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := plan.OHFor(16)
+	b, err := plan.OHFor(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +320,69 @@ func TestPlanOHCaching(t *testing.T) {
 	}
 }
 
-// TestEngineParallelReleasesNeverOverspend hammers a sharded engine from
+// TestPlanOHWideFanouts pins the bounded layout cache: a fanout above the
+// block width releases bit for bit what a layout built for that fanout
+// releases, and any number of distinct wide fanouts caches no layout
+// beyond the block-width one.
+func TestPlanOHWideFanouts(t *testing.T) {
+	d := domain.MustLine("v", 1024)
+	g, err := secgraph.NewDistanceThreshold(d, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(policy.New(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]float64, 1024)
+	for i := range counts {
+		counts[i] = float64(i % 7)
+	}
+	for _, f := range []int{16, 17, 100, 5000} {
+		got, err := plan.OHFor(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ordered.NewOH(1024, 16, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fanout() != f {
+			t.Fatalf("OHFor(%d).Fanout() = %d", f, got.Fanout())
+		}
+		rg, err := got.Release(counts, 0.5, noise.NewSource(int64(f)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw, err := want.Release(counts, 0.5, noise.NewSource(int64(f)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < 1024; lo += 37 {
+			a, _ := rg.Range(lo, 1023)
+			b, _ := rw.Range(lo, 1023)
+			if a != b {
+				t.Fatalf("fanout %d: range [%d,1023] = %v, want %v", f, lo, a, b)
+			}
+		}
+	}
+	plan.mu.RLock()
+	before := len(plan.oh)
+	plan.mu.RUnlock()
+	for f := 1000; f < 3000; f++ {
+		if _, err := plan.OHFor(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan.mu.RLock()
+	after := len(plan.oh)
+	plan.mu.RUnlock()
+	if after != before {
+		t.Fatalf("2000 wide fanouts grew the layout cache from %d to %d", before, after)
+	}
+}
+
+// TestEngineParallelReleasesNeverOverspend hammers a keyed engine from
 // many goroutines: the accountant's invariants must hold, and every
 // successful release must be fully formed.
 func TestEngineParallelReleasesNeverOverspend(t *testing.T) {
@@ -349,12 +413,9 @@ func TestEngineParallelReleasesNeverOverspend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(plan, acct, noise.NewSource(7), 8)
+	eng, err := NewKeyed(plan, acct, noise.SeedKey(7))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eng.Shards() != 8 {
-		t.Fatalf("Shards = %d, want 8", eng.Shards())
 	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -403,11 +464,15 @@ func TestEngineParallelReleasesNeverOverspend(t *testing.T) {
 	if got := len(acct.Releases()); got != successes {
 		t.Fatalf("release log has %d entries, want %d", got, successes)
 	}
+	// Every release that drew noise took its own ordinal.
+	if got := eng.Ordinal(); got < uint64(successes) || got > goroutines*perG {
+		t.Fatalf("ordinal = %d after %d releases of %d attempts", got, successes, goroutines*perG)
+	}
 }
 
-// TestEngineSingleShardUsesCallerSource pins the determinism contract:
-// with one shard the engine draws straight from the provided source, so
-// two engines over the same seed produce identical releases.
+// TestEngineSingleShardUsesCallerSource pins the determinism contract: a
+// sequential engine draws straight from the provided source, so two
+// engines over the same seed produce identical releases.
 func TestEngineSingleShardUsesCallerSource(t *testing.T) {
 	d := domain.MustLine("v", 32)
 	g, err := secgraph.NewDistanceThreshold(d, 4)
@@ -427,7 +492,7 @@ func TestEngineSingleShardUsesCallerSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := New(plan, acct, noise.NewSource(42), 1)
+		eng, err := New(plan, acct, noise.NewSource(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,6 +514,10 @@ func TestEngineSingleShardUsesCallerSource(t *testing.T) {
 	}
 }
 
+// TestEngineNoiseExportRestore pins what a keyed engine's noise state is:
+// the key and the ordinal. An engine restored to another's ordinal
+// continues with bit-for-bit the same releases, and a restore that would
+// move the ordinal back is refused.
 func TestEngineNoiseExportRestore(t *testing.T) {
 	pol := policy.New(secgraph.NewComplete(domain.MustLine("v", 32)))
 	plan, err := Compile(pol)
@@ -457,7 +526,7 @@ func TestEngineNoiseExportRestore(t *testing.T) {
 	}
 	mk := func() *Engine {
 		acct, _ := composition.NewAccountant(100)
-		e, err := New(plan, acct, noise.NewSource(7), 4)
+		e, err := NewKeyed(plan, acct, noise.SeedKey(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,17 +538,16 @@ func TestEngineNoiseExportRestore(t *testing.T) {
 		ds.MustAdd(domain.Point(i % int(pol.Domain().Size())))
 	}
 	idxA, _ := a.Index(ds)
-	// Advance a's noise pool, then export/restore into b.
+	// Advance a's ordinal, then carry it over to b.
 	for i := 0; i < 5; i++ {
 		if _, err := a.ReleaseHistogram(idxA, 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := a.ExportNoise()
-	if err != nil {
-		t.Fatal(err)
+	if got := a.Ordinal(); got != 5 {
+		t.Fatalf("ordinal after 5 releases = %d", got)
 	}
-	if err := b.RestoreNoise(st); err != nil {
+	if err := b.RestoreOrdinal(a.Ordinal()); err != nil {
 		t.Fatal(err)
 	}
 	idxB, _ := b.Index(ds)
@@ -498,10 +566,7 @@ func TestEngineNoiseExportRestore(t *testing.T) {
 			}
 		}
 	}
-	// Shard-count mismatch is refused.
-	acct, _ := composition.NewAccountant(1)
-	c, _ := New(plan, acct, noise.NewSource(1), 2)
-	if err := c.RestoreNoise(st); err == nil {
-		t.Fatal("restore accepted a mismatched shard count")
+	if err := b.RestoreOrdinal(3); err == nil {
+		t.Fatal("restore moved the ordinal back")
 	}
 }

@@ -24,7 +24,7 @@ func (r *ReleaseMetrics) observe(start time.Time) {
 }
 
 // Metrics holds the engine's pre-resolved instruments, one ReleaseMetrics
-// per release kind plus noise-pool draw stats. The server resolves
+// per release kind plus a count of noisy releases. The server resolves
 // labeled children (per policy, per kind) once at session construction
 // and hands the engine bare pointers, so the hot path never touches a
 // label map — the engine's release paths stay within their alloc pins.
@@ -34,7 +34,8 @@ type Metrics struct {
 	Cumulative ReleaseMetrics
 	Range      ReleaseMetrics
 	KMeans     ReleaseMetrics
-	// NoiseDraws counts shard acquisitions (== noisy releases started).
+	// NoiseDraws counts noisy releases started: one per release that
+	// takes a generator, however many variates it then draws.
 	NoiseDraws *metrics.Counter
 }
 

@@ -16,22 +16,21 @@
 //     cumulative counts of a dataset and maintains them incrementally under
 //     Add/Set/Remove, replacing the O(n) tuple rescan per release with
 //     O(1)–O(|T|) cache maintenance.
-//   - Engine serves releases from the compiled forms with a pool of Split
-//     noise sources, so parallel releases draw noise concurrently instead
-//     of serializing on one source mutex; budget charges remain atomic
-//     through the shared composition.Accountant.
+//   - Engine serves releases from the compiled forms. A keyed engine
+//     derives each release's noise from its key and the release's ordinal,
+//     so parallel releases draw noise without sharing a stream; budget
+//     charges remain atomic through the shared composition.Accountant.
 //
 // Constrained policies compile too: Q is as fixed as G, so their histogram
 // sensitivity (the Section 8 policy-graph bound) is compiled like the
 // Section 5 values, and the release kinds the paper defines only for
 // unconstrained policies record their refusal at compile time.
 //
-// With a single noise shard the engine draws from the caller's source
-// exactly as the pre-engine per-release functions did, so releases are
-// bit-for-bit identical to them given the same seed (the equivalence tests
-// at the repository root pin this against goldens captured from those
-// functions, for every policy kind the server supports and for constrained
-// policies).
+// A sequential engine draws from the caller's source exactly as the
+// pre-engine per-release functions did, so releases are bit-for-bit
+// identical to them given the same seed (the equivalence tests at the
+// repository root pin this against goldens captured from those functions,
+// for every policy kind the server supports and for constrained policies).
 package engine
 
 import (
@@ -125,7 +124,8 @@ type Plan struct {
 	// lock entirely so a first-use build never stalls concurrent releases.
 	mu sync.RWMutex
 	// oh caches the Ordered Hierarchical layout per fanout: tree
-	// construction would otherwise dominate every range release.
+	// construction would otherwise dominate every range release. Wider
+	// fanouts than the block width are not keyed here (see OHFor).
 	oh map[int]*ordered.OH
 	// foreignPartSens caches S(h_B, P) for partitions other than the
 	// policy's own (Session.ReleasePartitionHistogram accepts any).
@@ -464,9 +464,22 @@ func (p *Plan) isRegistered(part domain.Partition) bool {
 // O(|T|) tree build runs outside the plan lock so a first-use build never
 // stalls concurrent releases; two racing first uses may both build, and
 // the loser's tree is discarded.
+//
+// Every fanout at or above the block width min(θ, |T|) builds the same
+// trees, and only Eq. 14's split reads the fanout: a wider fanout shares
+// the block-width layout's trees, so the policy bounds the cache, not the
+// fanouts clients send.
 func (p *Plan) OHFor(fanout int) (*ordered.OH, error) {
 	if p.rangeErr != nil {
 		return nil, p.rangeErr
+	}
+	width := max(min(p.theta, int(p.dom.Size())), 2)
+	if fanout > width {
+		oh, err := p.OHFor(width)
+		if err != nil {
+			return nil, err
+		}
+		return oh.WithFanout(fanout), nil
 	}
 	p.mu.RLock()
 	oh, ok := p.oh[fanout]

@@ -194,7 +194,7 @@ func TestExplicitPlanServesReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(plan, acct, noise.NewSource(1), 1)
+	eng, err := New(plan, acct, noise.NewSource(1))
 	if err != nil {
 		t.Fatal(err)
 	}

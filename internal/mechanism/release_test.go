@@ -16,7 +16,7 @@ import (
 // The release engine is the only path that calibrates the mechanism to a
 // policy, so these tests release through it.
 
-// testEngine compiles pol and returns a single-shard engine over it with
+// testEngine compiles pol and returns a sequential engine over it with
 // the given budget and seed, plus the index of ds.
 func testEngine(t *testing.T, pol *policy.Policy, ds *domain.Dataset, budget float64, seed int64) (*engine.Engine, *engine.DatasetIndex) {
 	t.Helper()
@@ -28,7 +28,7 @@ func testEngine(t *testing.T, pol *policy.Policy, ds *domain.Dataset, budget flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(plan, acct, noise.NewSource(seed), 1)
+	eng, err := engine.New(plan, acct, noise.NewSource(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,65 +3,69 @@
 // geometric, and Gaussian samplers over deterministically seeded streams.
 //
 // All experiment code seeds Sources explicitly so every figure regenerates
-// identically run-to-run; Split derives independent named substreams so
-// adding a mechanism to an experiment never perturbs the draws of another.
+// identically run-to-run.
 //
-// Sources are backed by a PCG generator whose full state marshals to a few
-// bytes (MarshalBinary / UnmarshalBinary), so a durable server can
-// checkpoint the exact position of every noise stream and resume it after a
-// crash — a restored stream continues bit-for-bit where the pre-crash
-// stream left off.
+// A Source is one sequential stream (NewSource), or one release's generator
+// derived from a Key and the release's ordinal (Reseed) — the counter-based
+// design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+// (SC 2011). Keyed noise is a pure function of (key, ordinal): releases
+// draw in parallel, and a restarted server resumes from the ordinal alone.
 package noise
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 )
 
-// pcgStream is the fixed PCG stream-selector constant every Source uses;
-// seeds alone distinguish streams (Split mixes the label into the seed).
+// pcgStream is the fixed PCG stream-selector constant NewSource uses;
+// seeds alone distinguish sequential streams.
 const pcgStream = 0x9e3779b97f4a7c15
 
 // Source is a deterministic stream of random variates. It is not safe for
-// concurrent use; derive one Source per goroutine with Split.
+// concurrent use, and it must not be copied once used. The zero value is
+// ready for Reseed.
 type Source struct {
-	pcg *rand.PCG
-	rng *rand.Rand
+	pcg rand.PCG
+	rng *rand.Rand // draws from pcg
+	// Draws write the PCG state: the padding keeps Sources that releases
+	// draw from in parallel off one cache line.
+	_ [64]byte
 }
 
 // NewSource creates a Source seeded with the given value.
 func NewSource(seed int64) *Source {
-	pcg := rand.NewPCG(uint64(seed), pcgStream)
-	return &Source{pcg: pcg, rng: rand.New(pcg)}
+	s := new(Source)
+	s.pcg.Seed(uint64(seed), pcgStream)
+	s.rng = rand.New(&s.pcg)
+	return s
 }
 
-// MarshalBinary captures the full generator state: a Source restored with
-// UnmarshalBinary continues the exact same variate stream. It implements
-// encoding.BinaryMarshaler.
-func (s *Source) MarshalBinary() ([]byte, error) {
-	return s.pcg.MarshalBinary()
+// Key is the secret a keyed Source derives each release's generator from.
+type Key [32]byte
+
+// SeedKey derives a Key from a 64-bit seed: SHA-256 of its little-endian
+// bytes, so the noise is exactly as predictable as the seed.
+func SeedKey(seed int64) Key {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(seed))
+	return sha256.Sum256(b[:])
 }
 
-// UnmarshalBinary restores generator state captured by MarshalBinary. It
-// implements encoding.BinaryUnmarshaler.
-func (s *Source) UnmarshalBinary(data []byte) error {
-	if s.pcg == nil {
-		s.pcg = rand.NewPCG(0, pcgStream)
-		s.rng = rand.New(s.pcg)
+// Reseed restarts s as the generator for (key, ordinal): SHA-256(key ‖
+// ordinal) seeds the PCG in place, without allocating after the first call.
+func (s *Source) Reseed(key *Key, ordinal uint64) {
+	var msg [len(Key{}) + 8]byte
+	copy(msg[:], key[:])
+	binary.LittleEndian.PutUint64(msg[len(Key{}):], ordinal)
+	h := sha256.Sum256(msg[:])
+	seed1, seed2 := binary.LittleEndian.Uint64(h[:8]), binary.LittleEndian.Uint64(h[8:16])
+	s.pcg.Seed(seed1, seed2)
+	if s.rng == nil {
+		s.rng = rand.New(&s.pcg)
 	}
-	return s.pcg.UnmarshalBinary(data)
-}
-
-// Split derives an independently seeded Source labeled by name. Splitting
-// the same parent seed with the same label always yields the same stream.
-func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	// Mix in a draw from the parent so repeated Split calls with the same
-	// label yield distinct streams.
-	fmt.Fprintf(h, "%s|%d", label, s.rng.Int64())
-	return NewSource(int64(h.Sum64()))
 }
 
 // Uniform returns a variate uniform on [0, 1).

@@ -26,39 +26,58 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	// Same parent seed + same label => same stream.
-	s1 := NewSource(3).Split("kmeans")
-	s2 := NewSource(3).Split("kmeans")
-	for i := 0; i < 50; i++ {
-		if s1.Uniform() != s2.Uniform() {
-			t.Fatal("Split not deterministic")
+// TestReseedIsPureFunctionOfKeyAndOrdinal pins the keyed derivation: the
+// stream depends on (key, ordinal) alone — not on what the Source drew
+// before — and a different ordinal or key gives a different stream.
+func TestReseedIsPureFunctionOfKeyAndOrdinal(t *testing.T) {
+	k := SeedKey(3)
+	var fresh, reused Source
+	fresh.Reseed(&k, 7)
+	reused.Reseed(&k, 1)
+	for i := 0; i < 100; i++ {
+		reused.Laplace(2) // history that Reseed must erase
+	}
+	reused.Reseed(&k, 7)
+	for i := 0; i < 100; i++ {
+		if a, b := fresh.Laplace(1.5), reused.Laplace(1.5); a != b {
+			t.Fatalf("draw %d: reseeded stream diverged: %v vs %v", i, a, b)
 		}
 	}
-	// Different labels => different streams.
-	a := NewSource(3).Split("x")
-	b := NewSource(3).Split("y")
-	diff := false
-	for i := 0; i < 20; i++ {
-		if a.Uniform() != b.Uniform() {
-			diff = true
+	differs := func(a, b *Source) bool {
+		for i := 0; i < 20; i++ {
+			if a.Uniform() != b.Uniform() {
+				return true
+			}
 		}
+		return false
 	}
-	if !diff {
-		t.Fatal("different labels produced identical streams")
+	var x, y Source
+	x.Reseed(&k, 7)
+	y.Reseed(&k, 8)
+	if !differs(&x, &y) {
+		t.Fatal("adjacent ordinals produced identical streams")
 	}
-	// Repeated splits with the same label from one parent differ.
-	parent := NewSource(3)
-	c := parent.Split("z")
-	d := parent.Split("z")
-	diff = false
-	for i := 0; i < 20; i++ {
-		if c.Uniform() != d.Uniform() {
-			diff = true
-		}
+	k2 := SeedKey(4)
+	x.Reseed(&k, 7)
+	y.Reseed(&k2, 7)
+	if !differs(&x, &y) {
+		t.Fatal("different keys produced identical streams")
 	}
-	if !diff {
-		t.Fatal("sequential same-label splits produced identical streams")
+	if SeedKey(3) != k {
+		t.Fatal("SeedKey is not deterministic")
+	}
+}
+
+func TestReseedDoesNotAllocate(t *testing.T) {
+	k := SeedKey(1)
+	var s Source
+	s.Reseed(&k, 0)
+	ord := uint64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		ord++
+		s.Reseed(&k, ord)
+	}); n != 0 {
+		t.Fatalf("Reseed allocates %v per call, want 0", n)
 	}
 }
 
@@ -308,39 +327,4 @@ func TestTwoSidedGeometricInvalidScalePanics(t *testing.T) {
 		}
 	}()
 	s.TwoSidedGeometric(-1)
-}
-
-func TestMarshalBinaryResumesStream(t *testing.T) {
-	s := NewSource(42)
-	// Advance through a mixed draw history so the marshaled state is not a
-	// fresh seed.
-	for i := 0; i < 100; i++ {
-		s.Laplace(1.5)
-		s.Gaussian(2)
-		s.TwoSidedGeometric(3)
-		s.Intn(10)
-	}
-	state, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r Source
-	if err := r.UnmarshalBinary(state); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if a, b := s.Laplace(0.7), r.Laplace(0.7); a != b {
-			t.Fatalf("draw %d: restored stream diverged: %v vs %v", i, a, b)
-		}
-		if a, b := s.Gaussian(1), r.Gaussian(1); a != b {
-			t.Fatalf("draw %d: restored Gaussian diverged: %v vs %v", i, a, b)
-		}
-	}
-}
-
-func TestUnmarshalBinaryRejectsGarbage(t *testing.T) {
-	var r Source
-	if err := r.UnmarshalBinary([]byte("nope")); err == nil {
-		t.Fatal("UnmarshalBinary accepted garbage")
-	}
 }

@@ -128,6 +128,15 @@ func NewOH(size, theta, fanout int) (*OH, error) {
 	return o, nil
 }
 
+// WithFanout returns a copy of o that splits the budget for fanout f and
+// shares o's trees: NewOH's layout for f whenever f and o's fanout both
+// reach the block width, where every block is one root over its positions.
+func (o *OH) WithFanout(f int) *OH {
+	c := *o
+	c.fanout = f
+	return &c
+}
+
 // Size returns |T|.
 func (o *OH) Size() int { return o.size }
 

@@ -13,8 +13,8 @@ import (
 // ReleaseWithSplit, kept verbatim as a differential oracle: each H-subtree
 // allocated its own release via ReleaseInterior. The slab-backed production
 // path must consume exactly the same noise draws in the same order — the
-// durable log replays releases by re-executing them, so any drift here
-// would break crash-recovery determinism.
+// goldens pin the sequential library's bits, so any drift here would move
+// every released figure.
 func referenceReleaseWithSplit(o *OH, counts []float64, epsS, epsH float64, src *noise.Source) (*OHRelease, error) {
 	if len(counts) != o.size {
 		return nil, errors.New("size mismatch")

@@ -266,6 +266,6 @@ func TestRecoveryExplicitPolicy(t *testing.T) {
 		t.Fatal("pre-crash explicit release diverges from control")
 	}
 	if !reflect.DeepEqual(post.Counts, want2.Counts) {
-		t.Fatal("post-recovery explicit release diverges from control (noise stream not restored bit-for-bit)")
+		t.Fatal("post-recovery explicit release diverges from control (ordinal not restored)")
 	}
 }

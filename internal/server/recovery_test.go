@@ -3,9 +3,8 @@ package server
 // Crash-recovery tests. The deterministic contract under test: with
 // fsync=always, every operation the server acknowledged survives kill -9 —
 // budget spend is monotone (never lower than any acked charge), no acked
-// ingest event is lost, and a seeded single-shard stream's post-recovery
-// releases are bit-for-bit what a never-crashed server would have
-// produced.
+// ingest event is lost, and a seeded stream's post-recovery releases are
+// bit-for-bit what a never-crashed server would have produced.
 //
 // TestCrashRecovery re-executes this test binary as a child process (see
 // TestMain) running a real durable HTTP server, drives it over HTTP,
@@ -184,7 +183,7 @@ func TestCrashRecovery(t *testing.T) {
 	httpJSON(t, "POST", base+"/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID}, &dsA)
 	httpJSON(t, "POST", base+"/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID}, &dsB)
 
-	// Two seeded single-shard streams: A takes the mid-ingest kill, B is
+	// Two seeded streams: A takes the mid-ingest kill, B is
 	// quiesced before the kill and carries the bit-for-bit assertion.
 	var stA, stB service.StreamResponse
 	httpJSON(t, "POST", base+"/v1/streams", service.CreateStreamRequest{
@@ -507,19 +506,13 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 			if lst.LastSeq != rst.LastSeq || lst.Applied != rst.Applied {
 				t.Fatalf("recovered table state %+v, live %+v", rst, lst)
 			}
-			// Sessions: identical ledgers and noise positions.
-			ls, err := live.Core().SessionHandle(sessID).ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs, err := rec.Core().SessionHandle(sessID).ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
+			// Sessions: identical ledgers and ordinals.
+			ls := live.Core().SessionHandle(sessID).ExportState()
+			rs := rec.Core().SessionHandle(sessID).ExportState()
 			if !reflect.DeepEqual(ls, rs) {
 				t.Fatalf("recovered session state diverges:\nlive %+v\nrec  %+v", ls, rs)
 			}
-			// Streams: identical cursors, buffers, ledgers, noise.
+			// Streams: identical cursors, buffers, ledgers, ordinals.
 			lst2, lsess2 := live.Core().StreamHandles(stID)
 			rst2, rsess2 := rec.Core().StreamHandles(stID)
 			lss := lst2.ExportState()
@@ -527,8 +520,8 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 			if !reflect.DeepEqual(lss, rss) {
 				t.Fatalf("recovered stream state diverges:\nlive %+v\nrec  %+v", lss, rss)
 			}
-			lsess, _ := lsess2.ExportState()
-			rsess, _ := rsess2.ExportState()
+			lsess := lsess2.ExportState()
+			rsess := rsess2.ExportState()
 			if !reflect.DeepEqual(lsess, rsess) {
 				t.Fatalf("recovered stream session diverges")
 			}
@@ -590,31 +583,13 @@ func TestRecoveryRoundTripRegistries(t *testing.T) {
 }
 
 // BenchmarkRecovery measures cold-boot recovery: Open on a directory
-// holding a snapshot plus a WAL tail of ingest batches and epoch closes
-// (the numbers in BENCH_wal.json come from longer runs of this benchmark).
+// holding a snapshot plus a WAL tail. The tailEvents cases replay ingest
+// batches and epoch closes; the releases case replays ad-hoc release
+// records in loadbench's mix (the numbers in BENCH_wal.json come from
+// longer runs of this benchmark).
 func BenchmarkRecovery(b *testing.B) {
 	for _, tail := range []int{0, 20000} {
-		b.Run(fmt.Sprintf("tailEvents=%d", tail), func(b *testing.B) {
-			dir := b.TempDir()
-			s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			post := func(path string, body, out any) {
-				buf, err := json.Marshal(body)
-				if err != nil {
-					b.Fatal(err)
-				}
-				req := httptest.NewRequest("POST", path, bytes.NewReader(buf))
-				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, req)
-				if rec.Code >= 300 {
-					b.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body.String())
-				}
-				if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-					b.Fatal(err)
-				}
-			}
+		benchRecover(b, fmt.Sprintf("tailEvents=%d", tail), func(b *testing.B, s *Server, post func(path string, body, out any)) {
 			var pol service.PolicyResponse
 			post("/v1/policies", service.CreatePolicyRequest{
 				Domain: []service.AttrSpec{{Name: "v", Size: 64}}, Graph: service.GraphSpec{Kind: "full"},
@@ -631,44 +606,101 @@ func BenchmarkRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			for done := 0; done < tail; {
-				n := 500
-				if tail-done < n {
-					n = tail - done
-				}
+				n := min(500, tail-done)
 				evs := make([]service.EventWire, n)
 				for i := range evs {
 					evs[i] = service.EventWire{Op: "append", Row: []int{(done + i) % 64}}
 				}
-				body, _ := json.Marshal(service.EventsRequest{Events: evs, Wait: true})
-				req := httptest.NewRequest("POST", "/v1/datasets/"+ds.ID+"/events", bytes.NewReader(body))
-				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, req)
-				if rec.Code != http.StatusAccepted {
-					b.Fatalf("events: %d %s", rec.Code, rec.Body.String())
-				}
+				post("/v1/datasets/"+ds.ID+"/events", service.EventsRequest{Events: evs, Wait: true}, &service.EventsResponse{})
 				done += n
 				if done%5000 == 0 {
-					req := httptest.NewRequest("POST", "/v1/streams/"+st.ID+"/epochs", bytes.NewReader(nil))
-					rec := httptest.NewRecorder()
-					s.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("epoch: %d %s", rec.Code, rec.Body.String())
-					}
+					post("/v1/streams/"+st.ID+"/epochs", nil, &service.EpochReleaseWire{})
 				}
-			}
-			abandon(s)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				abandon(r)
-				b.StartTimer()
 			}
 		})
 	}
+	benchRecover(b, "releases=10000", func(b *testing.B, s *Server, post func(path string, body, out any)) {
+		// loadbench's policy: S^{d,θ} under L1, θ = 16, over 1024 values.
+		var pol service.PolicyResponse
+		post("/v1/policies", service.CreatePolicyRequest{
+			Domain: []service.AttrSpec{{Name: "v", Size: 1024}}, Graph: service.GraphSpec{Kind: "l1", Theta: 16},
+		}, &pol)
+		var ds service.DatasetResponse
+		post("/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(1000, 1024)}, &ds)
+		sessions := make([]string, 64)
+		for i := range sessions {
+			var sess service.SessionResponse
+			post("/v1/sessions", service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1e6}, &sess)
+			sessions[i] = sess.ID
+		}
+		// Snapshot covers the creates; the tail is the releases, in
+		// loadbench's 5:3:1 mix of range, histogram and cumulative.
+		if _, err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 10000; i++ {
+			path := "/v1/sessions/" + sessions[i%len(sessions)] + "/releases/"
+			switch i % 9 {
+			case 0, 1, 2, 3, 4:
+				lo := i % 512
+				post(path+"range", service.RangeRequest{
+					DatasetID: ds.ID, Epsilon: 0.01, Queries: []service.RangeQuery{{Lo: lo, Hi: lo + 200}},
+				}, nil)
+			case 5, 6, 7:
+				post(path+"histogram", service.HistogramRequest{DatasetID: ds.ID, Epsilon: 0.01}, nil)
+			default:
+				post(path+"cumulative", service.CumulativeRequest{DatasetID: ds.ID, Epsilon: 0.01}, nil)
+			}
+		}
+	})
+}
+
+// benchRecover runs the named sub-benchmark: it fills a durable server's
+// directory with fill, which sends requests through post (a nil out skips
+// decoding the response), abandons the server as a crash would, and times
+// Open on what is left. The directory belongs to the parent benchmark and
+// is filled on the first round only, so setup is paid once per run rather
+// than once per b.N round.
+func benchRecover(parent *testing.B, name string, fill func(b *testing.B, s *Server, post func(path string, body, out any))) {
+	dir := ""
+	parent.Run(name, func(b *testing.B) {
+		if dir == "" {
+			dir = parent.TempDir()
+			s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			fill(b, s, func(path string, body, out any) {
+				buf, err := json.Marshal(body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				req := httptest.NewRequest("POST", path, bytes.NewReader(buf))
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, req)
+				if rec.Code >= 300 {
+					b.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body.String())
+				}
+				if out == nil {
+					return
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+					b.Fatal(err)
+				}
+			})
+			abandon(s)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			abandon(r)
+			b.StartTimer()
+		}
+	})
 }
 
 // TestCheckpointEndpointAndAutoSnapshot covers the two snapshot triggers

@@ -288,13 +288,10 @@ func (c *Core) putSession(id string, req CreateSessionRequest) (SessionResponse,
 	if !ok {
 		return SessionResponse{}, errf(CodeUnknownPolicy, "no policy %q", req.PolicyID)
 	}
-	// Sessions run on the policy's compiled plan with one noise shard per
-	// CPU, so parallel release requests draw noise concurrently. An
-	// explicitly seeded session instead pins a single shard: its noise
-	// stream must reproduce across hosts, so it cannot depend on core
-	// count.
-	seed, shards := c.resolveSeed(req.Seed)
-	e, err := c.buildSessionEntry(pe, req.Budget, seed, shards)
+	// Sessions run keyed on the policy's compiled plan, so parallel release
+	// requests draw noise concurrently and no noise depends on the host.
+	seed := c.resolveSeed(req.Seed)
+	e, err := c.buildSessionEntry(pe, req.Budget, seed)
 	if err != nil {
 		return SessionResponse{}, badRequest(err)
 	}
@@ -318,7 +315,7 @@ func (c *Core) putSession(id string, req CreateSessionRequest) (SessionResponse,
 	e.id = id
 	if err := c.journal(recSessionPut, walSessionPut{
 		ID: e.id, PolicyID: pe.id, Budget: req.Budget,
-		Seed: seed, Shards: shards, NextSeed: c.nextSeed.Load(),
+		Seed: seed, NextSeed: c.nextSeed.Load(),
 	}); err != nil {
 		c.mu.Unlock()
 		return SessionResponse{}, durabilityErr(err)
@@ -433,7 +430,7 @@ func (c *Core) Histogram(sessionID string, req HistogramRequest) (HistogramRespo
 	if err != nil {
 		return HistogramResponse{}, libError(err)
 	}
-	if err := c.journalRelease(e, "histogram", req.DatasetID, req.Epsilon, 0); err != nil {
+	if err := c.journalRelease(e, "histogram", req.DatasetID, req.Epsilon); err != nil {
 		return HistogramResponse{}, durabilityErr(err)
 	}
 	//lint:allow truthflow a zero-sensitivity partition release is exact by design: no secret pair crosses a block, so the counts are policy-public (Section 5 coarse-grid observation); any sens>0 path is noised inside the mechanism
@@ -459,7 +456,7 @@ func (c *Core) Cumulative(sessionID string, req CumulativeRequest) (CumulativeRe
 	if err != nil {
 		return CumulativeResponse{}, libError(err)
 	}
-	if err := c.journalRelease(e, "cumulative", req.DatasetID, req.Epsilon, 0); err != nil {
+	if err := c.journalRelease(e, "cumulative", req.DatasetID, req.Epsilon); err != nil {
 		return CumulativeResponse{}, durabilityErr(err)
 	}
 	return CumulativeResponse{
@@ -508,7 +505,7 @@ func (c *Core) Range(sessionID string, req RangeRequest) (RangeResponse, error) 
 	if err != nil {
 		return RangeResponse{}, libError(err)
 	}
-	if err := c.journalRelease(e, "range", req.DatasetID, req.Epsilon, fanout); err != nil {
+	if err := c.journalRelease(e, "range", req.DatasetID, req.Epsilon); err != nil {
 		return RangeResponse{}, durabilityErr(err)
 	}
 	answers := make([]float64, len(req.Queries))

@@ -75,7 +75,7 @@ func newCoreMetrics(shardLabel string) *coreMetrics {
 		releaseCount: reg.CounterVec("blowfish_releases_total",
 			"Successful releases by policy and kind.", "policy", "kind"),
 		noiseDraws: reg.Counter("blowfish_noise_draws_total",
-			"Noise-shard acquisitions (noisy releases started)."),
+			"Noisy releases started."),
 		ingest: &blowfish.StreamIngestMetrics{
 			ApplySeconds: reg.Histogram("blowfish_ingest_apply_seconds",
 				"Ingest batch apply latency (journal append + index update).", nil),

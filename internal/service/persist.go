@@ -4,9 +4,9 @@ package service
 // state-changing operation the core acknowledges is journaled first
 // (write-ahead), so a crash can lose only work no client was told
 // succeeded; Checkpoint serializes the four registries — policies,
-// datasets, sessions, streams — plus budget ledgers, noise-stream
-// positions, ingest cursors and release buffers into one snapshot, after
-// which the covered WAL prefix is retired.
+// datasets, sessions, streams — plus budget ledgers, release ordinals,
+// ingest cursors and release buffers into one snapshot, after which the
+// covered WAL prefix is retired.
 //
 // Consistency model. The snapshot records the WAL position (startLSN)
 // *before* serializing any entry, and every record carries a per-entry
@@ -90,7 +90,6 @@ type walSessionPut struct {
 	PolicyID string  `json:"policy_id"`
 	Budget   float64 `json:"budget"`
 	Seed     int64   `json:"seed"`
-	Shards   int     `json:"shards"`
 	NextSeed int64   `json:"next_seed"`
 }
 
@@ -98,7 +97,6 @@ type walStreamPut struct {
 	ID       string              `json:"id"`
 	Req      CreateStreamRequest `json:"req"`
 	Seed     int64               `json:"seed"`
-	Shards   int                 `json:"shards"`
 	NextSeed int64               `json:"next_seed"`
 }
 
@@ -120,13 +118,14 @@ type walEvents struct {
 	Muts      []walMut `json:"muts"`
 }
 
+// walRelease journals one ad-hoc release under the ordinal it took from
+// its session.
 type walRelease struct {
 	SessionID string  `json:"session_id"`
 	Ordinal   uint64  `json:"ordinal"`
 	Kind      string  `json:"kind"` // histogram, cumulative, range
 	DatasetID string  `json:"dataset_id"`
 	Epsilon   float64 `json:"epsilon"`
-	Fanout    int     `json:"fanout,omitempty"`
 }
 
 type walEpoch struct {
@@ -163,8 +162,6 @@ type snapSession struct {
 	PolicyID string                `json:"policy_id"`
 	Budget   float64               `json:"budget"`
 	Seed     int64                 `json:"seed"`
-	Shards   int                   `json:"shards"`
-	Ordinal  uint64                `json:"ordinal"`
 	State    blowfish.SessionState `json:"state"`
 }
 
@@ -172,7 +169,6 @@ type snapStream struct {
 	ID      string                `json:"id"`
 	Req     CreateStreamRequest   `json:"req"`
 	Seed    int64                 `json:"seed"`
-	Shards  int                   `json:"shards"`
 	State   blowfish.StreamState  `json:"state"`
 	Session blowfish.SessionState `json:"session"`
 }
@@ -283,22 +279,20 @@ func (c *Core) lockForRelease(e *sessionEntry) func() {
 	return e.relMu.Unlock
 }
 
-// journalRelease records a successful ad-hoc release. Call with the
-// session's release lock held (lockForRelease). A journal error is
-// reported to the client as a failed release; the in-memory charge stands,
-// so privacy loss is never under-counted.
-func (c *Core) journalRelease(e *sessionEntry, kind, datasetID string, eps float64, fanout int) error {
+// journalRelease records a successful ad-hoc release under the ordinal it
+// took: call with the session's release lock held (lockForRelease). A
+// journal error is reported to the client as a failed release; the
+// in-memory charge stands, so privacy loss is never under-counted.
+func (c *Core) journalRelease(e *sessionEntry, kind, datasetID string, eps float64) error {
 	if c.persist == nil {
 		return nil
 	}
-	e.ordinal++
 	return c.journal(recRelease, walRelease{
 		SessionID: e.id,
-		Ordinal:   e.ordinal,
+		Ordinal:   e.sess.Ordinal(),
 		Kind:      kind,
 		DatasetID: datasetID,
 		Epsilon:   eps,
-		Fanout:    fanout,
 	})
 }
 
@@ -345,11 +339,7 @@ func (c *Core) Checkpoint() (CheckpointStats, error) {
 	start := time.Now()
 	startLSN := p.log.LastLSN()
 
-	snap, err := c.buildSnapshot()
-	if err != nil {
-		return CheckpointStats{}, err
-	}
-	payload, err := json.Marshal(snap)
+	payload, err := json.Marshal(c.buildSnapshot())
 	if err != nil {
 		return CheckpointStats{}, fmt.Errorf("service: encoding snapshot: %w", err)
 	}
@@ -379,7 +369,7 @@ func (c *Core) Checkpoint() (CheckpointStats, error) {
 // core's read lock first.
 //
 //lint:allow truthflow snapshots journal the raw dataset tuples by design: the durable state IS the data, and the data directory is server-private, never a release surface
-func (c *Core) buildSnapshot() (*snapServer, error) {
+func (c *Core) buildSnapshot() *snapServer {
 	c.mu.RLock()
 	snap := &snapServer{NextID: c.nextID, NextSeed: c.nextSeed.Load()}
 	policies := make([]*policyEntry, 0, len(c.policies))
@@ -413,37 +403,26 @@ func (c *Core) buildSnapshot() (*snapServer, error) {
 	}
 	for _, e := range sessions {
 		e.relMu.Lock()
-		st, err := e.sess.ExportState()
-		ord := e.ordinal
+		st := e.sess.ExportState()
 		e.relMu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("service: exporting session %s: %w", e.id, err)
-		}
 		snap.Sessions = append(snap.Sessions, snapSession{
 			ID: e.id, PolicyID: e.policyID,
 			Budget: e.sess.Accountant().Budget(),
-			Seed:   e.seed, Shards: e.shards, Ordinal: ord, State: st,
+			Seed:   e.seed, State: st,
 		})
 	}
 	for _, e := range streams {
 		var sessState blowfish.SessionState
 		// Stream.Snapshot runs the export under the epoch lock, so the
-		// stream cursor and the session's ledger/noise state are captured
+		// stream cursor and the session's ledger and ordinal are captured
 		// between closes, never mid-close.
-		stState, err := e.st.Snapshot(func() error {
-			var err error
-			sessState, err = e.sess.ExportState()
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("service: exporting stream %s: %w", e.id, err)
-		}
+		stState := e.st.Snapshot(func() { sessState = e.sess.ExportState() })
 		snap.Streams = append(snap.Streams, snapStream{
-			ID: e.id, Req: e.req, Seed: e.seed, Shards: e.shards,
+			ID: e.id, Req: e.req, Seed: e.seed,
 			State: stState, Session: sessState,
 		})
 	}
-	return snap, nil
+	return snap
 }
 
 // bumpCounter advances a registry id counter past a replayed id, so ids

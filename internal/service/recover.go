@@ -1,20 +1,19 @@
 package service
 
 // Recovery: boot a durable core from its data directory. The latest
-// valid snapshot is loaded first (registries, budget ledgers, noise-stream
-// positions, ingest cursors, release buffers), then the WAL tail is
-// replayed in LSN order. Replay re-executes operations through the same
-// library paths the live core used — an ingest batch goes through the
-// table, an epoch close through Stream.CloseEpoch, an ad-hoc release
-// through the session — so the recomputed noisy releases and charges are
-// bit-for-bit what the pre-crash core produced (given its deterministic,
-// single-shard seeded mode) and the accountants end up refusing exactly
-// the releases the pre-crash core would have refused.
+// valid snapshot is loaded first (registries, budget ledgers, release
+// ordinals, ingest cursors, release buffers), then the WAL tail is
+// replayed in LSN order. An ingest batch re-applies through the table; an
+// epoch close re-runs Stream.CloseEpoch, since clients poll the rebuilt
+// buffer, and its noise comes from the stream's key and restored ordinal.
+// An ad-hoc release, whose values were already delivered, is not run
+// again: its session is charged the release's ledger entry and its ordinal
+// rises to the record's. The accountants then refuse exactly what the
+// pre-crash core would have.
 
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"time"
 
 	"blowfish"
@@ -126,19 +125,18 @@ func (c *Core) loadSnapshot(payload []byte) error {
 		if !ok {
 			return fmt.Errorf("session %s references unknown policy %s", sn.ID, sn.PolicyID)
 		}
-		se, err := c.buildSessionEntry(pe, sn.Budget, sn.Seed, sn.Shards)
+		se, err := c.buildSessionEntry(pe, sn.Budget, sn.Seed)
 		if err != nil {
 			return fmt.Errorf("session %s: %w", sn.ID, err)
 		}
 		se.id = sn.ID
-		se.ordinal = sn.Ordinal
 		if err := se.sess.RestoreState(sn.State); err != nil {
 			return fmt.Errorf("session %s: %w", sn.ID, err)
 		}
 		c.sessions[se.id] = se
 	}
 	for _, sn := range snap.Streams {
-		e, err := c.buildStreamEntryLocked(sn.Req, sn.Seed, sn.Shards)
+		e, err := c.buildStreamEntryLocked(sn.Req, sn.Seed)
 		if err != nil {
 			return fmt.Errorf("stream %s: %w", sn.ID, err)
 		}
@@ -212,7 +210,7 @@ func (c *Core) replayRecord(rec wal.Record) error {
 		if !ok {
 			return wrap(fmt.Errorf("session %s references unknown policy %s", r.ID, r.PolicyID))
 		}
-		se, err := c.buildSessionEntry(pe, r.Budget, r.Seed, r.Shards)
+		se, err := c.buildSessionEntry(pe, r.Budget, r.Seed)
 		if err != nil {
 			return wrap(err)
 		}
@@ -228,7 +226,7 @@ func (c *Core) replayRecord(rec wal.Record) error {
 		if _, ok := c.streams[r.ID]; ok {
 			return nil
 		}
-		e, err := c.buildStreamEntryLocked(r.Req, r.Seed, r.Shards)
+		e, err := c.buildStreamEntryLocked(r.Req, r.Seed)
 		if err != nil {
 			return wrap(err)
 		}
@@ -251,7 +249,12 @@ func (c *Core) replayRecord(rec wal.Record) error {
 		if err := decodeRecord(rec.Data, &r); err != nil {
 			return wrap(err)
 		}
-		return wrap(c.replayRelease(r))
+		// The release never runs again, only charges its session, so a
+		// record whose dataset's delete raced ahead of it charges too. A
+		// missing session was deleted after the release.
+		if e, ok := c.sessions[r.SessionID]; ok {
+			return wrap(e.sess.Replay(blowfish.StreamReleaseKind(r.Kind), r.Epsilon, r.Ordinal))
+		}
 	case recEpoch:
 		var r walEpoch
 		if err := decodeRecord(rec.Data, &r); err != nil {
@@ -319,59 +322,6 @@ func (c *Core) replayEvents(r walEvents) error {
 	// Rejections replay identically (the dataset is in the same state the
 	// live writer saw), so a poison event is skipped now as it was then.
 	_, _, _ = e.tbl.ApplyLogged(first, batch)
-	return nil
-}
-
-// replayRelease re-executes an ad-hoc session release: same mechanism,
-// same dataset state (WAL order), same noise stream position, so the
-// accountant charge and the noise consumption land exactly as they did
-// pre-crash. Records at or below the snapshot's ordinal are skipped.
-//
-//lint:allow waljournal re-execution of a release whose WAL record is the thing being replayed; journaling it again would duplicate the record
-func (c *Core) replayRelease(r walRelease) error {
-	e, ok := c.sessions[r.SessionID]
-	if !ok {
-		return nil // session since deleted (delete record raced the release)
-	}
-	if r.Ordinal <= e.ordinal {
-		return nil
-	}
-	ds, ephemeral := (*blowfish.Dataset)(nil), false
-	if de, ok := c.datasets[r.DatasetID]; ok {
-		ds = de.ds
-	} else {
-		// The dataset's delete record raced ahead of this release in the
-		// log. The charge and the noise consumption must still be
-		// reconstructed — both depend only on the policy domain (the
-		// noise vector length is |T|, never n) — so re-execute against an
-		// empty stand-in over the same domain. The values are discarded;
-		// the accountant and the noise stream land exactly where the
-		// pre-crash core left them.
-		ds = blowfish.NewDataset(e.pol.pol.Domain())
-		ephemeral = true
-	}
-	var err error
-	switch r.Kind {
-	case "histogram":
-		if e.pol.part != nil {
-			_, err = e.sess.ReleasePartitionHistogram(ds, e.pol.part, r.Epsilon)
-		} else {
-			_, err = e.sess.ReleaseHistogram(ds, r.Epsilon)
-		}
-	case "cumulative":
-		_, err = e.sess.ReleaseCumulativeHistogram(ds, r.Epsilon)
-	case "range":
-		_, err = e.sess.NewRangeReleaser(ds, r.Fanout, r.Epsilon)
-	default:
-		return fmt.Errorf("unknown release kind %q", r.Kind)
-	}
-	if ephemeral {
-		e.sess.Forget(ds)
-	}
-	if err != nil {
-		return fmt.Errorf("re-executing %s release on session %s: %w", r.Kind, r.SessionID, err)
-	}
-	e.ordinal = r.Ordinal
 	return nil
 }
 
@@ -456,31 +406,28 @@ func (c *Core) buildDatasetEntry(attrs []AttrSpec, pts []blowfish.Point) (*datas
 	return &datasetEntry{ds: ds, attrs: append([]AttrSpec(nil), attrs...), tbl: tbl, ingCfg: c.cfg.Ingest}, nil
 }
 
-// buildSessionEntry mints a session over a registered policy with a pinned
-// noise seed and shard count, wiring the engine's per-policy release
-// instruments (resolved once here, never per release).
-func (c *Core) buildSessionEntry(pe *policyEntry, budget float64, seed int64, shards int) (*sessionEntry, error) {
-	sess, err := pe.cp.NewSessionShards(budget, blowfish.NewSource(seed), shards)
+// buildSessionEntry mints a keyed session over a registered policy, its
+// key derived from the resolved seed, and wires the engine's per-policy
+// release instruments (resolved once here, never per release).
+func (c *Core) buildSessionEntry(pe *policyEntry, budget float64, seed int64) (*sessionEntry, error) {
+	sess, err := pe.cp.NewKeyedSession(budget, blowfish.SeedKey(seed))
 	if err != nil {
 		return nil, err
 	}
 	sess.SetEngineMetrics(c.metrics.engineMetrics(pe.id))
-	e := &sessionEntry{policyID: pe.id, pol: pe, sess: sess, seed: seed, shards: shards}
+	e := &sessionEntry{policyID: pe.id, pol: pe, sess: sess, seed: seed}
 	e.lastUsed.Store(c.cfg.Now().UnixNano())
 	return e, nil
 }
 
-// resolveSeed pins the noise construction for a create request: explicit
-// client seeds run on a single shard (host-independent determinism),
-// server-derived seeds shard per CPU for parallel release throughput.
-func (c *Core) resolveSeed(reqSeed *int64) (seed int64, shards int) {
-	seed = c.nextSeed.Add(1)
-	shards = runtime.GOMAXPROCS(0)
+// resolveSeed pins the noise seed of a create request: the client's seed
+// if it sent one, else the core's next derived seed (Config.Seed + k).
+func (c *Core) resolveSeed(reqSeed *int64) int64 {
+	seed := c.nextSeed.Add(1)
 	if reqSeed != nil {
 		seed = *reqSeed
-		shards = 1
 	}
-	return seed, shards
+	return seed
 }
 
 // streamConfigFromRequest lowers the wire-level stream spec.
@@ -511,7 +458,7 @@ func streamConfigFromRequest(req CreateStreamRequest) blowfish.StreamConfig {
 // request, resolving the policy and dataset from the registries without
 // taking the core lock — recovery (single-threaded) owns the maps, and
 // the serving path resolves entries itself before calling the shared core.
-func (c *Core) buildStreamEntryLocked(req CreateStreamRequest, seed int64, shards int) (*streamEntry, error) {
+func (c *Core) buildStreamEntryLocked(req CreateStreamRequest, seed int64) (*streamEntry, error) {
 	pe, ok := c.policies[req.PolicyID]
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %s", req.PolicyID)
@@ -520,14 +467,14 @@ func (c *Core) buildStreamEntryLocked(req CreateStreamRequest, seed int64, shard
 	if !ok {
 		return nil, fmt.Errorf("unknown dataset %s", req.DatasetID)
 	}
-	return c.buildStreamEntry(pe, de, req, seed, shards)
+	return c.buildStreamEntry(pe, de, req, seed)
 }
 
-// buildStreamEntry binds a policy and dataset into a stream with a pinned
-// seed; the stream is NOT started (callers start it after registration —
-// recovery only after the whole replay).
-func (c *Core) buildStreamEntry(pe *policyEntry, de *datasetEntry, req CreateStreamRequest, seed int64, shards int) (*streamEntry, error) {
-	sess, err := pe.cp.NewSessionShards(req.Budget, blowfish.NewSource(seed), shards)
+// buildStreamEntry binds a policy and dataset into a stream over a
+// dedicated session keyed from seed; the stream is NOT started (callers
+// start it after registration — recovery only after the whole replay).
+func (c *Core) buildStreamEntry(pe *policyEntry, de *datasetEntry, req CreateStreamRequest, seed int64) (*streamEntry, error) {
+	sess, err := pe.cp.NewKeyedSession(req.Budget, blowfish.SeedKey(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -547,7 +494,6 @@ func (c *Core) buildStreamEntry(pe *policyEntry, de *datasetEntry, req CreateStr
 		st:        st,
 		req:       req,
 		seed:      seed,
-		shards:    shards,
 	}, nil
 }
 

@@ -19,11 +19,10 @@
 // the uploaded rows.
 //
 // The core is safe under full concurrency: registries are guarded by a
-// read-write mutex, every session's engine draws noise from a sharded pool
-// (one stream per CPU) so parallel releases do not serialize on a source
-// mutex, and budget charges are atomic — parallel release requests against
-// one session can never overspend its ε (sequential composition, Theorem
-// 4.1).
+// read-write mutex, every session and stream is keyed (each release derives
+// its noise from the key and its ordinal, taking no noise lock), and budget
+// charges are atomic: parallel release requests against one session can
+// never overspend its ε (sequential composition, Theorem 4.1).
 package service
 
 import (
@@ -40,9 +39,9 @@ import (
 
 // Config tunes a Core. The zero value is usable.
 type Config struct {
-	// Seed is the base seed per-session noise sources are derived from.
-	// Two cores with the same seed, the same request sequence and
-	// explicit session seeds produce identical releases.
+	// Seed is the base seed: the k-th session or stream created without a
+	// seed gets Seed + k, and its noise key is SHA-256 of its seed. Cores
+	// with the same Seed and requests publish identical releases.
 	Seed int64
 	// SessionTTL expires sessions idle for longer than this; zero means
 	// sessions never expire.
@@ -206,11 +205,10 @@ type streamEntry struct {
 	// its accountant is what epoch closes charge.
 	sess *blowfish.Session
 	st   *blowfish.Stream
-	// req is the creation request with the noise seed/shard resolution
-	// pinned, so snapshots and WAL replay rebuild an identical stream.
-	req    CreateStreamRequest
-	seed   int64
-	shards int
+	// req is the creation request and seed its resolved noise seed, which
+	// snapshots and WAL replay rebuild the stream from.
+	req  CreateStreamRequest
+	seed int64
 }
 
 type sessionEntry struct {
@@ -225,18 +223,14 @@ type sessionEntry struct {
 	// lastUsed is the unix-nano timestamp of the latest access, advanced
 	// atomically so reads can stay under the core's read lock.
 	lastUsed atomic.Int64
-	// seed and shards pin the noise construction for snapshots and replay.
-	seed   int64
-	shards int
+	// seed is the resolved noise seed the session's key derives from.
+	seed int64
 	// relMu serializes this session's releases on the durable path: a
-	// release and its WAL record form one critical section, so a
-	// checkpoint (which takes the same lock to export the ledger, the
-	// noise state and the ordinal together) can never observe one without
-	// the other. In-memory cores never take it.
+	// release and its WAL record form one critical section, so the record
+	// carries the release's ordinal and a checkpoint (which takes the same
+	// lock to export the ledger and ordinal) never sees one without the
+	// other. In-memory cores never take it.
 	relMu sync.Mutex
-	// ordinal counts journaled releases; guarded by relMu. WAL replay
-	// skips release records with ordinal <= the snapshot's.
-	ordinal uint64
 }
 
 // New creates an in-memory Core.

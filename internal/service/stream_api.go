@@ -92,10 +92,10 @@ func (c *Core) putStream(id string, req CreateStreamRequest) (StreamResponse, er
 	if !ok {
 		return StreamResponse{}, errf(CodeUnknownDataset, "no dataset %q", req.DatasetID)
 	}
-	// Same seeding contract as sessions: explicit seeds pin one noise shard
-	// so the stream replays identically on any host.
-	seed, shards := c.resolveSeed(req.Seed)
-	e, err := c.buildStreamEntry(pe, de, req, seed, shards)
+	// Same seeding contract as sessions: the stream's dedicated session is
+	// keyed from the resolved seed.
+	seed := c.resolveSeed(req.Seed)
+	e, err := c.buildStreamEntry(pe, de, req, seed)
 	if err != nil {
 		return StreamResponse{}, libError(err)
 	}
@@ -154,7 +154,7 @@ func (c *Core) putStream(id string, req CreateStreamRequest) (StreamResponse, er
 	}
 	e.id = id
 	if err := c.journal(recStreamPut, walStreamPut{
-		ID: e.id, Req: req, Seed: seed, Shards: shards, NextSeed: c.nextSeed.Load(),
+		ID: e.id, Req: req, Seed: seed, NextSeed: c.nextSeed.Load(),
 	}); err != nil {
 		c.mu.Unlock()
 		rollback()

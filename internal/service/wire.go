@@ -84,11 +84,10 @@ type DatasetResponse struct {
 type CreateSessionRequest struct {
 	PolicyID string  `json:"policy_id"`
 	Budget   float64 `json:"budget"`
-	// Seed optionally fixes the session's noise stream for reproducible
-	// runs: a seeded session uses a single noise shard so the same seed
-	// and request sequence replay identically on any host. Omitted, the
-	// server derives a fresh per-session seed and shards the noise pool
-	// per CPU for parallel release throughput.
+	// Seed optionally fixes the session's noise for reproducible runs: its
+	// key is SHA-256 of the seed and its n-th release draws from (key, n),
+	// so the same seed and requests replay identically on any host.
+	// Omitted, the server derives the seed from its own (Config.Seed).
 	Seed *int64 `json:"seed,omitempty"`
 	// DatasetID is an optional placement hint for sharded deployments:
 	// the session is colocated with the named dataset's shard, so its
@@ -241,8 +240,8 @@ type CreateStreamRequest struct {
 	PolicyID  string  `json:"policy_id"`
 	DatasetID string  `json:"dataset_id"`
 	Budget    float64 `json:"budget"`
-	// Seed optionally pins the stream's noise to a single reproducible
-	// shard (same semantics as session seeds).
+	// Seed optionally fixes the stream's noise key (same semantics as
+	// session seeds).
 	Seed   *int64     `json:"seed,omitempty"`
 	Epoch  EpochSpec  `json:"epoch"`
 	Window WindowSpec `json:"window,omitempty"`

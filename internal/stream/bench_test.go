@@ -58,7 +58,7 @@ func benchWorldCfg(b *testing.B, size, preload int, cfg IngestConfig) (*engine.E
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := engine.New(plan, acct, noise.NewSource(1), 1)
+	eng, err := engine.New(plan, acct, noise.NewSource(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func lineEngine(t *testing.T, size int, budget float64, seed int64) (*engine.Eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(plan, acct, noise.NewSource(seed), 1)
+	eng, err := engine.New(plan, acct, noise.NewSource(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,21 @@ func TestIngestorStartSeqResumes(t *testing.T) {
 
 func TestStreamStateExportRestoreRoundTrip(t *testing.T) {
 	mk := func() (*Stream, *engine.Engine, *Table) {
-		eng, dom := lineEngine(t, 8, 10, 99)
+		dom := domain.MustLine("v", 8)
+		plan, err := engine.Compile(policy.New(secgraph.NewComplete(dom)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acct, err := composition.NewAccountant(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A keyed engine: its noise is a function of the key and the
+		// ordinal, so restoring the ordinal continues the noise.
+		eng, err := engine.NewKeyed(plan, acct, noise.SeedKey(99))
+		if err != nil {
+			t.Fatal(err)
+		}
 		ds := domain.NewDataset(dom)
 		for i := 0; i < 40; i++ {
 			ds.MustAdd(domain.Point(i % 8))
@@ -179,10 +193,7 @@ func TestStreamStateExportRestoreRoundTrip(t *testing.T) {
 		}
 	}
 	exported := live.ExportState()
-	liveNoise, err := liveEng.ExportNoise()
-	if err != nil {
-		t.Fatal(err)
-	}
+	liveOrd := liveEng.Ordinal()
 	liveAcct := liveEng.Accountant().State()
 
 	rec, recEng, _ := mk()
@@ -192,7 +203,7 @@ func TestStreamStateExportRestoreRoundTrip(t *testing.T) {
 	if err := recEng.Accountant().Restore(liveAcct); err != nil {
 		t.Fatal(err)
 	}
-	if err := recEng.RestoreNoise(liveNoise); err != nil {
+	if err := recEng.RestoreOrdinal(liveOrd); err != nil {
 		t.Fatal(err)
 	}
 

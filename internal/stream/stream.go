@@ -330,8 +330,8 @@ func (st *Stream) CloseEpoch() (*EpochRelease, error) {
 		// The epoch record must be appended while the table read lock is
 		// still held: an ingest batch journaling in the gap would order
 		// itself before this record, and replay would then re-execute the
-		// close over the mutated table — with the noise stream restored
-		// bit-for-bit, republishing a *different* value under the same
+		// close over the mutated table — with the same ordinals, hence the
+		// same noise, republishing a *different* value under the same
 		// release cursor (subtracting the two fetches would cancel the
 		// noise and expose the raw count delta). Under the lock, the WAL
 		// order is exactly the table-state order the close observed.
@@ -483,9 +483,10 @@ func (st *Stream) SetJournal(fn func(epoch int) error) {
 
 // State is the serializable progress of a stream: the epoch cursor and the
 // published-release buffer. Together with the backing session's
-// SessionState (budget ledger + noise streams) and the table's TableState
-// it is everything a recovery needs to resume the stream where the
-// snapshot left it — cursors intact, future releases bit-for-bit.
+// SessionState (budget ledger + ordinal) and the table's TableState it is
+// everything a recovery needs to resume the stream where the snapshot left
+// it — cursors intact, and for a keyed session future releases
+// bit-for-bit.
 type State struct {
 	Epoch     int             `json:"epoch"`
 	Exhausted bool            `json:"exhausted,omitempty"`
@@ -514,18 +515,13 @@ func (st *Stream) exportLocked() State {
 
 // Snapshot captures the stream's progress and runs f under the same epoch
 // lock, so no close can land between the two: recovery checkpoints use f
-// to export the backing session's ledger and noise state atomically with
-// the epoch cursor.
-func (st *Stream) Snapshot(f func() error) (State, error) {
+// to export the backing session's ledger and ordinal atomically with the
+// epoch cursor.
+func (st *Stream) Snapshot(f func()) State {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s := st.exportLocked()
-	if f != nil {
-		if err := f(); err != nil {
-			return State{}, err
-		}
-	}
-	return s, nil
+	f()
+	return st.exportLocked()
 }
 
 // RestoreState overwrites the stream's progress with an exported state.

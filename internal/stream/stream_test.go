@@ -16,7 +16,7 @@ import (
 	"blowfish/internal/secgraph"
 )
 
-// fixture wires a distance-threshold line policy, a seeded single-shard
+// fixture wires a distance-threshold line policy, a seeded sequential
 // engine, a table and an ingestor — the deterministic test harness.
 type fixture struct {
 	eng *engine.Engine
@@ -43,7 +43,7 @@ func newFixture(t *testing.T, size int, budget float64, seed int64, icfg IngestC
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(plan, acct, noise.NewSource(seed), 1)
+	eng, err := engine.New(plan, acct, noise.NewSource(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,10 @@ import (
 //
 // A Session is safe for concurrent use and never overspends: each charge is
 // atomic against the remaining budget. A Session from NewSession draws all
-// noise from one stream, so concurrent releases serialize on it;
-// NewSessionShards gives the engine a pool of independent Split streams so
-// releases from many goroutines draw noise in parallel.
+// noise from one stream, so concurrent releases serialize on it; a keyed
+// session (CompiledPolicy.NewKeyedSession) derives each release's noise
+// from its key and the release's ordinal, so releases from many goroutines
+// draw noise in parallel.
 type Session struct {
 	pol  *Policy
 	acct *Accountant
@@ -37,26 +38,19 @@ type Session struct {
 }
 
 // NewSession creates a session for the policy with a total ε budget. The
-// session draws all noise from src; see NewSessionShards for parallel noise
-// generation.
+// session draws all noise from src, release after release.
 func NewSession(pol *Policy, budget float64, src *Source) (*Session, error) {
-	return NewSessionShards(pol, budget, src, 1)
+	return newSession(pol, nil, budget, src, nil)
 }
 
-// NewSessionShards creates a session whose engine draws noise from a pool
-// of `shards` independent streams derived from src (values < 1 are treated
-// as 1), so releases issued from many goroutines proceed concurrently
-// instead of serializing on a single source. With shards == 1 the session
-// is bit-for-bit identical to NewSession.
-func NewSessionShards(pol *Policy, budget float64, src *Source, shards int) (*Session, error) {
-	return newSession(pol, nil, budget, src, shards)
-}
-
-func newSession(pol *Policy, plan *engine.Plan, budget float64, src *Source, shards int) (*Session, error) {
+// newSession opens a session over plan (compiled from pol when nil) with a
+// fresh ledger. It is keyed when key is non-nil and draws from src
+// otherwise.
+func newSession(pol *Policy, plan *engine.Plan, budget float64, src *Source, key *NoiseKey) (*Session, error) {
 	if pol == nil {
 		return nil, errors.New("blowfish: nil policy")
 	}
-	if src == nil {
+	if src == nil && key == nil {
 		return nil, errors.New("blowfish: nil noise source")
 	}
 	acct, err := NewAccountant(budget)
@@ -68,7 +62,12 @@ func newSession(pol *Policy, plan *engine.Plan, budget float64, src *Source, sha
 			return nil, err
 		}
 	}
-	eng, err := engine.New(plan, acct, src, shards)
+	var eng *engine.Engine
+	if key != nil {
+		eng, err = engine.NewKeyed(plan, acct, *key)
+	} else {
+		eng, err = engine.New(plan, acct, src)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -94,32 +93,39 @@ type EngineReleaseMetrics = engine.ReleaseMetrics
 func (s *Session) SetEngineMetrics(m *EngineMetrics) { s.eng.SetMetrics(m) }
 
 // SessionState is a serializable snapshot of a session's replay-relevant
-// state: the budget ledger and the exact position of every noise stream.
-// The durable server checkpoints it so a restarted session refuses exactly
-// the releases the pre-crash session would have, and (for single-shard
-// seeded sessions) continues the identical noise stream.
+// state: the budget ledger and the latest release's ordinal. A keyed
+// session's noise is a function of its key and the ordinal, so a restored
+// one refuses exactly the releases the pre-crash session would have and
+// continues with fresh noise.
 type SessionState struct {
-	Accountant AccountantState   `json:"accountant"`
-	Noise      engine.NoiseState `json:"noise"`
+	Accountant AccountantState `json:"accountant"`
+	Ordinal    uint64          `json:"ordinal"`
 }
 
 // ExportState captures the session's state.
-func (s *Session) ExportState() (SessionState, error) {
-	noise, err := s.eng.ExportNoise()
-	if err != nil {
-		return SessionState{}, err
-	}
-	return SessionState{Accountant: s.acct.State(), Noise: noise}, nil
+func (s *Session) ExportState() SessionState {
+	return SessionState{Accountant: s.acct.State(), Ordinal: s.eng.Ordinal()}
 }
 
-// RestoreState overwrites the session's ledger and noise streams with a
-// state captured by ExportState. The session must have been created with
-// the same budget and shard count; restoration is monotone in spend.
+// RestoreState overwrites the session's ledger and ordinal with a state
+// captured by ExportState. The session must have been created with the
+// same budget; restoration is monotone in spend and in the ordinal.
 func (s *Session) RestoreState(st SessionState) error {
 	if err := s.acct.Restore(st.Accountant); err != nil {
 		return err
 	}
-	return s.eng.RestoreNoise(st.Noise)
+	return s.eng.RestoreOrdinal(st.Ordinal)
+}
+
+// Ordinal returns the ordinal of the session's latest release.
+func (s *Session) Ordinal() uint64 { return s.eng.Ordinal() }
+
+// Replay applies a journaled release without running it again: it charges
+// the ledger entry the live release charged and raises the ordinal to the
+// release's (see engine.Engine.Replay). Kinds mean what they mean for an
+// epoch close.
+func (s *Session) Replay(kind StreamReleaseKind, eps float64, ordinal uint64) error {
+	return s.eng.Replay(string(kind), eps, ordinal)
 }
 
 // Accountant exposes the budget ledger (remaining budget, release log,

@@ -68,8 +68,8 @@ func TestSessionStreamFacade(t *testing.T) {
 	}
 }
 
-// constrainedLineSession returns a session over a constrained policy on a
-// line domain (a public count of the values below 4), and its dataset.
+// constrainedLineSession returns a keyed session over a constrained policy
+// on a line domain (a public count of the values below 4), and its dataset.
 func constrainedLineSession(t *testing.T, budget float64, seed int64) (*blowfish.Session, *blowfish.Dataset) {
 	t.Helper()
 	dom, err := blowfish.LineDomain("v", 8)
@@ -92,7 +92,11 @@ func constrainedLineSession(t *testing.T, budget float64, seed int64) (*blowfish
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := blowfish.NewSession(blowfish.NewConstrainedPolicy(g, set), budget, blowfish.NewSource(seed))
+	cp, err := blowfish.Compile(blowfish.NewConstrainedPolicy(g, set))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := cp.NewKeyedSession(budget, blowfish.SeedKey(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +104,9 @@ func constrainedLineSession(t *testing.T, budget float64, seed int64) (*blowfish
 }
 
 // TestConstrainedSessionStateRoundTrip asserts a constrained session's
-// state export continues the same noise stream and ledger bit for bit in a
-// restored session, as the durable server needs to recover one.
+// state export continues the same noise and ledger bit for bit in a
+// session rebuilt under the same key and restored, as the durable server
+// recovers one.
 func TestConstrainedSessionStateRoundTrip(t *testing.T) {
 	a, ds := constrainedLineSession(t, 10, 5)
 	for i := 0; i < 2; i++ {
@@ -109,11 +114,8 @@ func TestConstrainedSessionStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := a.ExportState()
-	if err != nil {
-		t.Fatalf("ExportState: %v", err)
-	}
-	b, _ := constrainedLineSession(t, 10, 99)
+	st := a.ExportState()
+	b, _ := constrainedLineSession(t, 10, 5)
 	if err := b.RestoreState(st); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
