@@ -19,13 +19,14 @@
 // pre-crash server would have refused: privacy budgets are monotone
 // across crashes, stream cursors resume where clients left off.
 //
-// With -shards N (N > 1) the server runs N shard workers, each a full
-// service core with its own registries, WAL directory
+// The server runs -shards N shard workers (default 1) behind one router,
+// each a full service core with its own registries, WAL directory
 // (<data-dir>/shard-<i>) and snapshot cycle; datasets are routed across
 // them by rendezvous hashing and sessions/streams are colocated with
-// their dataset (see internal/shard). The shard count is fixed per data
-// directory. The default -shards 1 serves exactly the single-core layout
-// earlier releases wrote.
+// their dataset (see internal/shard). One shard is the same router and
+// the same layout with a single worker. The shard count is fixed per data
+// directory, and a directory that holds a WAL at its root (the unsharded
+// layout of earlier releases) is refused rather than started beside.
 //
 // Observability: the API mux serves a Prometheus text exposition at
 // GET /metrics (request latencies, per-policy release latencies, budget
@@ -75,7 +76,7 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "admin listen address for /metrics (and /debug/pprof with -pprof); empty = API mux only")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof on the -metrics-addr admin mux")
 		logLevel    = flag.String("log-level", "info", "slog threshold: debug, info, warn or error")
-		shards      = flag.Int("shards", 1, "shard workers; >1 routes datasets across per-shard cores (fixed per data directory)")
+		shards      = flag.Int("shards", 1, "shard workers; datasets are routed across per-shard cores (fixed per data directory)")
 	)
 	flag.Parse()
 
@@ -98,25 +99,14 @@ func main() {
 			SnapshotEvery: *snapEvery,
 		},
 	}
-	// -shards 1 takes the single-core path unchanged: same on-disk layout,
-	// same metrics exposition, byte-for-byte what earlier releases served.
-	// -shards N>1 routes datasets across N cores, each with its own WAL
-	// under <data-dir>/shard-<i>; the count is fixed per data directory.
-	var srv *server.Server
-	if *shards > 1 {
-		router, rerr := shard.Open(cfg, *shards)
-		if rerr != nil {
-			logger.Error("recovery failed", "dir", *dataDir, "shards", *shards, "err", rerr)
-			os.Exit(1)
-		}
-		srv = server.NewWith(router)
-	} else {
-		srv, err = server.Open(cfg)
-		if err != nil {
-			logger.Error("recovery failed", "dir", *dataDir, "err", err)
-			os.Exit(1)
-		}
+	// Each of the N cores keeps its WAL under <data-dir>/shard-<i>; the
+	// count is fixed per data directory.
+	router, err := shard.Open(cfg, *shards)
+	if err != nil {
+		logger.Error("recovery failed", "dir", *dataDir, "shards", *shards, "err", err)
+		os.Exit(1)
 	}
+	srv := server.New(router)
 	if *dataDir != "" {
 		logger.Info("durable state ready", "dir", *dataDir, "fsync", *fsync,
 			"snapshot_every", *snapEvery, "shards", *shards, "elapsed", time.Since(openStart))

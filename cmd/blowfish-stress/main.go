@@ -40,6 +40,7 @@ import (
 
 	"blowfish/internal/server"
 	"blowfish/internal/service"
+	"blowfish/internal/shard"
 )
 
 func main() {
@@ -129,8 +130,12 @@ type inprocServer struct {
 }
 
 func startInproc(seed int64) (*inprocServer, error) {
+	router, err := shard.Open(service.Config{Seed: seed}, 1)
+	if err != nil {
+		return nil, err
+	}
 	ln := newMemListener()
-	srv := server.New(service.Config{Seed: seed})
+	srv := server.New(router)
 	hs := &http.Server{Handler: srv}
 	go func() { _ = hs.Serve(ln) }()
 	return &inprocServer{
@@ -305,8 +310,8 @@ func (h *harness) setupFixtures() (policyID, datasetID string, err error) {
 // recording per-create latency under op "session_create". The dataset id
 // rides along as the placement hint: against a sharded server every
 // session is colocated with the dataset its releases read, so the run
-// measures steady-state release latency rather than routing misses; a
-// single-core server ignores the hint.
+// measures steady-state release latency rather than routing misses; at
+// one shard every resource is on the same core anyway.
 func (h *harness) createSessions(policyID, datasetID string) ([]string, error) {
 	ids := make([]string, h.sessions)
 	sem := make(chan struct{}, h.setupPar)

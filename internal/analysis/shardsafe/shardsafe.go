@@ -1,12 +1,12 @@
-// Package shardsafe enforces the router/shard isolation contract from
-// the PR that split serving into service cores behind a shard router.
-// Each shard core owns its registries, WAL directory and seed lineage;
-// the router may coordinate shards only through the same Service
-// surface the HTTP front uses. Three rules, reported inside the shard
-// packages only:
+// Package shardsafe enforces the router/shard isolation contract: every
+// front serves the shard router, and each shard core owns its
+// registries, WAL directory and seed lineage, so the router may
+// coordinate shards only through the cores' request/response and
+// broadcast surface. Three rules, reported inside the shard packages
+// only:
 //
 //  1. Surface discipline: any use of a *service.Core method outside the
-//     allowlisted Service/broadcast surface (the white-box accessors —
+//     allowlisted request/broadcast surface (the white-box accessors —
 //     DatasetTable, SessionHandle, StartedIngestor, ... — exist for
 //     tests) is flagged.
 //  2. Index provenance: an index into the []*service.Core slice must be
@@ -37,7 +37,7 @@ type Config struct {
 	// CorePackages/CoreType identify the shard core type.
 	CorePackages []string
 	CoreType     string
-	// AllowedMethods is the Service + broadcast surface the router may
+	// AllowedMethods is the request + broadcast surface the router may
 	// call on a core.
 	AllowedMethods []string
 	// MutatorMethods are broadcast mutations that require rollback.
@@ -78,6 +78,8 @@ func (c *Config) fill() {
 			// lifecycle / aggregates
 			"Checkpoint", "ExpireSessions", "SessionCount", "StreamCount",
 			"CloseLeaked", "Close", "Abandon", "Config", "Metrics",
+			// id counters a reopened router resumes from
+			"IDCounters",
 		}
 	}
 	if len(c.MutatorMethods) == 0 {
@@ -93,7 +95,7 @@ func New(cfg Config) *analysis.Analyzer {
 	cfg.fill()
 	return &analysis.Analyzer{
 		Name: "shardsafe",
-		Doc:  "restrict the shard router to the Service surface, require shard indexes to come from routing state, and require rollback branches on core broadcasts",
+		Doc:  "restrict the shard router to the cores' request surface, require shard indexes to come from routing state, and require rollback branches on core broadcasts",
 		Run:  func(pass *analysis.Pass) error { return run(pass, cfg) },
 	}
 }
@@ -148,7 +150,7 @@ func (c *checker) checkSurface(sel *ast.SelectorExpr) {
 	}
 	if !contains(c.cfg.AllowedMethods, fn.Name()) {
 		c.pass.Reportf(sel.Sel.Pos(),
-			"shard core accessed outside the Service surface: %s.%s is a white-box accessor reserved for tests — per-shard registries, WAL and seeds must stay behind the routed interface",
+			"shard core accessed outside the request surface: %s.%s is a white-box accessor reserved for tests — per-shard registries, WAL and seeds must stay behind the routed interface",
 			c.cfg.CoreType, fn.Name())
 	}
 }

@@ -1,4 +1,4 @@
-// Package service is a stand-in shard core: a few Service-surface
+// Package service is a stand-in shard core: a few request-surface
 // methods plus one white-box accessor the router must not touch.
 package service
 
@@ -11,19 +11,19 @@ type Core struct{ secrets []float64 }
 // Open builds a core.
 func Open(cfg Config) *Core { return &Core{} }
 
-// ApplyPolicy registers a policy (Service surface).
+// ApplyPolicy registers a policy (request surface).
 func (c *Core) ApplyPolicy(id, spec string) error { return nil }
 
-// DeletePolicy removes a policy (Service surface).
+// DeletePolicy removes a policy (request surface).
 func (c *Core) DeletePolicy(id string) error { return nil }
 
-// Histogram releases a histogram (Service surface).
+// Histogram releases a histogram (request surface).
 func (c *Core) Histogram(sessionID string) []float64 { return nil }
 
-// HasPolicy reports registration (Service surface).
+// HasPolicy reports registration (request surface).
 func (c *Core) HasPolicy(id string) bool { return false }
 
-// Close shuts the core down (Service surface).
+// Close shuts the core down (request surface).
 func (c *Core) Close() {}
 
 // DatasetTable is the white-box accessor reserved for tests.

@@ -40,7 +40,7 @@ func (r *Router) Peek(id string) *service.Core {
 
 // Steal uses the white-box accessor: flagged.
 func (r *Router) Steal(id string) []float64 {
-	return r.route(id).DatasetTable(id) // want `outside the Service surface`
+	return r.route(id).DatasetTable(id) // want `outside the request surface`
 }
 
 // ApplyAll broadcasts a mutation with no rollback branch: flagged.

@@ -73,9 +73,10 @@ func TestCheckReportsLeak(t *testing.T) {
 	ft := &fakeT{}
 	verify := Check(ft)
 	quit := make(chan struct{})
+	base := Snapshot()
 	go spin(quit)
 	// Let the goroutine get on the stack dump before verifying.
-	for i := 0; i < 2000 && len(Leaked(Snapshot())) == 0; i++ {
+	for i := 0; i < 2000 && len(Leaked(base)) == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	// Shorten the wait by closing quit *after* verify observes the leak is

@@ -11,26 +11,16 @@ import (
 // textContentType is the Prometheus text exposition content type.
 const textContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// Handler returns an http.Handler serving the registry in the
-// Prometheus text exposition format. Output is deterministic: families
-// sort by name, children by label key, collector samples by
-// registration then emission order — so tests can assert on substrings
-// and diffs between scrapes are meaningful.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", textContentType)
-		var b strings.Builder
-		r.writeText(&b)
-		_, _ = w.Write([]byte(b.String()))
-	})
-}
-
-// MergedHandler serves several registries as one exposition, in argument
-// order. A family registered in more than one registry (every shard of a
-// sharded server builds the same families) gets its HELP/TYPE header from
-// the first registry that renders it; later registries contribute samples
-// only, which their const labels keep distinct. With a single registry it
-// renders exactly what that registry's own Handler would.
+// MergedHandler serves several registries as one exposition in the
+// Prometheus text format, in argument order. A family registered in more
+// than one registry (every shard core builds the same families) gets its
+// HELP/TYPE header from the first registry that renders it; later
+// registries contribute samples only, which their const labels keep
+// distinct. Output is deterministic: within a registry families sort by
+// name, children by label key, collector samples by registration then
+// emission order — so tests can assert on substrings and diffs between
+// scrapes are meaningful. With a single registry it renders exactly
+// Expose.
 func MergedHandler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", textContentType)
@@ -44,7 +34,7 @@ func MergedHandler(regs ...*Registry) http.Handler {
 }
 
 // Expose renders the full exposition as a string (test/debug helper;
-// the HTTP path uses Handler).
+// the HTTP path uses MergedHandler).
 func (r *Registry) Expose() string {
 	var b strings.Builder
 	r.writeText(&b)

@@ -112,7 +112,7 @@ func TestExpositionFormat(t *testing.T) {
 	h.Observe(0.25)
 	h.Observe(7)
 
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(MergedHandler(r))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {

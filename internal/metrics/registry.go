@@ -81,10 +81,9 @@ type Registry struct {
 	dirty      bool
 	collectors []Collector
 	// constLabels are prepended to every sample (registered families and
-	// collector output alike) at scrape time. A sharded deployment stamps
-	// each shard's registry with shard="<i>" so the merged exposition keeps
-	// per-shard series distinct; an empty set renders nothing, keeping the
-	// single-registry exposition byte-identical.
+	// collector output alike) at scrape time. The shard router stamps each
+	// core's registry with shard="<i>" so the merged exposition keeps
+	// per-shard series distinct; an empty set renders nothing.
 	constLabels []Label
 }
 

@@ -15,7 +15,7 @@ import (
 // effectively unlimited session budget so release benches never exhaust.
 func benchFixture(b *testing.B, graph service.GraphSpec) (*Server, string, string) {
 	b.Helper()
-	s := New(service.Config{Seed: 1})
+	s := newServer(b, service.Config{Seed: 1})
 	post := func(path string, body any) []byte {
 		b.Helper()
 		raw, _ := json.Marshal(body)

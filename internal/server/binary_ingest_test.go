@@ -106,7 +106,7 @@ func TestBinaryBatchIngest(t *testing.T) {
 // can fill it deterministically.
 func backpressureServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	s := New(service.Config{Seed: 42, Ingest: blowfish.StreamIngestConfig{
+	s := newServer(t, service.Config{Seed: 42, Ingest: blowfish.StreamIngestConfig{
 		QueueDepth: 4,
 		BatchSize:  4,
 	}})
@@ -123,7 +123,7 @@ func backpressureServer(t *testing.T) (*Server, string) {
 func TestEventsBackpressure(t *testing.T) {
 	s, dsID := backpressureServer(t)
 
-	tbl := s.Core().DatasetTable(dsID)
+	tbl := s.router.Core(0).DatasetTable(dsID)
 
 	// Wedge the single writer: applying a batch needs the table's write
 	// lock, so a held read lock stalls it with the queue intact.

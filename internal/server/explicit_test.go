@@ -224,7 +224,7 @@ func TestRecoveryExplicitPolicy(t *testing.T) {
 	dir := t.TempDir()
 	cfg := service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}}
 
-	s, err := Open(cfg)
+	s, err := openServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRecoveryExplicitPolicy(t *testing.T) {
 		"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
 	abandon(s) // crash stand-in: WAL only, no snapshot
 
-	r, err := Open(cfg)
+	r, err := openServer(cfg)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

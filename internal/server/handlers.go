@@ -23,8 +23,8 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
-		"sessions": s.svc.SessionCount(),
-		"streams":  s.svc.StreamCount(),
+		"sessions": s.router.SessionCount(),
+		"streams":  s.router.StreamCount(),
 	})
 }
 
@@ -33,7 +33,7 @@ func (s *Server) handleCreatePolicy(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.svc.CreatePolicy(req)
+	resp, err := s.router.CreatePolicy(req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -42,7 +42,7 @@ func (s *Server) handleCreatePolicy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.GetPolicy(r.PathValue("id"))
+	resp, err := s.router.GetPolicy(r.PathValue("id"))
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -51,11 +51,11 @@ func (s *Server) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListPolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListPolicies())
+	writeJSON(w, http.StatusOK, s.router.ListPolicies())
 }
 
 func (s *Server) handleDeletePolicy(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.DeletePolicy(r.PathValue("id")); err != nil {
+	if err := s.router.DeletePolicy(r.PathValue("id")); err != nil {
 		writeServiceError(w, err)
 		return
 	}
@@ -67,7 +67,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.svc.CreateDataset(req)
+	resp, err := s.router.CreateDataset(req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -76,7 +76,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.GetDataset(r.PathValue("id"))
+	resp, err := s.router.GetDataset(r.PathValue("id"))
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -85,11 +85,11 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListDatasets())
+	writeJSON(w, http.StatusOK, s.router.ListDatasets())
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.DeleteDataset(r.PathValue("id")); err != nil {
+	if err := s.router.DeleteDataset(r.PathValue("id")); err != nil {
 		writeServiceError(w, err)
 		return
 	}
@@ -101,7 +101,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.svc.CreateSession(req)
+	resp, err := s.router.CreateSession(req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -110,7 +110,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.GetSession(r.PathValue("id"))
+	resp, err := s.router.GetSession(r.PathValue("id"))
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -119,11 +119,11 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListSessions())
+	writeJSON(w, http.StatusOK, s.router.ListSessions())
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.DeleteSession(r.PathValue("id")); err != nil {
+	if err := s.router.DeleteSession(r.PathValue("id")); err != nil {
 		writeServiceError(w, err)
 		return
 	}
@@ -135,7 +135,7 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.svc.Histogram(r.PathValue("id"), req)
+	resp, err := s.router.Histogram(r.PathValue("id"), req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -148,7 +148,7 @@ func (s *Server) handleCumulative(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.svc.Cumulative(r.PathValue("id"), req)
+	resp, err := s.router.Cumulative(r.PathValue("id"), req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -161,7 +161,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.svc.Range(r.PathValue("id"), req)
+	resp, err := s.router.Range(r.PathValue("id"), req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -172,7 +172,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 // handleCheckpoint triggers a manual checkpoint. An in-memory service has
 // nothing to checkpoint; that stays a client error, not a durability one.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	stats, err := s.svc.Checkpoint()
+	stats, err := s.router.Checkpoint()
 	switch {
 	case errors.Is(err, service.ErrNotDurable):
 		writeError(w, service.CodeBadRequest, "server is not durable (no data directory configured)")

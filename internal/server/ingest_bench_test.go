@@ -18,7 +18,7 @@ import (
 // and returns the events path plus the 256-event batch in every encoding.
 func ingestBenchFixture(b *testing.B) (s *Server, path string, ndjson, binary, envelope []byte) {
 	b.Helper()
-	s = New(service.Config{Seed: 1})
+	s = newServer(b, service.Config{Seed: 1})
 	b.Cleanup(s.Close)
 	post := func(p string, body any) []byte {
 		b.Helper()

@@ -52,7 +52,7 @@ func metricsFixture(t *testing.T, s *Server) {
 // present in the Prometheus text exposition.
 func TestMetricsEndpoint(t *testing.T) {
 	leak.Check(t)
-	s, err := Open(service.Config{Seed: 7, Durability: service.DurabilityConfig{Dir: t.TempDir(), Fsync: "always"}})
+	s, err := openServer(service.Config{Seed: 7, Durability: service.DurabilityConfig{Dir: t.TempDir(), Fsync: "always"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,23 +72,23 @@ func TestMetricsEndpoint(t *testing.T) {
 		`blowfish_http_requests_total{route="POST /v1/sessions/{id}/releases/histogram",status="200"} 1`,
 		`blowfish_http_request_seconds_bucket{route="POST /v1/policies",le="+Inf"} 1`,
 		// Engine: per-policy, per-kind release latency histograms + counts.
-		`blowfish_release_seconds_bucket{policy="pol-1",kind="histogram",le="+Inf"} `,
-		`blowfish_releases_total{policy="pol-1",kind="range"} 1`,
+		`blowfish_release_seconds_bucket{shard="0",policy="pol-1",kind="histogram",le="+Inf"} `,
+		`blowfish_releases_total{shard="0",policy="pol-1",kind="range"} 1`,
 		"blowfish_noise_draws_total",
 		// Composition: per-session budget spent/remaining gauges.
-		`blowfish_session_budget_spent{session="sess-1",policy="pol-1"} 1`,
-		`blowfish_session_budget_remaining{session="sess-1",policy="pol-1"} 9`,
+		`blowfish_session_budget_spent{shard="0",session="sess-1",policy="pol-1"} 1`,
+		`blowfish_session_budget_remaining{shard="0",session="sess-1",policy="pol-1"} 9`,
 		// Stream: ingest queue depth, epoch lag, waiters, epoch cursor.
-		`blowfish_ingest_queue_depth{dataset="ds-1"} 0`,
-		`blowfish_stream_epoch_lag_seconds{stream="stream-1"}`,
-		`blowfish_stream_epoch{stream="stream-1"} 1`,
-		`blowfish_stream_waiters{stream="stream-1"} 0`,
+		`blowfish_ingest_queue_depth{shard="0",dataset="ds-1"} 0`,
+		`blowfish_stream_epoch_lag_seconds{shard="0",stream="stream-1"}`,
+		`blowfish_stream_epoch{shard="0",stream="stream-1"} 1`,
+		`blowfish_stream_waiters{shard="0",stream="stream-1"} 0`,
 		// Ingest writer instruments.
-		"blowfish_ingest_events_total 2",
-		"blowfish_ingest_apply_seconds_count 1",
+		`blowfish_ingest_events_total{shard="0"} 2`,
+		`blowfish_ingest_apply_seconds_count{shard="0"} 1`,
 		// WAL: fsync latency histogram, segments, bytes.
 		"blowfish_wal_fsync_seconds_count",
-		"blowfish_wal_segments 1",
+		`blowfish_wal_segments{shard="0"} 1`,
 		"blowfish_wal_appends_total",
 		// Exposition headers.
 		"# TYPE blowfish_release_seconds histogram",

@@ -46,9 +46,10 @@ func TestMain(m *testing.M) {
 }
 
 // runCrashChild serves a durable server on a random port, writing the
-// address to <dir>/../addr for the parent, with the WAL in <dir>.
+// address to <dir>/../addr for the parent, with the one shard's WAL under
+// <dir>/shard-0.
 func runCrashChild(dir string) {
-	srv, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}})
+	srv, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crash child: %v\n", err)
 		os.Exit(1)
@@ -113,7 +114,7 @@ var crashGraphSpec = service.GraphSpec{Kind: "compose", Op: "union", Graphs: []s
 // crash: background machinery stops, but no final checkpoint is taken and
 // the registries are left as they are.
 func abandon(s *Server) {
-	s.Core().Abandon()
+	s.router.Abandon()
 }
 
 // appendRows submits one wait=true events batch of the given rows.
@@ -264,7 +265,7 @@ func TestCrashRecovery(t *testing.T) {
 	<-stormDone
 
 	// --- recover in-process ------------------------------------------
-	rec, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}})
+	rec, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -272,10 +273,10 @@ func TestCrashRecovery(t *testing.T) {
 
 	// Budget spend is monotone: exactly the acked charges for both
 	// streams (no close was in flight at the kill).
-	entAst, entAsess := rec.Core().StreamHandles(stA.ID)
-	entBst, entBsess := rec.Core().StreamHandles(stB.ID)
+	entAst, entAsess := rec.router.Core(0).StreamHandles(stA.ID)
+	entBst, entBsess := rec.router.Core(0).StreamHandles(stB.ID)
 	if entAst == nil || entBst == nil {
-		t.Fatalf("streams not recovered: %v", rec.Core().StreamIDs())
+		t.Fatalf("streams not recovered: %v", rec.router.Core(0).StreamIDs())
 	}
 	if got := entAsess.Accountant().Spent(); got != 1.0 {
 		t.Fatalf("stream A spent = %v after recovery, want 1.0 (two acked 0.5 closes)", got)
@@ -285,13 +286,13 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// No acked ingest event is lost.
-	if got := rec.Core().DatasetTable(dsB.ID).LastSeq(); got < ackB.LastSeq {
+	if got := rec.router.Core(0).DatasetTable(dsB.ID).LastSeq(); got < ackB.LastSeq {
 		t.Fatalf("dataset B recovered seq %d < acked %d", got, ackB.LastSeq)
 	}
-	if got := rec.Core().DatasetHandle(dsB.ID).Len(); got != len(valsB1) {
+	if got := rec.router.Core(0).DatasetHandle(dsB.ID).Len(); got != len(valsB1) {
 		t.Fatalf("dataset B recovered %d rows, want %d", got, len(valsB1))
 	}
-	if got := rec.Core().DatasetHandle(dsA.ID).Len(); got < len(valsA1) {
+	if got := rec.router.Core(0).DatasetHandle(dsA.ID).Len(); got < len(valsA1) {
 		t.Fatalf("dataset A recovered %d rows, want >= %d acked", got, len(valsA1))
 	}
 
@@ -318,7 +319,7 @@ func TestCrashRecovery(t *testing.T) {
 	// Bit-for-bit vs the no-crash run: replay the acked operation
 	// sequence for stream B on an in-memory control server and compare
 	// the post-recovery epoch close.
-	ctl := New(service.Config{})
+	ctl := newServer(t, service.Config{})
 	polID := mustCreatePolicy(t, ctl, service.CreatePolicyRequest{
 		Domain: []service.AttrSpec{{Name: "v", Size: 16}},
 		Graph:  crashGraphSpec,
@@ -358,7 +359,7 @@ func TestCrashRecovery(t *testing.T) {
 // graceful restart.
 func TestGracefulShutdownPreservesAckedEvents(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+	s, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,12 +385,12 @@ func TestGracefulShutdownPreservesAckedEvents(t *testing.T) {
 	// must drain it before the final snapshot.
 	s.Close()
 
-	r, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+	r, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer abandon(r)
-	core := r.Core()
+	core := r.router.Core(0)
 	if !core.HasDataset(dsID) {
 		t.Fatal("dataset not recovered")
 	}
@@ -415,7 +416,7 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 99))
 			dir := t.TempDir()
-			live, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+			live, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -486,20 +487,20 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 			// Quiesce ingestion so live state is fully applied, then
 			// recover the directory while the live server still holds it
 			// (read-only replay) and compare bit-for-bit.
-			if ing := live.Core().StartedIngestor(dsID); ing != nil {
+			if ing := live.router.Core(0).StartedIngestor(dsID); ing != nil {
 				if err := ing.Flush(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			rec, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+			rec, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
 			}
 			defer abandon(rec)
 
 			// Datasets: identical tuples and cursors.
-			lp, lst := live.Core().DatasetTable(dsID).Snapshot()
-			rp, rst := rec.Core().DatasetTable(dsID).Snapshot()
+			lp, lst := live.router.Core(0).DatasetTable(dsID).Snapshot()
+			rp, rst := rec.router.Core(0).DatasetTable(dsID).Snapshot()
 			if !reflect.DeepEqual(lp, rp) {
 				t.Fatalf("recovered points diverge (%d vs %d tuples)", len(rp), len(lp))
 			}
@@ -507,14 +508,14 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 				t.Fatalf("recovered table state %+v, live %+v", rst, lst)
 			}
 			// Sessions: identical ledgers and ordinals.
-			ls := live.Core().SessionHandle(sessID).ExportState()
-			rs := rec.Core().SessionHandle(sessID).ExportState()
+			ls := live.router.Core(0).SessionHandle(sessID).ExportState()
+			rs := rec.router.Core(0).SessionHandle(sessID).ExportState()
 			if !reflect.DeepEqual(ls, rs) {
 				t.Fatalf("recovered session state diverges:\nlive %+v\nrec  %+v", ls, rs)
 			}
 			// Streams: identical cursors, buffers, ledgers, ordinals.
-			lst2, lsess2 := live.Core().StreamHandles(stID)
-			rst2, rsess2 := rec.Core().StreamHandles(stID)
+			lst2, lsess2 := live.router.Core(0).StreamHandles(stID)
+			rst2, rsess2 := rec.router.Core(0).StreamHandles(stID)
 			lss := lst2.ExportState()
 			rss := rst2.ExportState()
 			if !reflect.DeepEqual(lss, rss) {
@@ -535,7 +536,7 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 // collide with pre-crash ones.
 func TestRecoveryRoundTripRegistries(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+	s, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,21 +557,21 @@ func TestRecoveryRoundTripRegistries(t *testing.T) {
 	}
 	abandon(s)
 
-	r, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+	r, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer abandon(r)
-	if !r.Core().HasPolicy(p1) {
+	if !r.router.Core(0).HasPolicy(p1) {
 		t.Fatalf("policy %s lost", p1)
 	}
-	if r.Core().HasPolicy(p2) {
+	if r.router.Core(0).HasPolicy(p2) {
 		t.Fatalf("deleted policy %s resurrected", p2)
 	}
-	if r.Core().HasSession(sess) {
+	if r.router.Core(0).HasSession(sess) {
 		t.Fatalf("deleted session %s resurrected", sess)
 	}
-	if !r.Core().HasDataset(d1) {
+	if !r.router.Core(0).HasDataset(d1) {
 		t.Fatalf("dataset %s lost", d1)
 	}
 	// Fresh ids continue past the recovered counters.
@@ -666,7 +667,7 @@ func benchRecover(parent *testing.B, name string, fill func(b *testing.B, s *Ser
 	parent.Run(name, func(b *testing.B) {
 		if dir == "" {
 			dir = parent.TempDir()
-			s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+			s, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -692,7 +693,7 @@ func benchRecover(parent *testing.B, name string, fill func(b *testing.B, s *Ser
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+			r, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -708,7 +709,7 @@ func benchRecover(parent *testing.B, name string, fill func(b *testing.B, s *Ser
 // SnapshotEvery record-count loop.
 func TestCheckpointEndpointAndAutoSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never", SnapshotEvery: 5}})
+	s, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never", SnapshotEvery: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,14 +748,15 @@ func TestCheckpointEndpointAndAutoSnapshot(t *testing.T) {
 	}
 
 	// A non-durable server refuses the endpoint.
-	mem := New(service.Config{})
+	mem := newServer(t, service.Config{})
 	w = do(t, mem, "POST", "/v1/admin/checkpoint", nil)
 	wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
 }
 
-// walLatestSnapshotLSN reports the newest snapshot boundary in dir.
+// walLatestSnapshotLSN reports the newest snapshot boundary of the one
+// shard a test front keeps under dir.
 func walLatestSnapshotLSN(dir string) (uint64, []byte, error) {
-	return wal.LatestSnapshot(dir)
+	return wal.LatestSnapshot(filepath.Join(dir, "shard-0"))
 }
 
 // TestMultiGenerationRestarts is the server-level regression test for the
@@ -764,7 +766,7 @@ func walLatestSnapshotLSN(dir string) (uint64, []byte, error) {
 func TestMultiGenerationRestarts(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {
-		s, err := Open(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
+		s, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -794,7 +796,7 @@ func TestMultiGenerationRestarts(t *testing.T) {
 			t.Fatalf("gen2 epoch %d: %d %s", i, w.Code, w.Body.String())
 		}
 	}
-	_, s2sess := s2.Core().StreamHandles(stID)
+	_, s2sess := s2.router.Core(0).StreamHandles(stID)
 	if got := s2sess.Accountant().Spent(); got != 0.75 {
 		t.Fatalf("gen2 spent = %v, want 0.75", got)
 	}
@@ -804,7 +806,7 @@ func TestMultiGenerationRestarts(t *testing.T) {
 	// must all be there.
 	s3 := open()
 	defer abandon(s3)
-	s3st, s3sess := s3.Core().StreamHandles(stID)
+	s3st, s3sess := s3.router.Core(0).StreamHandles(stID)
 	if got := s3sess.Accountant().Spent(); got != 0.75 {
 		t.Fatalf("gen3 recovered spent = %v, want 0.75 (gen2 charges lost)", got)
 	}

@@ -68,7 +68,7 @@ func TestEpochReleaseBodiesByteIdentical(t *testing.T) {
 				if w.Code != http.StatusOK {
 					t.Fatalf("poll since=%d: status %d body %s", since, w.Code, w.Body.String())
 				}
-				resp, err := s.Service().StreamReleases(context.Background(), stID, since, 0)
+				resp, err := s.router.StreamReleases(context.Background(), stID, since, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestEpochReleaseBodiesByteIdentical(t *testing.T) {
 				}
 				// The seq comes from the close order, not from the body, so
 				// a body shared across seqs cannot vouch for itself.
-				resp, err := s.Service().StreamReleases(context.Background(), stID, seq-1, 0)
+				resp, err := s.router.StreamReleases(context.Background(), stID, seq-1, 0)
 				if err != nil || len(resp.Releases) != 1 {
 					t.Fatalf("service releases past %d: %+v, %v", seq-1, resp, err)
 				}
@@ -124,7 +124,7 @@ func TestEpochReleaseFanout(t *testing.T) {
 			polls[i] = do(t, s, "GET", "/v1/streams/"+stID+"/releases?since=0&wait_ms=10000", nil)
 		}()
 	}
-	st, _ := s.Core().StreamHandles(stID)
+	st, _ := s.router.Core(0).StreamHandles(stID)
 	for deadline := time.Now().Add(10 * time.Second); st.Status().Waiters < k; {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d of %d long-polls parked", st.Status().Waiters, k)

@@ -1,85 +1,34 @@
 // Package server is the HTTP front for a blowfish service: it decodes wire
-// requests, delegates to a transport-agnostic Service (a single
-// service.Core or the shard router), and encodes responses. All domain
-// logic — registries, budget accounting, journaling, recovery — lives in
-// internal/service; this package owns only routing, content negotiation,
-// error-to-status mapping, and request metrics.
+// requests, delegates to the shard router (internal/shard, which places
+// each resource on one of its service cores), and encodes responses. All
+// domain logic — registries, budget accounting, journaling, recovery —
+// lives in internal/service; this package owns only routing, content
+// negotiation, error-to-status mapping, and the process-wide metrics.
 package server
 
 import (
-	"context"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
-	"blowfish"
 	"blowfish/internal/metrics"
 	"blowfish/internal/service"
+	"blowfish/internal/shard"
 )
 
-// Service is the transport-agnostic surface the HTTP front serves. A
-// single service.Core implements it directly; the shard router
-// (internal/shard) implements it by routing each call to the owning
-// shard's core. The front never sees which one it is fronting.
-type Service interface {
-	Config() service.Config
-
-	CreatePolicy(req service.CreatePolicyRequest) (service.PolicyResponse, error)
-	GetPolicy(id string) (service.PolicyResponse, error)
-	ListPolicies() service.ListPoliciesResponse
-	DeletePolicy(id string) error
-
-	CreateDataset(req service.CreateDatasetRequest) (service.DatasetResponse, error)
-	GetDataset(id string) (service.DatasetResponse, error)
-	ListDatasets() service.ListDatasetsResponse
-	DeleteDataset(id string) error
-	IngestEvents(ctx context.Context, datasetID string, events []blowfish.StreamEvent, wait bool) (service.EventsResponse, error)
-
-	CreateSession(req service.CreateSessionRequest) (service.SessionResponse, error)
-	GetSession(id string) (service.SessionResponse, error)
-	ListSessions() service.ListSessionsResponse
-	DeleteSession(id string) error
-
-	Histogram(sessionID string, req service.HistogramRequest) (service.HistogramResponse, error)
-	Cumulative(sessionID string, req service.CumulativeRequest) (service.CumulativeResponse, error)
-	Range(sessionID string, req service.RangeRequest) (service.RangeResponse, error)
-
-	CreateStream(req service.CreateStreamRequest) (service.StreamResponse, error)
-	GetStream(id string) (service.StreamResponse, error)
-	ListStreams() service.ListStreamsResponse
-	DeleteStream(id string) error
-	CloseEpoch(ctx context.Context, id string) (service.EpochReleaseWire, error)
-	StreamReleases(ctx context.Context, id string, since uint64, wait time.Duration) (service.StreamReleasesResponse, error)
-
-	Checkpoint() (service.CheckpointStats, error)
-	ExpireSessions() int
-	SessionCount() int
-	StreamCount() int
-	CloseLeaked() int
-	Close()
-	Registries() []*metrics.Registry
-}
-
-// A single core is a complete Service.
-var _ Service = (*service.Core)(nil)
-
-// Server is the HTTP front over a Service. Create with New, Open or
-// NewWith; it implements http.Handler.
+// Server is the HTTP front over a shard router. Create with New; it
+// implements http.Handler.
 type Server struct {
-	svc Service
-	// core is non-nil when the front wraps exactly one service.Core (New
-	// and Open); the white-box accessors the crash/recovery tests use go
-	// through it. Router-backed fronts (NewWith) leave it nil.
-	core *service.Core
-	cfg  service.Config
-	mux  *http.ServeMux
+	router *shard.Router
+	cfg    service.Config
+	mux    *http.ServeMux
 
 	httpRequests *metrics.CounterVec
 	httpLatency  *metrics.HistogramVec
-	// metricsHandler serves GET /metrics: the core's own registry for a
-	// single-core front (byte-identical to the pre-split exposition), a
-	// merged multi-registry exposition for a router front.
+	// metricsHandler serves GET /metrics: the front's registry (HTTP
+	// requests, Go runtime) followed by every shard core's.
 	metricsHandler http.Handler
 
 	// releases maps a stream id to the *releaseBody of the newest epoch
@@ -90,45 +39,19 @@ type Server struct {
 	onReleaseEncode func()
 }
 
-// New creates an in-memory single-core server.
-func New(cfg service.Config) *Server {
-	return newFront(service.New(cfg))
-}
-
-// Open creates a single-core server, recovering durable state from
-// cfg.Durability.Dir when one is configured.
-func Open(cfg service.Config) (*Server, error) {
-	core, err := service.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newFront(core), nil
-}
-
-func newFront(core *service.Core) *Server {
-	s := &Server{svc: core, core: core, cfg: core.Config()}
-	// The request instruments live in the core's registry so the
-	// single-core exposition stays one registry.
-	s.httpRequests, s.httpLatency = core.HTTPMetrics()
-	s.metricsHandler = core.Metrics().Handler()
-	s.mux = http.NewServeMux()
-	s.routes()
-	return s
-}
-
-// NewWith fronts an arbitrary Service — in practice the shard router. The
-// front owns its own request-metrics registry (requests span shards, so
-// they belong to no single core) and serves /metrics as the merged
-// exposition of that registry plus every core's.
-func NewWith(svc Service) *Server {
+// New fronts a shard router. The front owns the process-wide metric
+// families — request counts and latencies (requests belong to no single
+// core) and the Go runtime gauges — and serves /metrics as the merged
+// exposition of its registry plus every core's.
+func New(router *shard.Router) *Server {
 	reg := metrics.NewRegistry()
-	s := &Server{svc: svc, cfg: svc.Config()}
+	s := &Server{router: router, cfg: router.Config()}
 	s.httpRequests = reg.CounterVec("blowfish_http_requests_total",
 		"HTTP requests by route pattern and status code.", "route", "status")
 	s.httpLatency = reg.HistogramVec("blowfish_http_request_seconds",
 		"HTTP request latency by route pattern.", nil, "route")
-	regs := append([]*metrics.Registry{reg}, svc.Registries()...)
-	s.metricsHandler = metrics.MergedHandler(regs...)
+	reg.RegisterCollector(collectRuntime)
+	s.metricsHandler = metrics.MergedHandler(append([]*metrics.Registry{reg}, router.Registries()...)...)
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -205,36 +128,48 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// Core returns the single service core behind this front, or nil for a
-// router-backed front. The crash/recovery tests and the load harness use
-// it to reach the white-box accessors.
-func (s *Server) Core() *service.Core { return s.core }
-
-// Service returns the service this front serves.
-func (s *Server) Service() Service { return s.svc }
-
 // ExpireSessions drops sessions idle past the configured TTL and returns
 // how many were removed. Call it periodically (cmd/blowfish-serve runs a
 // sweeper goroutine); a zero TTL makes it a no-op.
-func (s *Server) ExpireSessions() int { return s.svc.ExpireSessions() }
-
-// SessionCount returns the number of live sessions (diagnostics).
-func (s *Server) SessionCount() int { return s.svc.SessionCount() }
+func (s *Server) ExpireSessions() int { return s.router.ExpireSessions() }
 
 // StreamCount returns the number of live streams (diagnostics).
-func (s *Server) StreamCount() int { return s.svc.StreamCount() }
+func (s *Server) StreamCount() int { return s.router.StreamCount() }
 
-// Close stops every background goroutine the service owns; see
-// service.Core.Close for the drain-then-checkpoint contract.
-func (s *Server) Close() { s.svc.Close() }
+// Close shuts every shard core down; see service.Core.Close for the
+// drain-then-checkpoint contract.
+func (s *Server) Close() { s.router.Close() }
 
 // CloseLeaked reports how many stream-ticker / ingest-writer goroutines
 // the last Close abandoned at its drain deadline (0 after a clean close).
-func (s *Server) CloseLeaked() int { return s.svc.CloseLeaked() }
+func (s *Server) CloseLeaked() int { return s.router.CloseLeaked() }
 
 // Checkpoint snapshots the registries; see service.Core.Checkpoint.
-func (s *Server) Checkpoint() (service.CheckpointStats, error) { return s.svc.Checkpoint() }
+func (s *Server) Checkpoint() (service.CheckpointStats, error) { return s.router.Checkpoint() }
 
 // MetricsHandler returns the handler behind GET /metrics, for mounting
 // the same exposition on an admin mux.
 func (s *Server) MetricsHandler() http.Handler { return s.metricsHandler }
+
+// collectRuntime emits the process-level gauges a leak investigation
+// starts from.
+func collectRuntime(emit func(metrics.Sample)) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	emit(metrics.Sample{
+		Name: "go_goroutines", Help: "Live goroutines.",
+		Kind: metrics.KindGauge, Value: float64(runtime.NumGoroutine()),
+	})
+	emit(metrics.Sample{
+		Name: "go_memstats_heap_alloc_bytes", Help: "Heap bytes in use.",
+		Kind: metrics.KindGauge, Value: float64(ms.HeapAlloc),
+	})
+	emit(metrics.Sample{
+		Name: "go_memstats_total_alloc_bytes_total", Help: "Cumulative heap bytes allocated.",
+		Kind: metrics.KindCounter, Value: float64(ms.TotalAlloc),
+	})
+	emit(metrics.Sample{
+		Name: "go_gc_cycles_total", Help: "Completed GC cycles.",
+		Kind: metrics.KindCounter, Value: float64(ms.NumGC),
+	})
+}

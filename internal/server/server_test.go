@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"blowfish/internal/service"
+	"blowfish/internal/shard"
 )
 
 // testClock is a fake clock advanced manually by expiry tests.
@@ -34,10 +35,31 @@ func (c *testClock) Advance(d time.Duration) {
 	c.now = c.now.Add(d)
 }
 
+// openServer builds a front the way blowfish-serve does at its default
+// -shards 1: a 1-shard router behind New. Tests reach the white-box
+// accessors through s.router.Core(0).
+func openServer(cfg service.Config) (*Server, error) {
+	r, err := shard.Open(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return New(r), nil
+}
+
+// newServer is openServer for configs that must open.
+func newServer(tb testing.TB, cfg service.Config) *Server {
+	tb.Helper()
+	s, err := openServer(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T) (*Server, *testClock) {
 	t.Helper()
 	clk := &testClock{now: time.Unix(1700000000, 0)}
-	return New(service.Config{Seed: 42, SessionTTL: time.Hour, Now: clk.Now}), clk
+	return newServer(t, service.Config{Seed: 42, SessionTTL: time.Hour, Now: clk.Now}), clk
 }
 
 // do issues one in-process request and returns the recorder.
@@ -584,7 +606,7 @@ func TestIntegrationFullFlow(t *testing.T) {
 	}
 	for _, spec := range specs {
 		t.Run(spec.name, func(t *testing.T) {
-			srv := New(service.Config{Seed: 7})
+			srv := newServer(t, service.Config{Seed: 7})
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
 

@@ -30,7 +30,7 @@ import (
 // under its own locks when the batch is submitted.
 func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ds, err := s.svc.GetDataset(id)
+	ds, err := s.router.GetDataset(id)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -73,7 +73,7 @@ func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = req.Wait
 	}
-	resp, err := s.svc.IngestEvents(r.Context(), id, events, wait)
+	resp, err := s.router.IngestEvents(r.Context(), id, events, wait)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -167,7 +167,7 @@ func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.svc.CreateStream(req)
+	resp, err := s.router.CreateStream(req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -176,7 +176,7 @@ func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.GetStream(r.PathValue("id"))
+	resp, err := s.router.GetStream(r.PathValue("id"))
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -185,12 +185,12 @@ func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListStreams(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListStreams())
+	writeJSON(w, http.StatusOK, s.router.ListStreams())
 }
 
 func (s *Server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.svc.DeleteStream(id); err != nil {
+	if err := s.router.DeleteStream(id); err != nil {
 		writeServiceError(w, err)
 		return
 	}
@@ -203,7 +203,7 @@ func (s *Server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 // at stream creation).
 func (s *Server) handleCloseEpoch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	resp, err := s.svc.CloseEpoch(r.Context(), id)
+	resp, err := s.router.CloseEpoch(r.Context(), id)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -247,7 +247,7 @@ func (s *Server) handleStreamReleases(w http.ResponseWriter, r *http.Request) {
 		wait = time.Duration(min(int64(n), int64(math.MaxInt64/time.Millisecond))) * time.Millisecond
 	}
 	id := r.PathValue("id")
-	resp, err := s.svc.StreamReleases(r.Context(), id, since, wait)
+	resp, err := s.router.StreamReleases(r.Context(), id, since, wait)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -293,8 +293,9 @@ type releaseBody struct {
 //
 // Sharing by (id, seq) is sound because the pair names one immutable
 // release for the life of the process: a stream never republishes a seq,
-// and an id is never reused — ids come from monotone counters (Core.newID,
-// the shard router's mint), ApplyStream refuses a live id, and the router
+// and an id is never reused — the shard router mints ids from monotone
+// counters (it takes back only the id of a refused create, which no
+// stream ever held), ApplyStream refuses a live id, and the router
 // applies only ids it has just minted.
 func (s *Server) releaseJSON(id string, rel *service.EpochReleaseWire) ([]byte, error) {
 	for {
@@ -320,7 +321,7 @@ func (s *Server) releaseJSON(id string, rel *service.EpochReleaseWire) ([]byte, 
 		// the delete dropped the entry. Entries are replaced only while one
 		// is present, so re-checking on this path alone is enough to keep
 		// a deleted stream's entry from outliving it.
-		if _, err := s.svc.GetStream(id); err != nil {
+		if _, err := s.router.GetStream(id); err != nil {
 			s.releases.Delete(id)
 		}
 		return s.sharedJSON(fresh, rel)

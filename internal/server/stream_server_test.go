@@ -238,7 +238,7 @@ func TestStreamLongPoll(t *testing.T) {
 
 	// A wait too large for time.Duration is clamped to MaxLongPollWait
 	// like any other, not wrapped into a poll that returns at once.
-	capped := New(service.Config{Seed: 42, MaxLongPollWait: 50 * time.Millisecond})
+	capped := newServer(t, service.Config{Seed: 42, MaxLongPollWait: 50 * time.Millisecond})
 	defer capped.Close()
 	polID, dsID = streamFixtureIDs(t, capped)
 	stID = mustCreateStream(t, capped, service.CreateStreamRequest{
@@ -462,7 +462,7 @@ func TestServerStreamHammer(t *testing.T) {
 	})
 	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1e9})
 
-	tbl := s.Core().DatasetTable(dsID)
+	tbl := s.router.Core(0).DatasetTable(dsID)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -575,7 +575,7 @@ func TestServerStreamHammer(t *testing.T) {
 	// index against a from-scratch rebuild: a near-noiseless release
 	// (enormous ε) through the server must match the true histogram, which
 	// catches any count the interleaving tore.
-	ing := s.Core().StartedIngestor(dsID)
+	ing := s.router.Core(0).StartedIngestor(dsID)
 	if ing == nil {
 		t.Fatal("ingestor never started")
 	}

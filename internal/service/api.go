@@ -2,10 +2,12 @@ package service
 
 // The request/response API of a Core. Each method mirrors one v1
 // endpoint of the HTTP front, takes the wire-level request, and returns
-// the wire-level response or a *Error. The Apply* variants create a
-// resource under a caller-chosen id — the shard router mints ids
-// centrally so one logical namespace spans every shard; a replayed or
-// routed create must land under exactly the id the caller assigned.
+// the wire-level response or a *Error. The Apply* methods are the whole
+// create surface: a resource lands under exactly the id the caller
+// assigned, because the shard router mints every id so that one logical
+// namespace spans every shard. Each applied id raises the core's persisted
+// counter for its namespace (IDCounters), so a restarted router never
+// mints an id this core has already held.
 
 import (
 	"blowfish"
@@ -13,35 +15,20 @@ import (
 
 // --- policies --------------------------------------------------------------
 
-// CreatePolicy registers and compiles a policy, minting its id.
-func (c *Core) CreatePolicy(req CreatePolicyRequest) (PolicyResponse, error) {
-	return c.putPolicy("", req)
-}
-
-// ApplyPolicy registers a policy under an explicit id (shard router /
-// replication path). The id's numeric suffix advances the core's own
-// counter so locally minted ids never collide with applied ones.
+// ApplyPolicy registers and compiles a policy under an explicit id.
 func (c *Core) ApplyPolicy(id string, req CreatePolicyRequest) (PolicyResponse, error) {
 	if id == "" {
 		return PolicyResponse{}, errf(CodeBadRequest, "apply needs an explicit id")
 	}
-	return c.putPolicy(id, req)
-}
-
-func (c *Core) putPolicy(id string, req CreatePolicyRequest) (PolicyResponse, error) {
 	e, err := buildPolicyEntry(req.Domain, req.Graph)
 	if err != nil {
 		return PolicyResponse{}, badRequest(err)
 	}
 	c.mu.Lock()
-	if id == "" {
-		id = c.newID(0, "pol")
-	} else {
-		bumpCounter(&c.nextID[0], id)
-		if _, dup := c.policies[id]; dup {
-			c.mu.Unlock()
-			return PolicyResponse{}, errf(CodeBadRequest, "policy %q already exists", id)
-		}
+	bumpCounter(&c.nextID[0], id)
+	if _, dup := c.policies[id]; dup {
+		c.mu.Unlock()
+		return PolicyResponse{}, errf(CodeBadRequest, "policy %q already exists", id)
 	}
 	e.id = id
 	if err := c.journal(recPolicyPut, walPolicyPut{ID: e.id, Domain: e.attrs, Graph: e.graph}); err != nil {
@@ -129,20 +116,11 @@ func (c *Core) DeletePolicy(id string) error {
 
 // --- datasets --------------------------------------------------------------
 
-// CreateDataset uploads and registers a dataset, minting its id.
-func (c *Core) CreateDataset(req CreateDatasetRequest) (DatasetResponse, error) {
-	return c.putDataset("", req)
-}
-
-// ApplyDataset registers a dataset under an explicit id (shard router).
+// ApplyDataset uploads and registers a dataset under an explicit id.
 func (c *Core) ApplyDataset(id string, req CreateDatasetRequest) (DatasetResponse, error) {
 	if id == "" {
 		return DatasetResponse{}, errf(CodeBadRequest, "apply needs an explicit id")
 	}
-	return c.putDataset(id, req)
-}
-
-func (c *Core) putDataset(id string, req CreateDatasetRequest) (DatasetResponse, error) {
 	var attrs []AttrSpec
 	switch {
 	case req.PolicyID != "" && len(req.Domain) > 0:
@@ -179,14 +157,10 @@ func (c *Core) putDataset(id string, req CreateDatasetRequest) (DatasetResponse,
 		c.mu.Unlock()
 		return DatasetResponse{}, errf(CodeBadRequest, "server is shutting down")
 	}
-	if id == "" {
-		id = c.newID(1, "ds")
-	} else {
-		bumpCounter(&c.nextID[1], id)
-		if _, dup := c.datasets[id]; dup {
-			c.mu.Unlock()
-			return DatasetResponse{}, errf(CodeBadRequest, "dataset %q already exists", id)
-		}
+	bumpCounter(&c.nextID[1], id)
+	if _, dup := c.datasets[id]; dup {
+		c.mu.Unlock()
+		return DatasetResponse{}, errf(CodeBadRequest, "dataset %q already exists", id)
 	}
 	e.id = id
 	if err := c.journal(recDatasetPut, walDatasetPut{ID: e.id, Domain: e.attrs, Points: pts}); err != nil {
@@ -270,20 +244,11 @@ func (c *Core) DeleteDataset(id string) error {
 
 // --- sessions --------------------------------------------------------------
 
-// CreateSession opens a budgeted release session, minting its id.
-func (c *Core) CreateSession(req CreateSessionRequest) (SessionResponse, error) {
-	return c.putSession("", req)
-}
-
-// ApplySession opens a session under an explicit id (shard router).
+// ApplySession opens a budgeted release session under an explicit id.
 func (c *Core) ApplySession(id string, req CreateSessionRequest) (SessionResponse, error) {
 	if id == "" {
 		return SessionResponse{}, errf(CodeBadRequest, "apply needs an explicit id")
 	}
-	return c.putSession(id, req)
-}
-
-func (c *Core) putSession(id string, req CreateSessionRequest) (SessionResponse, error) {
 	pe, ok := c.getPolicy(req.PolicyID)
 	if !ok {
 		return SessionResponse{}, errf(CodeUnknownPolicy, "no policy %q", req.PolicyID)
@@ -303,14 +268,10 @@ func (c *Core) putSession(id string, req CreateSessionRequest) (SessionResponse,
 		c.mu.Unlock()
 		return SessionResponse{}, errf(CodeUnknownPolicy, "no policy %q", req.PolicyID)
 	}
-	if id == "" {
-		id = c.newID(2, "sess")
-	} else {
-		bumpCounter(&c.nextID[2], id)
-		if _, dup := c.sessions[id]; dup {
-			c.mu.Unlock()
-			return SessionResponse{}, errf(CodeBadRequest, "session %q already exists", id)
-		}
+	bumpCounter(&c.nextID[2], id)
+	if _, dup := c.sessions[id]; dup {
+		c.mu.Unlock()
+		return SessionResponse{}, errf(CodeBadRequest, "session %q already exists", id)
 	}
 	e.id = id
 	if err := c.journal(recSessionPut, walSessionPut{

@@ -4,13 +4,12 @@ package service
 //
 // Two disciplines keep instrumentation off the hot paths. First, every
 // metric a hot path touches is pre-resolved: the engine gets bare
-// counter/histogram pointers per policy at session construction, the
-// ingest writer gets its instruments in its config, and the HTTP front
-// resolves each route's latency histogram at route registration — no
-// label-map lookups per operation. Second, anything derived or high-churn
-// (per-session budget gauges, ingest queue depth, epoch lag, long-poll
-// waiters) is computed only when /metrics is scraped, by collectors that
-// read the registries under the core's ordinary locks.
+// counter/histogram pointers per policy at session construction and the
+// ingest writer gets its instruments in its config — no label-map lookups
+// per operation. Second, anything derived or high-churn (per-session
+// budget gauges, ingest queue depth, epoch lag, long-poll waiters) is
+// computed only when /metrics is scraped, by collectors that read the
+// registries under the core's ordinary locks.
 //
 // Naming convention: blowfish_<subsystem>_<quantity>[_unit], latencies in
 // seconds (Prometheus base units), counters suffixed _total. Cardinality
@@ -19,14 +18,13 @@ package service
 // series exist only at scrape time and scale with the live registry, which
 // the session TTL sweeper bounds.
 //
-// Sharded deployments give each core a ShardLabel; the registry stamps it
+// The shard router gives each core a ShardLabel; the registry stamps it
 // onto every family as a constant shard="<i>" label, so the merged
 // exposition keeps per-shard series distinct without any per-sample labels
-// on the hot paths. A core with no ShardLabel (the single-core default)
-// adds nothing — its exposition is byte-identical to the pre-shard layout.
+// on the hot paths. Process-wide families — HTTP requests and the Go
+// runtime — live once in the front's registry, not in any core's.
 
 import (
-	"runtime"
 	"time"
 
 	"blowfish"
@@ -38,9 +36,7 @@ import (
 type coreMetrics struct {
 	reg *metrics.Registry
 
-	httpRequests *metrics.CounterVec   // route, status
-	httpLatency  *metrics.HistogramVec // route
-	queueFull    *metrics.Counter
+	queueFull *metrics.Counter
 
 	releaseLatency *metrics.HistogramVec // policy, kind
 	releaseCount   *metrics.CounterVec   // policy, kind
@@ -63,10 +59,6 @@ func newCoreMetrics(shardLabel string) *coreMetrics {
 	}
 	m := &coreMetrics{
 		reg: reg,
-		httpRequests: reg.CounterVec("blowfish_http_requests_total",
-			"HTTP requests by route pattern and status code.", "route", "status"),
-		httpLatency: reg.HistogramVec("blowfish_http_request_seconds",
-			"HTTP request latency by route pattern.", nil, "route"),
 		queueFull: reg.Counter("blowfish_ingest_queue_full_total",
 			"Event batches rejected whole with 429 queue_full backpressure."),
 		releaseLatency: reg.HistogramVec("blowfish_release_seconds",
@@ -131,22 +123,9 @@ func (m *coreMetrics) engineMetrics(policyID string) *blowfish.EngineMetrics {
 	}
 }
 
-// Metrics returns the core's metric registry, for mounting the exposition
-// on an admin mux or merging several shards' registries into one endpoint.
+// Metrics returns the core's metric registry, which the front merges with
+// every other shard's into one /metrics exposition.
 func (c *Core) Metrics() *metrics.Registry { return c.metrics.reg }
-
-// Registries returns every metrics registry backing this service — one for
-// a single core. The Service interface carries it so a front can build a
-// merged /metrics exposition without knowing how many cores sit behind it.
-func (c *Core) Registries() []*metrics.Registry { return []*metrics.Registry{c.metrics.reg} }
-
-// HTTPMetrics returns the request counter and latency histogram families a
-// front wraps around its routes. They live in the core's registry so a
-// single-core server's exposition stays one registry; a multi-core front
-// (the shard router) registers its own.
-func (c *Core) HTTPMetrics() (*metrics.CounterVec, *metrics.HistogramVec) {
-	return c.metrics.httpRequests, c.metrics.httpLatency
-}
 
 // registerCollectors installs the scrape-time sample producers.
 func (c *Core) registerCollectors() {
@@ -154,7 +133,6 @@ func (c *Core) registerCollectors() {
 	c.metrics.reg.RegisterCollector(c.collectSessions)
 	c.metrics.reg.RegisterCollector(c.collectStreams)
 	c.metrics.reg.RegisterCollector(c.collectIngest)
-	c.metrics.reg.RegisterCollector(collectRuntime)
 }
 
 // collectRegistries emits the live-resource counts.
@@ -265,27 +243,4 @@ func (c *Core) collectIngest(emit func(metrics.Sample)) {
 			Kind: metrics.KindGauge, Labels: labels, Value: float64(st.Processed),
 		})
 	}
-}
-
-// collectRuntime emits the process-level gauges a leak investigation
-// starts from.
-func collectRuntime(emit func(metrics.Sample)) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	emit(metrics.Sample{
-		Name: "go_goroutines", Help: "Live goroutines.",
-		Kind: metrics.KindGauge, Value: float64(runtime.NumGoroutine()),
-	})
-	emit(metrics.Sample{
-		Name: "go_memstats_heap_alloc_bytes", Help: "Heap bytes in use.",
-		Kind: metrics.KindGauge, Value: float64(ms.HeapAlloc),
-	})
-	emit(metrics.Sample{
-		Name: "go_memstats_total_alloc_bytes_total", Help: "Cumulative heap bytes allocated.",
-		Kind: metrics.KindCounter, Value: float64(ms.TotalAlloc),
-	})
-	emit(metrics.Sample{
-		Name: "go_gc_cycles_total", Help: "Completed GC cycles.",
-		Kind: metrics.KindCounter, Value: float64(ms.NumGC),
-	})
 }

@@ -441,15 +441,6 @@ func bumpCounter(ctr *uint64, id string) {
 	}
 }
 
-// CounterFromID parses the numeric suffix of a prefix-counter resource id
-// ("sess-42" → 42, 0 when the id has no numeric suffix). The shard router
-// seeds its namespace counters from recovered ids with it.
-func CounterFromID(id string) uint64 {
-	var ctr uint64
-	bumpCounter(&ctr, id)
-	return ctr
-}
-
 // raiseSeed advances the core's seed counter past a replayed value.
 func (c *Core) raiseSeed(v int64) {
 	for {

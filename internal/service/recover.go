@@ -21,10 +21,10 @@ import (
 )
 
 // Open creates a Core, recovering durable state from
-// Config.Durability.Dir when one is configured. With an empty Dir it is
-// exactly New: the zero-config in-memory core.
+// Config.Durability.Dir when one is configured. With an empty Dir it
+// returns the zero-config in-memory core.
 func Open(cfg Config) (*Core, error) {
-	c := New(cfg)
+	c := newCore(cfg)
 	d := cfg.Durability
 	if d.Dir == "" {
 		return c, nil

@@ -90,16 +90,16 @@ func TestReplayRebuildsLedger(t *testing.T) {
 	}
 
 	// A core that never crashed, driven through the same operations.
-	ctl := New(Config{})
-	pol, err := ctl.CreatePolicy(CreatePolicyRequest{Domain: replayLine, Graph: replayL1})
+	ctl := newCore(Config{})
+	pol, err := ctl.ApplyPolicy("pol-1", CreatePolicyRequest{Domain: replayLine, Graph: replayL1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := ctl.CreateDataset(CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{1}, {2}, {3}, {3}, {40}}})
+	ds, err := ctl.ApplyDataset("ds-1", CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{1}, {2}, {3}, {3}, {40}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := ctl.CreateSession(CreateSessionRequest{PolicyID: pol.ID, Budget: 10, Seed: ptr(int64(7))})
+	sess, err := ctl.ApplySession("sess-1", CreateSessionRequest{PolicyID: pol.ID, Budget: 10, Seed: ptr(int64(7))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestReplayRebuildsLedger(t *testing.T) {
 	}
 	next := func(core *Core) HistogramResponse {
 		t.Helper()
-		d, err := core.CreateDataset(CreateDatasetRequest{Domain: replayLine, Rows: [][]int{{5}, {6}}})
+		d, err := core.ApplyDataset("ds-3", CreateDatasetRequest{Domain: replayLine, Rows: [][]int{{5}, {6}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,21 +143,21 @@ func TestNoiseIndependentOfHost(t *testing.T) {
 	run := func(procs int) []byte {
 		t.Helper()
 		runtime.GOMAXPROCS(procs)
-		c := New(Config{Seed: 42})
+		c := newCore(Config{Seed: 42})
 		defer c.Close()
-		pol, err := c.CreatePolicy(CreatePolicyRequest{Domain: replayLine, Graph: replayL1})
+		pol, err := c.ApplyPolicy("pol-1", CreatePolicyRequest{Domain: replayLine, Graph: replayL1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := c.CreateDataset(CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{1}, {9}, {9}, {30}}})
+		ds, err := c.ApplyDataset("ds-1", CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{1}, {9}, {9}, {30}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := c.CreateSession(CreateSessionRequest{PolicyID: pol.ID, Budget: 10})
+		sess, err := c.ApplySession("sess-1", CreateSessionRequest{PolicyID: pol.ID, Budget: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := c.CreateStream(CreateStreamRequest{
+		st, err := c.ApplyStream("stream-1", CreateStreamRequest{
 			PolicyID: pol.ID, DatasetID: ds.ID, Budget: 10,
 			Epoch: EpochSpec{Epsilon: 0.5}, Kinds: []string{"histogram", "cumulative"},
 		})

@@ -6,11 +6,11 @@
 //
 // A Core speaks requests and responses (the wire types in wire.go) and
 // reports failures as *Error values carrying the structured error codes
-// clients branch on; the HTTP front (internal/server) does nothing but
-// decode, delegate and encode. The split exists so a Core can sit behind
-// any front — the HTTP mux, the in-process shard router
-// (internal/shard), a future gRPC or replication front — without the
-// registry logic knowing which.
+// clients branch on. It always sits behind the shard router
+// (internal/shard), which mints every resource id and places each
+// resource on one core; the HTTP front (internal/server) decodes,
+// delegates to the router and encodes. A core never mints an id of its
+// own: Apply* creates a resource under the id the router assigned.
 //
 // Every policy is compiled once at registration (blowfish.Compile): its
 // sensitivities, partition block index and range-tree layout are reused by
@@ -75,9 +75,8 @@ type Config struct {
 	CloseDrainTimeout time.Duration
 	// ShardLabel, when non-empty, is stamped onto every metric family of
 	// this core's registry as a constant shard="<label>" label, so the
-	// merged exposition of a sharded deployment keeps per-shard series
-	// distinct. Empty (the single-core default) adds nothing — the
-	// exposition stays byte-identical to the pre-shard layout.
+	// merged exposition keeps per-shard series distinct. The shard router
+	// sets it to the core's index at every shard count, one included.
 	ShardLabel string
 }
 
@@ -88,8 +87,8 @@ const (
 
 const defaultMaxBodyBytes = 32 << 20
 
-// Core is the in-memory policy-release service. Create with New (or Open
-// for a durable core recovered from disk).
+// Core is the in-memory policy-release service. Create with Open, which
+// recovers a durable core from disk when a data directory is configured.
 type Core struct {
 	cfg     Config
 	metrics *coreMetrics
@@ -100,8 +99,11 @@ type Core struct {
 	datasets map[string]*datasetEntry
 	sessions map[string]*sessionEntry
 	streams  map[string]*streamEntry
-	nextID   [4]uint64 // policy, dataset, session, stream counters
-	closed   bool
+	// nextID holds, per namespace (policy, dataset, session, stream), the
+	// highest id number this core has ever applied. It is snapshotted and
+	// raised again by replay, so it outlives the ids' deletion.
+	nextID [4]uint64
+	closed bool
 
 	nextSeed atomic.Int64
 
@@ -233,8 +235,8 @@ type sessionEntry struct {
 	relMu sync.Mutex
 }
 
-// New creates an in-memory Core.
-func New(cfg Config) *Core {
+// newCore creates an in-memory Core; Open recovers durable state into it.
+func newCore(cfg Config) *Core {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = defaultMaxBodyBytes
 	}
@@ -274,10 +276,14 @@ func New(cfg Config) *Core {
 // without duplicating the defaulting rules.
 func (c *Core) Config() Config { return c.cfg }
 
-// newID mints the next identifier in one of the four namespaces.
-func (c *Core) newID(kind int, prefix string) string {
-	c.nextID[kind]++
-	return fmt.Sprintf("%s-%d", prefix, c.nextID[kind])
+// IDCounters returns, per namespace (policy, dataset, session, stream),
+// the highest id number this core has ever applied, deleted ids included.
+// The shard router starts its counters at the maximum over its cores, so
+// it never mints an id a client may still hold.
+func (c *Core) IDCounters() [4]uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.nextID
 }
 
 // ExpireSessions drops sessions idle past the configured TTL and returns

@@ -64,23 +64,15 @@ func (c *Core) IngestEvents(ctx context.Context, datasetID string, events []blow
 	}, nil
 }
 
-// CreateStream binds a dataset and a policy into a continual-release
-// stream, minting its id: a dedicated budgeted session backs the epsilon
-// schedule, the dataset's table is indexed through the policy's compiled
-// plan, and (when an interval is configured) an epoch ticker starts.
-func (c *Core) CreateStream(req CreateStreamRequest) (StreamResponse, error) {
-	return c.putStream("", req)
-}
-
-// ApplyStream creates a stream under an explicit id (shard router).
+// ApplyStream binds a dataset and a policy into a continual-release
+// stream under an explicit id: a dedicated budgeted session backs the
+// epsilon schedule, the dataset's table is indexed through the policy's
+// compiled plan, and (when an interval is configured) an epoch ticker
+// starts.
 func (c *Core) ApplyStream(id string, req CreateStreamRequest) (StreamResponse, error) {
 	if id == "" {
 		return StreamResponse{}, errf(CodeBadRequest, "apply needs an explicit id")
 	}
-	return c.putStream(id, req)
-}
-
-func (c *Core) putStream(id string, req CreateStreamRequest) (StreamResponse, error) {
 	if err := c.refuseClosed(); err != nil {
 		return StreamResponse{}, err
 	}
@@ -142,15 +134,11 @@ func (c *Core) putStream(id string, req CreateStreamRequest) (StreamResponse, er
 				de.id, other.id, otherWin)
 		}
 	}
-	if id == "" {
-		id = c.newID(3, "stream")
-	} else {
-		bumpCounter(&c.nextID[3], id)
-		if _, dup := c.streams[id]; dup {
-			c.mu.Unlock()
-			rollback()
-			return StreamResponse{}, errf(CodeBadRequest, "stream %q already exists", id)
-		}
+	bumpCounter(&c.nextID[3], id)
+	if _, dup := c.streams[id]; dup {
+		c.mu.Unlock()
+		rollback()
+		return StreamResponse{}, errf(CodeBadRequest, "stream %q already exists", id)
 	}
 	e.id = id
 	if err := c.journal(recStreamPut, walStreamPut{

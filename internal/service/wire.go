@@ -91,8 +91,8 @@ type CreateSessionRequest struct {
 	Seed *int64 `json:"seed,omitempty"`
 	// DatasetID is an optional placement hint for sharded deployments:
 	// the session is colocated with the named dataset's shard, so its
-	// releases over that dataset route without a cross-shard hop. A
-	// single-core server ignores it (every resource is local anyway).
+	// releases over that dataset route without a cross-shard hop. At one
+	// shard it changes nothing (every resource is on the one core).
 	DatasetID string `json:"dataset_id,omitempty"`
 }
 

@@ -1,11 +1,13 @@
-// Package shard routes a single logical blowfish service across N
+// Package shard routes a single logical blowfish service across N ≥ 1
 // in-process shard workers, each a full service.Core with its own
-// registries, WAL segment directory and snapshot cycle. Datasets are the
-// shard key — Blowfish policies compose per dataset, so a dataset's
-// indexes, sessions, streams and journal records never span shards and
-// each shard recovers independently. Policies are broadcast to every
-// shard (they are small, immutable once compiled, and every shard needs
-// them to build sessions); list endpoints scatter-gather.
+// registries, WAL segment directory and snapshot cycle. The HTTP front
+// serves nothing else: one shard is the smallest router, not a separate
+// path. Datasets are the shard key — Blowfish policies compose per
+// dataset, so a dataset's indexes, sessions, streams and journal records
+// never span shards and each shard recovers independently. Policies are
+// broadcast to every shard (they are small, immutable once compiled, and
+// every shard needs them to build sessions); list endpoints
+// scatter-gather.
 package shard
 
 // ShardFor places a resource id on one of n shards by rendezvous

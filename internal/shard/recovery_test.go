@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 // Sharded crash-recovery: the single-core durability contract (see
 // internal/server's recovery tests) must hold per shard, plus the
@@ -9,7 +9,9 @@ package shard
 // TestShardedCrashRecovery re-executes this test binary as a child
 // process (TestMain) running a durable 4-shard HTTP server, drives it
 // over HTTP, SIGKILLs it mid-ingest, and recovers the directory
-// in-process. The CI sharded-recovery job runs it with -race.
+// in-process. The CI sharded-recovery job runs it with -race. The child
+// starts the HTTP front, which imports this package, so these tests live
+// in the external test package.
 
 import (
 	"bytes"
@@ -21,17 +23,24 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"blowfish/internal/server"
 	"blowfish/internal/service"
+	"blowfish/internal/shard"
 )
 
 const crashChildEnv = "BLOWFISH_SHARD_CRASH_CHILD_DIR"
 
 const crashShards = 4
+
+var crashPolicy = service.CreatePolicyRequest{
+	Domain: []service.AttrSpec{{Name: "v", Size: 16}},
+	Graph:  service.GraphSpec{Kind: "line"},
+}
 
 // TestMain turns the test binary into a durable sharded server when
 // re-executed as the crash child: it serves until killed, never
@@ -48,14 +57,14 @@ func TestMain(m *testing.M) {
 // the address to <dir>/../addr for the parent, with the shard WALs under
 // <dir>.
 func runCrashChild(dir string) {
-	r, err := Open(service.Config{
+	r, err := shard.Open(service.Config{
 		Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"},
 	}, crashShards)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shard crash child: %v\n", err)
 		os.Exit(1)
 	}
-	srv := server.NewWith(r)
+	srv := server.New(r)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shard crash child: %v\n", err)
@@ -140,7 +149,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 
 	// --- drive the child over HTTP -----------------------------------
 	var pol service.PolicyResponse
-	httpJSON(t, "POST", base+"/v1/policies", testPolicy, &pol)
+	httpJSON(t, "POST", base+"/v1/policies", crashPolicy, &pol)
 	if pol.ID == "" {
 		t.Fatal("policy create returned no id")
 	}
@@ -156,7 +165,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	}
 	owned := make(map[int]bool)
 	for _, ds := range datasets {
-		owned[ShardFor(ds.ID, crashShards)] = true
+		owned[shard.ShardFor(ds.ID, crashShards)] = true
 	}
 	if len(owned) != crashShards {
 		t.Fatalf("datasets cover %d of %d shards; grow numDatasets", len(owned), crashShards)
@@ -168,8 +177,9 @@ func TestShardedCrashRecovery(t *testing.T) {
 	var streams []service.StreamResponse
 	for i, ds := range datasets[:2] {
 		var st service.StreamResponse
+		seed := int64(7 + i)
 		httpJSON(t, "POST", base+"/v1/streams", service.CreateStreamRequest{
-			PolicyID: pol.ID, DatasetID: ds.ID, Budget: 3.0, Seed: i64(int64(7 + i)),
+			PolicyID: pol.ID, DatasetID: ds.ID, Budget: 3.0, Seed: &seed,
 			Epoch: service.EpochSpec{Epsilon: 0.5},
 		}, &st)
 		streams = append(streams, st)
@@ -248,7 +258,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	<-stormDone
 
 	// --- recover in-process ------------------------------------------
-	rec, err := Open(service.Config{
+	rec, err := shard.Open(service.Config{
 		Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"},
 	}, crashShards)
 	if err != nil {
@@ -259,7 +269,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	// Routing tables rebuilt: every dataset routes to the shard that
 	// holds it, which is still ShardFor(id, n).
 	for _, ds := range datasets {
-		want := ShardFor(ds.ID, crashShards)
+		want := shard.ShardFor(ds.ID, crashShards)
 		if got := rec.ShardOf(ds.ID); got != want {
 			t.Fatalf("dataset %s recovered onto shard %d, want %d", ds.ID, got, want)
 		}
@@ -329,20 +339,71 @@ func TestShardedCrashRecovery(t *testing.T) {
 func TestOpenRejectsShrunkLayout(t *testing.T) {
 	dir := t.TempDir()
 	cfg := service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}}
-	r, err := Open(cfg, 3)
+	r, err := shard.Open(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
-	if _, err := Open(cfg, 2); err == nil {
+	if _, err := shard.Open(cfg, 2); err == nil {
 		t.Fatal("Open with 2 shards over a 3-shard directory succeeded; want a layout refusal")
 	}
 	// The original count still works, as does growing.
 	for _, n := range []int{3, 5} {
-		r, err := Open(cfg, n)
+		r, err := shard.Open(cfg, n)
 		if err != nil {
 			t.Fatalf("reopen with %d shards: %v", n, err)
 		}
 		r.Close()
 	}
+}
+
+// TestOpenRejectsUnshardedLayout: a directory holding a WAL segment or a
+// snapshot at its root was written by a single core with no router (the
+// layout -shards 1 used before every shard count ran the router). Opening
+// beside those files would start empty and forget every ledger in them,
+// so Open must refuse, name the layout, and leave the directory as it
+// found it.
+func TestOpenRejectsUnshardedLayout(t *testing.T) {
+	dir := t.TempDir()
+	cfg := service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}}
+	refused := func(what string) {
+		t.Helper()
+		for _, n := range []int{1, 4} {
+			_, err := shard.Open(cfg, n)
+			if err == nil || !strings.Contains(err.Error(), "unsharded layout") {
+				t.Fatalf("Open(%d shards) over %s = %v, want a refusal naming the unsharded layout", n, what, err)
+			}
+		}
+		if sub, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(sub) != 0 {
+			t.Fatalf("refused Open still created %v", sub)
+		}
+	}
+
+	// A crashed core leaves its WAL at the root.
+	core, err := service.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.ApplyPolicy("pol-1", crashPolicy); err != nil {
+		t.Fatal(err)
+	}
+	core.Abandon()
+	refused("a root-level WAL")
+
+	// A graceful close checkpoints: the snapshot alone is refused too.
+	core, err = service.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.Close()
+	logs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	for _, l := range logs {
+		if err := os.Remove(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.db")); len(snaps) == 0 {
+		t.Fatal("graceful close wrote no snapshot at the root")
+	}
+	refused("a root-level snapshot")
 }

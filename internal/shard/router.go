@@ -21,16 +21,17 @@ import (
 // seeds from the same base seed.
 const seedStride int64 = -0x61C8864680B583EB // 0x9E3779B97F4A7C15 as int64
 
-// Router is a service front over N shard cores. It implements the same
-// Service surface a single core does; the HTTP front (server.NewWith)
-// cannot tell them apart.
+// Router is the service the HTTP front (server.New) serves: N ≥ 1 shard
+// cores behind one logical namespace. One shard is simply the smallest
+// deployment — the router, the id minting and the on-disk layout are the
+// same at every shard count.
 //
 // Placement: datasets hash to a shard by rendezvous hashing of their id
 // (ShardFor); streams live with their dataset; sessions live with the
 // dataset named by their placement hint (falling back to hashing the
 // session id); policies are broadcast to every shard. The router mints
 // every id itself so the namespaces stay global — two shards can never
-// hand out the same id.
+// hand out the same id — and a refused create gives its id back.
 type Router struct {
 	cfg   service.Config
 	cores []*service.Core
@@ -41,24 +42,13 @@ type Router struct {
 	// create that snapshots the policy set; routing lookups take the
 	// read lock only.
 	mu     sync.RWMutex
-	nextID [4]uint64 // policy, dataset, session, stream counters
+	nextID [4]uint64 // policy, dataset, session, stream: last id minted
 	// Routing tables, id -> shard index. Not registries and not
 	// journaled: each shard's registries are the durable truth, and
 	// rebuild() reconstructs these maps from them on every open.
 	dsShard     map[string]int
 	sessShard   map[string]int
 	streamShard map[string]int
-}
-
-// interface check: the router must stay substitutable for a single core.
-var _ interface {
-	Config() service.Config
-	Registries() []*metrics.Registry
-} = (*Router)(nil)
-
-// New creates an in-memory router over n cores.
-func New(cfg service.Config, n int) (*Router, error) {
-	return Open(cfg, n)
 }
 
 // Open creates a router over n cores, recovering each shard's durable
@@ -113,23 +103,23 @@ func Open(cfg service.Config, n int) (*Router, error) {
 // recovered cores, and repairs a torn policy broadcast (a crash between
 // two shards' creation records) by re-applying missing policies from a
 // shard that has them — policy registration is deterministic from its
-// spec, so the repaired shard compiles the identical plan.
+// spec, so the repaired shard compiles the identical plan. Each counter
+// resumes at the highest id any core has ever applied, deleted ids
+// included: a client may still hold a deleted or expired id, and must
+// never reach a stranger's resource with it.
 func (r *Router) rebuild() {
 	for k, c := range r.cores {
-		for _, id := range c.PolicyIDs() {
-			bump(&r.nextID[0], id)
+		for i, n := range c.IDCounters() {
+			r.nextID[i] = max(r.nextID[i], n)
 		}
 		for _, id := range c.DatasetIDs() {
 			r.dsShard[id] = k
-			bump(&r.nextID[1], id)
 		}
 		for _, id := range c.SessionIDs() {
 			r.sessShard[id] = k
-			bump(&r.nextID[2], id)
 		}
 		for _, id := range c.StreamIDs() {
 			r.streamShard[id] = k
-			bump(&r.nextID[3], id)
 		}
 	}
 	// Union of policy ids, with one shard that owns each.
@@ -155,15 +145,21 @@ func (r *Router) rebuild() {
 	}
 }
 
-func bump(ctr *uint64, id string) {
-	if n := service.CounterFromID(id); n > *ctr {
-		*ctr = n
-	}
-}
-
 // checkLayout verifies an existing data directory agrees with the shard
-// count: every shard-<i> subdirectory present must be i < n.
+// count: every shard-<i> subdirectory present must be i < n, and no WAL
+// segment or snapshot may sit at the root. Root-level files are the
+// unsharded layout earlier releases wrote at -shards 1; opening beside
+// them would start empty and forget every ledger they hold.
 func checkLayout(dir string, n int) error {
+	for _, pattern := range []string{"wal-*.log", "snap-*.db"} {
+		found, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			return err
+		}
+		if len(found) > 0 {
+			return fmt.Errorf("shard: data directory %s holds %s at its root: that is the unsharded layout (one WAL in the directory itself), which this server does not read; every shard keeps its state under shard-<i>/", dir, filepath.Base(found[0]))
+		}
+	}
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
 		return err
@@ -215,17 +211,26 @@ func (r *Router) mint(kind int, prefix string) string {
 	return prefix + "-" + strconv.FormatUint(r.nextID[kind], 10)
 }
 
-// route resolves an id through one routing table, falling back to shard 0
-// on a miss so the core produces its own structured unknown-* error — the
-// router never invents error messages of its own.
+// unmint gives back the id the caller just minted, under the same write
+// lock, when its create was refused: a refused create uses up no id.
+func (r *Router) unmint(kind int) { r.nextID[kind]-- }
+
+// route resolves an id through one routing table under the read lock.
 func (r *Router) route(m map[string]int, id string) *service.Core {
 	r.mu.RLock()
-	k, ok := m[id]
+	c := r.lookup(m, id)
 	r.mu.RUnlock()
-	if !ok {
-		return r.cores[0]
+	return c
+}
+
+// lookup is route for callers that already hold r.mu. A miss falls back
+// to shard 0 so the core produces its own structured unknown-* error —
+// the router never invents error messages of its own.
+func (r *Router) lookup(m map[string]int, id string) *service.Core {
+	if k, ok := m[id]; ok {
+		return r.cores[k]
 	}
-	return r.cores[k]
+	return r.cores[0]
 }
 
 // --- policies (broadcast) --------------------------------------------------
@@ -244,6 +249,7 @@ func (r *Router) CreatePolicy(req service.CreatePolicyRequest) (service.PolicyRe
 			for _, prev := range r.cores[:k] {
 				_ = prev.DeletePolicy(id)
 			}
+			r.unmint(0)
 			return service.PolicyResponse{}, err
 		}
 		if k == 0 {
@@ -291,6 +297,7 @@ func (r *Router) CreateDataset(req service.CreateDatasetRequest) (service.Datase
 	k := ShardFor(id, len(r.cores))
 	resp, err := r.cores[k].ApplyDataset(id, req)
 	if err != nil {
+		r.unmint(1)
 		return service.DatasetResponse{}, err
 	}
 	r.dsShard[id] = k
@@ -313,7 +320,7 @@ func (r *Router) ListDatasets() service.ListDatasetsResponse {
 func (r *Router) DeleteDataset(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.route(r.dsShard, id).DeleteDataset(id); err != nil {
+	if err := r.lookup(r.dsShard, id).DeleteDataset(id); err != nil {
 		return err
 	}
 	delete(r.dsShard, id)
@@ -338,6 +345,7 @@ func (r *Router) CreateSession(req service.CreateSessionRequest) (service.Sessio
 	}
 	resp, err := r.cores[k].ApplySession(id, req)
 	if err != nil {
+		r.unmint(2)
 		return service.SessionResponse{}, err
 	}
 	r.sessShard[id] = k
@@ -360,7 +368,7 @@ func (r *Router) ListSessions() service.ListSessionsResponse {
 func (r *Router) DeleteSession(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.route(r.sessShard, id).DeleteSession(id); err != nil {
+	if err := r.lookup(r.sessShard, id).DeleteSession(id); err != nil {
 		return err
 	}
 	delete(r.sessShard, id)
@@ -394,6 +402,7 @@ func (r *Router) CreateStream(req service.CreateStreamRequest) (service.StreamRe
 	}
 	resp, err := r.cores[k].ApplyStream(id, req)
 	if err != nil {
+		r.unmint(3)
 		return service.StreamResponse{}, err
 	}
 	r.streamShard[id] = k
@@ -416,7 +425,7 @@ func (r *Router) ListStreams() service.ListStreamsResponse {
 func (r *Router) DeleteStream(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.route(r.streamShard, id).DeleteStream(id); err != nil {
+	if err := r.lookup(r.streamShard, id).DeleteStream(id); err != nil {
 		return err
 	}
 	delete(r.streamShard, id)
@@ -527,7 +536,8 @@ func (r *Router) Abandon() {
 	}
 }
 
-// Registries returns every shard's metric registry, shard 0 first.
+// Registries returns every shard's metric registry, shard 0 first; the
+// front merges them behind its own into one /metrics exposition.
 func (r *Router) Registries() []*metrics.Registry {
 	out := make([]*metrics.Registry, 0, len(r.cores))
 	for _, c := range r.cores {

@@ -3,15 +3,12 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
-	"blowfish/internal/server"
 	"blowfish/internal/service"
 )
-
-// The router must stay substitutable for a single core behind the HTTP
-// front.
-var _ server.Service = (*Router)(nil)
 
 func i64(v int64) *int64 { return &v }
 
@@ -295,12 +292,235 @@ func TestRouterUnknownIDErrors(t *testing.T) {
 	}
 }
 
+// within runs fn under a deadline, so a router call that wedges fails the
+// test instead of hanging the suite.
+func within(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	const deadline = 5 * time.Second
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(deadline):
+		t.Fatalf("%s did not return within %v: the router is wedged", what, deadline)
+	}
+}
+
+// wantCode asserts a structured service error.
+func wantCode(t *testing.T, err error, code string) {
+	t.Helper()
+	var se *service.Error
+	if !errors.As(err, &se) || se.Code != code {
+		t.Fatalf("got %v, want code %s", err, code)
+	}
+}
+
+// TestRouterDeleteUnderLoad deletes a dataset, a session and a stream
+// through a 4-shard router while releases and creates run against other
+// resources. A delete holds the router's write lock across the core
+// call, so it must resolve the id without taking the read lock again:
+// Go's RWMutex is not reentrant, and one wedged delete would block every
+// later create and routed request.
+func TestRouterDeleteUnderLoad(t *testing.T) {
+	r := newTestRouter(t, 4, "")
+	defer r.Close()
+	pol, err := r.CreatePolicy(testPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newDataset := func() string {
+		t.Helper()
+		ds, err := r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{1}, {5}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds.ID
+	}
+	newSession := func(dsID string) string {
+		t.Helper()
+		sess, err := r.CreateSession(service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1e9, DatasetID: dsID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess.ID
+	}
+	loadDS := newDataset()
+	loadSess := newSession(loadDS)
+	victimDS := newDataset()
+	victimSess := newSession(victimDS)
+	streamDS := newDataset()
+	st, err := r.CreateStream(service.CreateStreamRequest{
+		PolicyID: pol.ID, DatasetID: streamDS, Budget: 10, Epoch: service.EpochSpec{Epsilon: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Load on other resources: releases on one session, dataset creates.
+	// On a wedged router these block for good, so the test waits for them
+	// only once the deletes have returned.
+	stop := make(chan struct{})
+	loadErr := make(chan error, 2) // one send per load goroutine at most
+	var load, warm sync.WaitGroup
+	for _, op := range []func() error{
+		func() error {
+			_, err := r.Histogram(loadSess, service.HistogramRequest{DatasetID: loadDS, Epsilon: 0.01})
+			return err
+		},
+		func() error {
+			_, err := r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID})
+			return err
+		},
+	} {
+		load.Add(1)
+		warm.Add(1)
+		go func() {
+			defer load.Done()
+			for first := true; ; first = false {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				err := op()
+				if first {
+					warm.Done()
+				}
+				if err != nil {
+					loadErr <- err
+					return
+				}
+			}
+		}()
+	}
+	warm.Wait() // every load goroutine is running before the deletes start
+
+	within(t, "DeleteSession", func() error { return r.DeleteSession(victimSess) })
+	within(t, "DeleteDataset", func() error { return r.DeleteDataset(victimDS) })
+	within(t, "DeleteStream", func() error { return r.DeleteStream(st.ID) })
+	close(stop)
+	load.Wait()
+	select {
+	case err := <-loadErr:
+		t.Fatalf("load beside the deletes failed: %v", err)
+	default:
+	}
+
+	for _, id := range []string{victimSess, victimDS, st.ID} {
+		if k := r.ShardOf(id); k != -1 {
+			t.Fatalf("deleted %s still routes to shard %d", id, k)
+		}
+	}
+	_, err = r.GetSession(victimSess)
+	wantCode(t, err, service.CodeUnknownSession)
+	_, err = r.GetDataset(victimDS)
+	wantCode(t, err, service.CodeUnknownDataset)
+	_, err = r.GetStream(st.ID)
+	wantCode(t, err, service.CodeUnknownStream)
+	// The stream's dataset is free again once its stream is gone.
+	within(t, "DeleteDataset after its stream", func() error { return r.DeleteDataset(streamDS) })
+}
+
+// TestRouterNoIDReuseAfterRestart: an id deleted before a restart stays
+// retired after it. Each core persists the highest id it ever applied,
+// and the reopened router resumes past the maximum over its cores, so a
+// client still holding a deleted (or TTL-expired) id can never reach a
+// stranger's new resource with it. Both a graceful close and a crash.
+func TestRouterNoIDReuseAfterRestart(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		for _, crash := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/crash=%v", n, crash), func(t *testing.T) {
+				dir := t.TempDir()
+				r := newTestRouter(t, n, dir)
+				pol, err := r.CreatePolicy(testPolicy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ { // ds-1, sess-1, ds-2, sess-2
+					ds, err := r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := r.CreateSession(service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1, DatasetID: ds.ID}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				within(t, "DeleteSession", func() error { return r.DeleteSession("sess-2") })
+				within(t, "DeleteDataset", func() error { return r.DeleteDataset("ds-2") })
+				if crash {
+					r.Abandon()
+				} else {
+					r.Close()
+				}
+
+				rec := newTestRouter(t, n, dir)
+				defer rec.Close()
+				ds, err := rec.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := rec.CreateSession(service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1, DatasetID: ds.ID})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ds.ID != "ds-3" || sess.ID != "sess-3" {
+					t.Fatalf("after restart the router minted %s and %s, want ds-3 and sess-3 (ds-2 and sess-2 were deleted, not free)", ds.ID, sess.ID)
+				}
+			})
+		}
+	}
+}
+
+// TestRouterRefusedCreateUsesNoID: a create that the owning core refuses
+// gives its id back, so the next accepted create gets the id a refusal
+// never touched — at one shard exactly the ids a lone core would mint.
+func TestRouterRefusedCreateUsesNoID(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			r := newTestRouter(t, n, "")
+			defer r.Close()
+			_, err := r.CreatePolicy(service.CreatePolicyRequest{Domain: testPolicy.Domain, Graph: service.GraphSpec{Kind: "no-such-graph"}})
+			wantCode(t, err, service.CodeBadRequest)
+			pol, err := r.CreatePolicy(testPolicy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{99}}})
+			wantCode(t, err, service.CodeBadRequest)
+			ds, err := r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.CreateSession(service.CreateSessionRequest{PolicyID: "pol-404", Budget: 1, DatasetID: ds.ID})
+			wantCode(t, err, service.CodeUnknownPolicy)
+			sess, err := r.CreateSession(service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1, DatasetID: ds.ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.CreateStream(service.CreateStreamRequest{PolicyID: pol.ID, DatasetID: "ds-404", Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.5}})
+			wantCode(t, err, service.CodeUnknownDataset)
+			st, err := r.CreateStream(service.CreateStreamRequest{PolicyID: pol.ID, DatasetID: ds.ID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := []string{pol.ID, ds.ID, sess.ID, st.ID}
+			want := []string{"pol-1", "ds-1", "sess-1", "stream-1"}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("ids after one refused create of each kind = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
 // BenchmarkRouterOverhead measures the routing tax: the same seeded
 // histogram release drawn through a 1-shard router versus directly
-// against the core it routes to. The delta is the map lookup and the
-// interface hop — the perf gate keeps it honest.
+// against the core it routes to. The delta is the routing-table lookup
+// under the router's read lock — the perf gate keeps it honest.
 func BenchmarkRouterOverhead(b *testing.B) {
-	setup := func(b *testing.B) (svc server.Service, sessID, dsID string) {
+	setup := func(b *testing.B) (r *Router, sessID, dsID string) {
 		b.Helper()
 		r, err := Open(service.Config{Seed: 1}, 1)
 		if err != nil {
@@ -328,7 +548,7 @@ func BenchmarkRouterOverhead(b *testing.B) {
 
 	b.Run("direct", func(b *testing.B) {
 		r, sessID, dsID := setup(b)
-		core := r.(*Router).Core(0)
+		core := r.Core(0)
 		req := service.HistogramRequest{DatasetID: dsID, Epsilon: 1e-6}
 		b.ReportAllocs()
 		b.ResetTimer()
