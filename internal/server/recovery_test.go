@@ -470,11 +470,11 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 						t.Fatalf("op %d epoch: %d %s", op, w.Code, w.Body.String())
 					}
 				case 8: // delete + recreate nothing: checkpoint instead
-					if _, err := live.Checkpoint(); err != nil {
+					if _, err := live.router.Checkpoint(); err != nil {
 						t.Fatalf("op %d checkpoint: %v", op, err)
 					}
 				case 9: // direct library-path epoch close via admin checkpoint + release
-					if _, err := live.Checkpoint(); err != nil {
+					if _, err := live.router.Checkpoint(); err != nil {
 						t.Fatalf("op %d checkpoint: %v", op, err)
 					}
 					w := do(t, live, "POST", "/v1/sessions/"+sessID+"/releases/histogram",
@@ -603,7 +603,7 @@ func BenchmarkRecovery(b *testing.B) {
 				Epoch: service.EpochSpec{Epsilon: 0.1},
 			}, &st)
 			// Snapshot covers the upload; the tail is ingest + closes.
-			if _, err := s.Checkpoint(); err != nil {
+			if _, err := s.router.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
 			for done := 0; done < tail; {
@@ -636,7 +636,7 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		// Snapshot covers the creates; the tail is the releases, in
 		// loadbench's 5:3:1 mix of range, histogram and cumulative.
-		if _, err := s.Checkpoint(); err != nil {
+		if _, err := s.router.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < 10000; i++ {

@@ -87,10 +87,14 @@ func (s *Server) routes() {
 	s.mux.Handle("GET /metrics", s.metricsHandler)
 }
 
+// maxBodyBytes caps every request body; a longer body is refused with
+// 400 bad_request.
+const maxBodyBytes = 32 << 20
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	}
 	s.mux.ServeHTTP(w, r)
 }
@@ -133,9 +137,6 @@ func (w *statusWriter) Flush() {
 // sweeper goroutine); a zero TTL makes it a no-op.
 func (s *Server) ExpireSessions() int { return s.router.ExpireSessions() }
 
-// StreamCount returns the number of live streams (diagnostics).
-func (s *Server) StreamCount() int { return s.router.StreamCount() }
-
 // Close shuts every shard core down; see service.Core.Close for the
 // drain-then-checkpoint contract.
 func (s *Server) Close() { s.router.Close() }
@@ -143,9 +144,6 @@ func (s *Server) Close() { s.router.Close() }
 // CloseLeaked reports how many stream-ticker / ingest-writer goroutines
 // the last Close abandoned at its drain deadline (0 after a clean close).
 func (s *Server) CloseLeaked() int { return s.router.CloseLeaked() }
-
-// Checkpoint snapshots the registries; see service.Core.Checkpoint.
-func (s *Server) Checkpoint() (service.CheckpointStats, error) { return s.router.Checkpoint() }
 
 // MetricsHandler returns the handler behind GET /metrics, for mounting
 // the same exposition on an admin mux.

@@ -265,6 +265,33 @@ func TestCreatePolicyRejectsMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap streams a body one byte past the 32 MiB cap: the
+// front refuses it with 400 bad_request rather than reading on. The body
+// is one JSON string that ends only after the cap, so the refusal can come
+// from the cap alone.
+func TestRequestBodyCap(t *testing.T) {
+	s, _ := newTestServer(t)
+	head, tail := `{"policy_id":"`, `"}`
+	fill := int64(maxBodyBytes) + 1 - int64(len(head)+len(tail))
+	body := io.MultiReader(strings.NewReader(head), io.LimitReader(repeatByte('a'), fill), strings.NewReader(tail))
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/datasets", body))
+	wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
+	if msg := decode[errorEnvelope](t, w).Error.Message; !strings.Contains(msg, "too large") {
+		t.Fatalf("message = %q, want the body-size refusal", msg)
+	}
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
 func TestGetPolicyUnknown(t *testing.T) {
 	s, _ := newTestServer(t)
 	wantError(t, do(t, s, "GET", "/v1/policies/pol-99", nil), http.StatusNotFound, service.CodeUnknownPolicy)

@@ -278,8 +278,8 @@ func TestStreamAutomaticEpochs(t *testing.T) {
 	if w := do(t, s, "DELETE", "/v1/streams/"+stID, nil); w.Code != http.StatusNoContent {
 		t.Fatalf("delete stream: status %d", w.Code)
 	}
-	if s.StreamCount() != 0 {
-		t.Fatalf("stream count = %d after delete", s.StreamCount())
+	if s.router.StreamCount() != 0 {
+		t.Fatalf("stream count = %d after delete", s.router.StreamCount())
 	}
 }
 

@@ -93,17 +93,18 @@ func (c *Core) DeletePolicy(id string) error {
 		c.mu.Unlock()
 		return errf(CodeUnknownPolicy, "no policy %q", id)
 	}
+	// The refusal names no referent: which one a core finds first depends
+	// on map order, and at N shards on which shard refuses first.
+	inUse := false
 	for _, sess := range c.sessions {
-		if sess.policyID == id {
-			c.mu.Unlock()
-			return errf(CodePolicyInUse, "policy %q has live sessions (e.g. %q); delete or expire them first", id, sess.id)
-		}
+		inUse = inUse || sess.policyID == id
 	}
 	for _, st := range c.streams {
-		if st.policyID == id {
-			c.mu.Unlock()
-			return errf(CodePolicyInUse, "policy %q has live streams (e.g. %q); delete them first", id, st.id)
-		}
+		inUse = inUse || st.policyID == id
+	}
+	if inUse {
+		c.mu.Unlock()
+		return errf(CodePolicyInUse, "policy %q is in use by live sessions or streams; delete them first", id)
 	}
 	if err := c.journalDelete(nsPolicy, id); err != nil {
 		c.mu.Unlock()
@@ -206,7 +207,7 @@ func (c *Core) DeleteDataset(id string) error {
 	for _, st := range c.streams {
 		if st.datasetID == id {
 			c.mu.Unlock()
-			return errf(CodeDatasetInUse, "dataset %q has live streams (e.g. %q); delete them first", id, st.id)
+			return errf(CodeDatasetInUse, "dataset %q is in use by live streams; delete them first", id)
 		}
 	}
 	e, ok := c.datasets[id]

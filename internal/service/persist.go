@@ -90,14 +90,17 @@ type walSessionPut struct {
 	PolicyID string  `json:"policy_id"`
 	Budget   float64 `json:"budget"`
 	Seed     int64   `json:"seed"`
-	NextSeed int64   `json:"next_seed"`
+	// NextSeed is the core's seed counter after the create. A snapshot
+	// entry leaves it out: the snapshot's own next_seed covers it.
+	NextSeed int64 `json:"next_seed,omitempty"`
 }
 
 type walStreamPut struct {
-	ID       string              `json:"id"`
-	Req      CreateStreamRequest `json:"req"`
-	Seed     int64               `json:"seed"`
-	NextSeed int64               `json:"next_seed"`
+	ID   string              `json:"id"`
+	Req  CreateStreamRequest `json:"req"`
+	Seed int64               `json:"seed"`
+	// NextSeed is as in walSessionPut.
+	NextSeed int64 `json:"next_seed,omitempty"`
 }
 
 type walDelete struct {
@@ -134,41 +137,29 @@ type walEpoch struct {
 }
 
 // Snapshot payload: the whole core, JSON-encoded inside a wal snapshot
-// frame.
+// frame. Each entry is the put record that creates it (the same JSON keys
+// as its WAL record), plus the state it has reached since.
 type snapServer struct {
-	NextID   [4]uint64     `json:"next_id"`
-	NextSeed int64         `json:"next_seed"`
-	Policies []snapPolicy  `json:"policies,omitempty"`
-	Datasets []snapDataset `json:"datasets,omitempty"`
-	Sessions []snapSession `json:"sessions,omitempty"`
-	Streams  []snapStream  `json:"streams,omitempty"`
-}
-
-type snapPolicy struct {
-	ID     string     `json:"id"`
-	Domain []AttrSpec `json:"domain"`
-	Graph  GraphSpec  `json:"graph"`
+	NextID   [4]uint64      `json:"next_id"`
+	NextSeed int64          `json:"next_seed"`
+	Policies []walPolicyPut `json:"policies,omitempty"`
+	Datasets []snapDataset  `json:"datasets,omitempty"`
+	Sessions []snapSession  `json:"sessions,omitempty"`
+	Streams  []snapStream   `json:"streams,omitempty"`
 }
 
 type snapDataset struct {
-	ID     string                    `json:"id"`
-	Domain []AttrSpec                `json:"domain"`
-	Points []blowfish.Point          `json:"points"`
-	Table  blowfish.StreamTableState `json:"table"`
+	walDatasetPut
+	Table blowfish.StreamTableState `json:"table"`
 }
 
 type snapSession struct {
-	ID       string                `json:"id"`
-	PolicyID string                `json:"policy_id"`
-	Budget   float64               `json:"budget"`
-	Seed     int64                 `json:"seed"`
-	State    blowfish.SessionState `json:"state"`
+	walSessionPut
+	State blowfish.SessionState `json:"state"`
 }
 
 type snapStream struct {
-	ID      string                `json:"id"`
-	Req     CreateStreamRequest   `json:"req"`
-	Seed    int64                 `json:"seed"`
+	walStreamPut
 	State   blowfish.StreamState  `json:"state"`
 	Session blowfish.SessionState `json:"session"`
 }
@@ -395,20 +386,22 @@ func (c *Core) buildSnapshot() *snapServer {
 	sort.Slice(streams, func(i, j int) bool { return byID(streams[i].id, streams[j].id) < 0 })
 
 	for _, e := range policies {
-		snap.Policies = append(snap.Policies, snapPolicy{ID: e.id, Domain: e.attrs, Graph: e.graph})
+		snap.Policies = append(snap.Policies, walPolicyPut{ID: e.id, Domain: e.attrs, Graph: e.graph})
 	}
 	for _, e := range datasets {
 		pts, st := e.tbl.Snapshot()
-		snap.Datasets = append(snap.Datasets, snapDataset{ID: e.id, Domain: e.attrs, Points: pts, Table: st})
+		snap.Datasets = append(snap.Datasets, snapDataset{walDatasetPut: walDatasetPut{ID: e.id, Domain: e.attrs, Points: pts}, Table: st})
 	}
 	for _, e := range sessions {
 		e.relMu.Lock()
 		st := e.sess.ExportState()
 		e.relMu.Unlock()
 		snap.Sessions = append(snap.Sessions, snapSession{
-			ID: e.id, PolicyID: e.policyID,
-			Budget: e.sess.Accountant().Budget(),
-			Seed:   e.seed, State: st,
+			walSessionPut: walSessionPut{
+				ID: e.id, PolicyID: e.policyID,
+				Budget: e.sess.Accountant().Budget(), Seed: e.seed,
+			},
+			State: st,
 		})
 	}
 	for _, e := range streams {
@@ -418,8 +411,8 @@ func (c *Core) buildSnapshot() *snapServer {
 		// between closes, never mid-close.
 		stState := e.st.Snapshot(func() { sessState = e.sess.ExportState() })
 		snap.Streams = append(snap.Streams, snapStream{
-			ID: e.id, Req: e.req, Seed: e.seed,
-			State: stState, Session: sessState,
+			walStreamPut: walStreamPut{ID: e.id, Req: e.req, Seed: e.seed},
+			State:        stState, Session: sessState,
 		})
 	}
 	return snap

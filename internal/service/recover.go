@@ -91,64 +91,53 @@ func (c *Core) finishRecovery() {
 	}
 }
 
-// loadSnapshot rebuilds the registries from a checkpoint payload.
-//
-//lint:allow waljournal recovery populates the registries FROM durable state; journaling the rebuild would append a duplicate record for every row already in the snapshot
+// loadSnapshot rebuilds the registries from a checkpoint payload: each
+// entry is applied as its put record, then restored to the state it had
+// reached. The snapshot's own counters are stored last: they cover every
+// entry, whose put records carry no next_seed (it reads as 0, above the
+// counter of a shard whose seeds are negative).
 func (c *Core) loadSnapshot(payload []byte) error {
 	snap, err := decodeSnapshot(payload)
 	if err != nil {
 		return err
 	}
-	c.nextID = snap.NextID
-	c.nextSeed.Store(snap.NextSeed)
 	for _, p := range snap.Policies {
-		pe, err := buildPolicyEntry(p.Domain, p.Graph)
-		if err != nil {
-			return fmt.Errorf("policy %s: %w", p.ID, err)
+		if err := c.applyPolicyPut(p); err != nil {
+			return err
 		}
-		pe.id = p.ID
-		c.policies[pe.id] = pe
 	}
 	for _, d := range snap.Datasets {
-		de, err := c.buildDatasetEntry(d.Domain, d.Points)
+		de, err := c.applyDatasetPut(d.walDatasetPut)
 		if err != nil {
-			return fmt.Errorf("dataset %s: %w", d.ID, err)
+			return err
 		}
-		de.id = d.ID
 		if err := de.tbl.RestoreState(d.Table); err != nil {
 			return fmt.Errorf("dataset %s: %w", d.ID, err)
 		}
-		c.datasets[de.id] = de
 	}
 	for _, sn := range snap.Sessions {
-		pe, ok := c.policies[sn.PolicyID]
-		if !ok {
-			return fmt.Errorf("session %s references unknown policy %s", sn.ID, sn.PolicyID)
-		}
-		se, err := c.buildSessionEntry(pe, sn.Budget, sn.Seed)
+		se, err := c.applySessionPut(sn.walSessionPut)
 		if err != nil {
-			return fmt.Errorf("session %s: %w", sn.ID, err)
+			return err
 		}
-		se.id = sn.ID
 		if err := se.sess.RestoreState(sn.State); err != nil {
 			return fmt.Errorf("session %s: %w", sn.ID, err)
 		}
-		c.sessions[se.id] = se
 	}
 	for _, sn := range snap.Streams {
-		e, err := c.buildStreamEntryLocked(sn.Req, sn.Seed)
+		e, err := c.applyStreamPut(sn.walStreamPut)
 		if err != nil {
-			return fmt.Errorf("stream %s: %w", sn.ID, err)
+			return err
 		}
-		e.id = sn.ID
 		if err := e.st.RestoreState(sn.State); err != nil {
 			return fmt.Errorf("stream %s: %w", sn.ID, err)
 		}
 		if err := e.sess.RestoreState(sn.Session); err != nil {
 			return fmt.Errorf("stream %s: %w", sn.ID, err)
 		}
-		c.streams[e.id] = e
 	}
+	c.nextID = snap.NextID
+	c.nextSeed.Store(snap.NextSeed)
 	return nil
 }
 
@@ -156,8 +145,6 @@ func (c *Core) loadSnapshot(payload []byte) error {
 // cursor (id, sequence number, epoch or ordinal) compared against the
 // recovered state, so records the snapshot already reflects apply exactly
 // zero times.
-//
-//lint:allow waljournal replay applies records read FROM the journal; re-journaling them would double every record on each recovery
 func (c *Core) replayRecord(rec wal.Record) error {
 	wrap := func(err error) error {
 		if err != nil {
@@ -171,67 +158,28 @@ func (c *Core) replayRecord(rec wal.Record) error {
 		if err := decodeRecord(rec.Data, &r); err != nil {
 			return wrap(err)
 		}
-		bumpCounter(&c.nextID[0], r.ID)
-		if _, ok := c.policies[r.ID]; ok {
-			return nil // already in the snapshot
-		}
-		pe, err := buildPolicyEntry(r.Domain, r.Graph)
-		if err != nil {
-			return wrap(err)
-		}
-		pe.id = r.ID
-		c.policies[pe.id] = pe
+		return wrap(c.applyPolicyPut(r))
 	case recDatasetPut:
 		var r walDatasetPut
 		if err := decodeRecord(rec.Data, &r); err != nil {
 			return wrap(err)
 		}
-		bumpCounter(&c.nextID[1], r.ID)
-		if _, ok := c.datasets[r.ID]; ok {
-			return nil
-		}
-		de, err := c.buildDatasetEntry(r.Domain, r.Points)
-		if err != nil {
-			return wrap(err)
-		}
-		de.id = r.ID
-		c.datasets[de.id] = de
+		_, err := c.applyDatasetPut(r)
+		return wrap(err)
 	case recSessionPut:
 		var r walSessionPut
 		if err := decodeRecord(rec.Data, &r); err != nil {
 			return wrap(err)
 		}
-		bumpCounter(&c.nextID[2], r.ID)
-		c.raiseSeed(r.NextSeed)
-		if _, ok := c.sessions[r.ID]; ok {
-			return nil
-		}
-		pe, ok := c.policies[r.PolicyID]
-		if !ok {
-			return wrap(fmt.Errorf("session %s references unknown policy %s", r.ID, r.PolicyID))
-		}
-		se, err := c.buildSessionEntry(pe, r.Budget, r.Seed)
-		if err != nil {
-			return wrap(err)
-		}
-		se.id = r.ID
-		c.sessions[se.id] = se
+		_, err := c.applySessionPut(r)
+		return wrap(err)
 	case recStreamPut:
 		var r walStreamPut
 		if err := decodeRecord(rec.Data, &r); err != nil {
 			return wrap(err)
 		}
-		bumpCounter(&c.nextID[3], r.ID)
-		c.raiseSeed(r.NextSeed)
-		if _, ok := c.streams[r.ID]; ok {
-			return nil
-		}
-		e, err := c.buildStreamEntryLocked(r.Req, r.Seed)
-		if err != nil {
-			return wrap(err)
-		}
-		e.id = r.ID
-		c.streams[e.id] = e
+		_, err := c.applyStreamPut(r)
+		return wrap(err)
 	case recDelete:
 		var r walDelete
 		if err := decodeRecord(rec.Data, &r); err != nil {
@@ -265,6 +213,88 @@ func (c *Core) replayRecord(rec wal.Record) error {
 		return wrap(fmt.Errorf("unknown wal record kind %d", rec.Kind))
 	}
 	return nil
+}
+
+// The apply functions register one recovered resource from its put record,
+// for WAL replay and snapshot load alike. Each raises the namespace's id
+// counter (and the seed counter) past the record, and skips an id that is
+// already registered: a create journaled while a checkpoint serialized is
+// both in the snapshot and in the replayed tail. They return the entry
+// under the record's id, so the snapshot path can restore its state.
+
+// applyPolicyPut registers a recovered policy.
+//
+//lint:allow waljournal recovery registers resources read FROM durable state (WAL replay and snapshot load); journaling them again would double every record on each recovery
+func (c *Core) applyPolicyPut(r walPolicyPut) error {
+	bumpCounter(&c.nextID[0], r.ID)
+	if _, ok := c.policies[r.ID]; ok {
+		return nil
+	}
+	pe, err := buildPolicyEntry(r.Domain, r.Graph)
+	if err != nil {
+		return fmt.Errorf("policy %s: %w", r.ID, err)
+	}
+	pe.id = r.ID
+	c.policies[pe.id] = pe
+	return nil
+}
+
+// applyDatasetPut registers a recovered dataset.
+//
+//lint:allow waljournal recovery registers resources read FROM durable state (WAL replay and snapshot load); journaling them again would double every record on each recovery
+func (c *Core) applyDatasetPut(r walDatasetPut) (*datasetEntry, error) {
+	bumpCounter(&c.nextID[1], r.ID)
+	if e, ok := c.datasets[r.ID]; ok {
+		return e, nil
+	}
+	de, err := c.buildDatasetEntry(r.Domain, r.Points)
+	if err != nil {
+		return nil, fmt.Errorf("dataset %s: %w", r.ID, err)
+	}
+	de.id = r.ID
+	c.datasets[de.id] = de
+	return de, nil
+}
+
+// applySessionPut registers a recovered session.
+//
+//lint:allow waljournal recovery registers resources read FROM durable state (WAL replay and snapshot load); journaling them again would double every record on each recovery
+func (c *Core) applySessionPut(r walSessionPut) (*sessionEntry, error) {
+	bumpCounter(&c.nextID[2], r.ID)
+	c.raiseSeed(r.NextSeed)
+	if e, ok := c.sessions[r.ID]; ok {
+		return e, nil
+	}
+	pe, ok := c.policies[r.PolicyID]
+	if !ok {
+		return nil, fmt.Errorf("session %s references unknown policy %s", r.ID, r.PolicyID)
+	}
+	se, err := c.buildSessionEntry(pe, r.Budget, r.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("session %s: %w", r.ID, err)
+	}
+	se.id = r.ID
+	c.sessions[se.id] = se
+	return se, nil
+}
+
+// applyStreamPut registers a recovered stream; it is not started until
+// the whole recovery has run (finishRecovery).
+//
+//lint:allow waljournal recovery registers resources read FROM durable state (WAL replay and snapshot load); journaling them again would double every record on each recovery
+func (c *Core) applyStreamPut(r walStreamPut) (*streamEntry, error) {
+	bumpCounter(&c.nextID[3], r.ID)
+	c.raiseSeed(r.NextSeed)
+	if e, ok := c.streams[r.ID]; ok {
+		return e, nil
+	}
+	e, err := c.buildStreamEntryLocked(r.Req, r.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("stream %s: %w", r.ID, err)
+	}
+	e.id = r.ID
+	c.streams[e.id] = e
+	return e, nil
 }
 
 // replayDelete applies a WAL delete record to the matching registry.

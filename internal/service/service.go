@@ -46,10 +46,6 @@ type Config struct {
 	// SessionTTL expires sessions idle for longer than this; zero means
 	// sessions never expire.
 	SessionTTL time.Duration
-	// MaxBodyBytes caps request bodies; defaults to 32 MiB. The core never
-	// reads request bodies itself — the limit is carried here so fronts
-	// built over the core inherit one consistent default.
-	MaxBodyBytes int64
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
 	// Ingest tunes the per-dataset event ingestors (batch size, flush
@@ -84,8 +80,6 @@ const (
 	defaultMaxLongPollWait   = 30 * time.Second
 	defaultCloseDrainTimeout = 10 * time.Second
 )
-
-const defaultMaxBodyBytes = 32 << 20
 
 // Core is the in-memory policy-release service. Create with Open, which
 // recovers a durable core from disk when a data directory is configured.
@@ -237,9 +231,6 @@ type sessionEntry struct {
 
 // newCore creates an in-memory Core; Open recovers durable state into it.
 func newCore(cfg Config) *Core {
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBodyBytes
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -272,7 +263,7 @@ func newCore(cfg Config) *Core {
 }
 
 // Config returns the core's configuration with defaults applied, so
-// fronts can inherit the effective limits (body caps, long-poll caps)
+// fronts can inherit the effective limits (ingest and long-poll caps)
 // without duplicating the defaulting rules.
 func (c *Core) Config() Config { return c.cfg }
 

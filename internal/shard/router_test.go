@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -512,6 +513,128 @@ func TestRouterRefusedCreateUsesNoID(t *testing.T) {
 				t.Fatalf("ids after one refused create of each kind = %v, want %v", got, want)
 			}
 		})
+	}
+}
+
+// TestRouterInUseRefusalsDeterministic: a refused delete names no
+// referent, so its error is the same bytes on every attempt and at every
+// shard count, however the policy's sessions and streams spread over the
+// shards. Two datasets on different shards (at 4) each carry two sessions
+// and two streams.
+func TestRouterInUseRefusalsDeterministic(t *testing.T) {
+	var dsIDs []string
+	for i := 1; len(dsIDs) < 2; i++ {
+		id := fmt.Sprintf("ds-%d", i)
+		if len(dsIDs) == 0 || ShardFor(id, 4) != ShardFor(dsIDs[0], 4) {
+			dsIDs = append(dsIDs, id)
+		}
+	}
+	last := dsIDs[1]
+	var want []string
+	for _, n := range []int{1, 4} {
+		r := newTestRouter(t, n, "")
+		pol, err := r.CreatePolicy(testPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ds := ""; ds != last; {
+			resp, err := r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds = resp.ID
+		}
+		for _, ds := range dsIDs {
+			for j := 0; j < 2; j++ {
+				if _, err := r.CreateSession(service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1, DatasetID: ds}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.CreateStream(service.CreateStreamRequest{
+					PolicyID: pol.ID, DatasetID: ds, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.5},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n == 4 && r.ShardOf("sess-1") == r.ShardOf("sess-3") {
+			t.Fatalf("sessions of %v share shard %d; the test needs two shards", dsIDs, r.ShardOf("sess-1"))
+		}
+		var got []string
+		for i := 0; i < 20; i++ {
+			err := r.DeletePolicy(pol.ID)
+			wantCode(t, err, service.CodePolicyInUse)
+			got = append(got, err.Error())
+			err = r.DeleteDataset(dsIDs[0])
+			wantCode(t, err, service.CodeDatasetInUse)
+			got = append(got, err.Error())
+		}
+		r.Close()
+		if want == nil {
+			want = got[:2]
+		}
+		for i, msg := range got {
+			if msg != want[i%2] {
+				t.Fatalf("shards=%d refusal %d = %q, want %q", n, i/2, msg, want[i%2])
+			}
+		}
+	}
+}
+
+// TestRouterSeedsContinueAfterRestart: a restart from snapshots resumes
+// every shard's seed counter where it stopped, so an unseeded session
+// created afterwards draws the noise it would have drawn without the
+// restart. The shards' base seeds lie a negative stride apart, so some
+// shards count in negative numbers.
+func TestRouterSeedsContinueAfterRestart(t *testing.T) {
+	const n = 4
+	populate := func(r *Router) []string {
+		t.Helper()
+		pol, err := r.CreatePolicy(testPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dsIDs []string
+		for i := 0; i < 8; i++ {
+			ds, err := r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{i}, {i + 1}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.CreateSession(service.CreateSessionRequest{PolicyID: pol.ID, Budget: 1, DatasetID: ds.ID}); err != nil {
+				t.Fatal(err)
+			}
+			dsIDs = append(dsIDs, ds.ID)
+		}
+		return dsIDs
+	}
+	draw := func(r *Router, dsIDs []string) [][]float64 {
+		t.Helper()
+		var out [][]float64
+		for _, ds := range dsIDs {
+			sess, err := r.CreateSession(service.CreateSessionRequest{PolicyID: "pol-1", Budget: 1, DatasetID: ds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := r.Histogram(sess.ID, service.HistogramRequest{DatasetID: ds, Epsilon: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rel.Counts)
+		}
+		return out
+	}
+
+	live := newTestRouter(t, n, "")
+	defer live.Close()
+	want := draw(live, populate(live))
+
+	dir := t.TempDir()
+	r := newTestRouter(t, n, dir)
+	dsIDs := populate(r)
+	r.Close()
+	rec := newTestRouter(t, n, dir)
+	defer rec.Close()
+	if got := draw(rec, dsIDs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("releases of sessions created after a restart diverge from a router that never restarted:\ngot  %v\nwant %v", got, want)
 	}
 }
 
