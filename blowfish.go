@@ -130,11 +130,6 @@ func DistanceThreshold(d *Domain, theta float64) (SecretGraph, error) {
 // one-dimensional ordered domain (the ordered mechanism's policy).
 func LineGraph(d *Domain) (SecretGraph, error) { return secgraph.NewLine(d) }
 
-// ExplicitGraph is an arbitrary secret graph given by adjacency lists —
-// the fully custom end of the policy spectrum. Build one edge by edge with
-// NewExplicitGraph, or declaratively through a GraphSpec.
-type ExplicitGraph = secgraph.Explicit
-
 // GraphSpec is a serializable secret-graph specification: the paper's
 // standard kinds by name, arbitrary edge lists (kind "explicit"), and
 // composition operators (kind "compose" with op "union", "intersect" or
@@ -147,35 +142,6 @@ type GraphSpec = secgraph.Spec
 // otherwise).
 func BuildGraph(d *Domain, spec GraphSpec) (SecretGraph, Partition, error) {
 	return spec.Build(d)
-}
-
-// NewExplicitGraph creates an empty explicit secret graph over d; add
-// secret pairs with AddEdge. It fails for domains too large to hold
-// per-vertex state.
-func NewExplicitGraph(d *Domain, name string) (*ExplicitGraph, error) {
-	return secgraph.NewExplicit(d, name)
-}
-
-// UnionGraphs materializes the edge union of the operand graphs into an
-// explicit graph over d: a pair is a secret when any operand declares it.
-func UnionGraphs(d *Domain, name string, ops ...SecretGraph) (*ExplicitGraph, error) {
-	return secgraph.Union(d, name, ops...)
-}
-
-// IntersectGraphs materializes the edge intersection of the operand graphs
-// into an explicit graph over d: a pair is a secret only when every operand
-// declares it.
-func IntersectGraphs(d *Domain, name string, ops ...SecretGraph) (*ExplicitGraph, error) {
-	return secgraph.Intersect(d, name, ops...)
-}
-
-// ProductGraph composes one 1-D secret graph per attribute of d into the
-// implicit Cartesian-product graph: values are adjacent when exactly one
-// attribute differs and that attribute's factor declares the projected pair
-// a secret. It generalizes AttributeSecrets (the product of complete
-// factors) and scales to domains far too large to materialize.
-func ProductGraph(d *Domain, name string, factors []SecretGraph) (SecretGraph, error) {
-	return secgraph.NewProduct(d, name, factors)
 }
 
 // GraphStats reports the edge and connected-component counts of an
@@ -385,9 +351,6 @@ func Compile(pol *Policy) (*CompiledPolicy, error) {
 	return &CompiledPolicy{pol: pol, plan: plan}, nil
 }
 
-// Policy returns the compiled policy.
-func (cp *CompiledPolicy) Policy() *Policy { return cp.pol }
-
 // HistogramSensitivity returns S(h, P) from the compiled plan's cache, so
 // callers that need the value at registration time do not pay the graph
 // scan twice.
@@ -400,13 +363,6 @@ func (cp *CompiledPolicy) HistogramSensitivity() (float64, error) {
 // kinds.
 func (cp *CompiledPolicy) ExplicitStats() (edges, components int, ok bool) {
 	return cp.plan.ExplicitStats()
-}
-
-// HopDistance returns d_G(x, y) for the compiled policy's graph. Explicit
-// graphs answer from the plan's precomputed all-pairs table (no BFS);
-// implicit kinds use their analytic formulas.
-func (cp *CompiledPolicy) HopDistance(x, y Point) float64 {
-	return cp.plan.HopDistance(x, y)
 }
 
 // NewSession creates a session over the compiled plan with a total ε budget

@@ -37,11 +37,12 @@
 // slog threshold (debug logs every request and epoch close).
 //
 // On SIGINT/SIGTERM the server shuts down in order: stop accepting
-// connections and drain in-flight requests (http.Server.Shutdown with a
-// deadline), stop the session-TTL reaper, then stop every stream epoch
-// scheduler and per-dataset ingest writer (flushing queued events) and —
-// when durable — take the final checkpoint, so no goroutine outlives main
-// and no acknowledged event is lost.
+// connections, close the ones that never sent a request, and drain
+// in-flight requests (http.Server.Shutdown with a deadline), stop the
+// session-TTL reaper, then stop every stream epoch scheduler and
+// per-dataset ingest writer (flushing queued events) and — when durable —
+// take the final checkpoint, so no goroutine outlives main and no
+// acknowledged event is lost.
 package main
 
 import (
@@ -50,10 +51,12 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -112,10 +115,12 @@ func main() {
 			"snapshot_every", *snapEvery, "shards", *shards, "elapsed", time.Since(openStart))
 	}
 
+	var fresh, adminFresh newConns
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           logRequests(logger, srv),
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState:         fresh.track,
 	}
 
 	// The admin mux carries the scrape target (and optionally pprof) on its
@@ -131,12 +136,13 @@ func main() {
 			admin.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 			admin.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		}
-		adminSrv = &http.Server{Addr: *metricsAddr, Handler: admin, ReadHeaderTimeout: 10 * time.Second}
+		adminSrv = &http.Server{Addr: *metricsAddr, Handler: admin, ReadHeaderTimeout: 10 * time.Second, ConnState: adminFresh.track}
 		go func() {
 			logger.Info("admin listening", "addr", *metricsAddr, "pprof", *pprofOn)
 			if err := adminSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("admin listener failed", "err", err)
 			}
+			adminFresh.closeAll() // as for the API listener below
 		}()
 	}
 
@@ -175,7 +181,9 @@ func main() {
 			logger.Warn("http drain incomplete", "err", err)
 		}
 		if adminSrv != nil {
-			_ = adminSrv.Shutdown(shutdownCtx)
+			if err := adminSrv.Shutdown(shutdownCtx); err != nil {
+				logger.Warn("admin drain incomplete", "err", err)
+			}
 		}
 	}()
 
@@ -184,6 +192,10 @@ func main() {
 		logger.Error("listen failed", "err", err)
 		os.Exit(1)
 	}
+	// The listener is closed, so no connection can be accepted any more.
+	// Shutdown counts one that has not sent a request as busy for up to
+	// five seconds; close those now, so the drain waits only on requests.
+	fresh.closeAll()
 	// Order matters: drain HTTP first (no new work can arrive), then the
 	// reaper, then the streaming goroutines — srv.Close stops every stream
 	// epoch ticker and flushes every dataset's event queue.
@@ -211,6 +223,37 @@ func parseLevel(s string) (slog.Level, error) {
 		return slog.LevelError, nil
 	}
 	return 0, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", s)
+}
+
+// newConns tracks the server's connections in http.StateNew: accepted,
+// with no request read from them yet.
+type newConns struct {
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+}
+
+// track is the server's ConnState hook.
+func (n *newConns) track(c net.Conn, state http.ConnState) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if state != http.StateNew {
+		delete(n.conns, c)
+		return
+	}
+	if n.conns == nil {
+		n.conns = make(map[net.Conn]struct{})
+	}
+	n.conns[c] = struct{}{}
+}
+
+// closeAll closes every connection still in http.StateNew.
+func (n *newConns) closeAll() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for c := range n.conns {
+		_ = c.Close()
+	}
+	clear(n.conns)
 }
 
 // logRequests is the access log: one debug record per request. The

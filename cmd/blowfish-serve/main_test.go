@@ -79,9 +79,11 @@ func TestLogRequestsDebugRecord(t *testing.T) {
 // TestServeShardedGracefulShutdown runs main as a durable 4-shard server
 // with -fsync interval, sends it about a second of mixed traffic from 64
 // concurrent loopback clients over sessions, datasets and streams on
-// every shard, and stops it with SIGINT. The server must exit 0 without
-// abandoning a goroutine, and each shard's final snapshot must cover its
-// whole WAL. Reopening the directory must show every acknowledged
+// every shard, and stops it with SIGINT while one more client holds a
+// connection that never sends a request to the API listener and another to
+// the admin listener. The server must exit 0 without waiting out its drain
+// deadline or abandoning a goroutine, and each shard's final snapshot must
+// cover its whole WAL. Reopening the directory must show every acknowledged
 // release, appended row and epoch close, and nothing more.
 func TestServeShardedGracefulShutdown(t *testing.T) {
 	const (
@@ -94,15 +96,22 @@ func TestServeShardedGracefulShutdown(t *testing.T) {
 		eps = 1.0 / 64
 	)
 	dir := filepath.Join(t.TempDir(), "data")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	freeAddr := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	addr, adminAddr := freeAddr(), freeAddr()
 
 	var stderr bytes.Buffer
-	cmd := exec.Command(os.Args[0], "-addr", addr, "-shards", strconv.Itoa(shards), "-data-dir", dir, "-fsync", "interval")
+	// The 2 s drain deadline is shorter than the five seconds after which
+	// http.Server.Shutdown itself gives up on a connection that never sent
+	// a request, so a silent connection left open fails the log check below.
+	cmd := exec.Command(os.Args[0], "-addr", addr, "-metrics-addr", adminAddr, "-drain", "2s",
+		"-shards", strconv.Itoa(shards), "-data-dir", dir, "-fsync", "interval")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
@@ -261,6 +270,17 @@ func TestServeShardedGracefulShutdown(t *testing.T) {
 		}
 		return err
 	}
+	// The silent clients connect before the traffic, so the server has
+	// accepted their connections well before SIGINT, and hold them open
+	// across the shutdown.
+	for _, a := range []string{addr, adminAddr} {
+		silent, err := net.Dial("tcp", a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer silent.Close()
+	}
+
 	deadline := time.Now().Add(window)
 	var wg sync.WaitGroup
 	var sent atomic.Int64
@@ -285,10 +305,6 @@ func TestServeShardedGracefulShutdown(t *testing.T) {
 	}
 	t.Logf("%d requests from %d clients in %v", sent.Load(), clients, window)
 
-	// Close the clients' idle connections first: the server counts a
-	// connection that never carried a request as busy, and its drain would
-	// wait the whole -drain deadline for it.
-	tr.CloseIdleConnections()
 	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func (c *Config) fill() {
 		c.SamplerType = "Source"
 	}
 	if len(c.SamplerMethods) == 0 {
-		c.SamplerMethods = []string{"Laplace", "LaplaceVec", "TwoSidedGeometric", "Gaussian"}
+		c.SamplerMethods = []string{"Laplace", "TwoSidedGeometric", "Gaussian"}
 	}
 	if c.AccountantType == "" {
 		c.AccountantType = "Accountant"

@@ -59,7 +59,7 @@ func (c *Config) fill() {
 		c.SinkMethods = []string{
 			"Append",                           // wal.Log.Append: payload bytes become the replay script
 			"Spend", "SpendParallel", "Charge", // ledger order is part of exported state
-			"Laplace", "LaplaceVec", "TwoSidedGeometric", "Gaussian", // stream position
+			"Laplace", "TwoSidedGeometric", "Gaussian", // stream position
 			"Encode", "Write", // serialization inside the loop fixes iteration order into bytes
 		}
 	}

@@ -73,7 +73,7 @@ func (c *Config) fill() {
 			"Histogram", "Cumulative", "Range",
 			// streams
 			"ApplyStream", "GetStream", "ListStreams", "DeleteStream",
-			"StreamIDs", "HasStream",
+			"StreamIDs",
 			"CloseEpoch", "StreamReleases",
 			// lifecycle / aggregates
 			"Checkpoint", "ExpireSessions", "SessionCount", "StreamCount",

@@ -135,8 +135,6 @@ func (c *Config) fill() {
 		c.Sources = []FuncRef{
 			{Pkg: "internal/engine", Recv: "DatasetIndex", Name: "Histogram"},
 			{Pkg: "internal/engine", Recv: "DatasetIndex", Name: "HistogramAppend", Args: []int{0}},
-			{Pkg: "internal/engine", Recv: "DatasetIndex", Name: "CumulativeHistogram"},
-			{Pkg: "internal/engine", Recv: "DatasetIndex", Name: "CumulativeSnapshot", Results: []int{0}},
 			{Pkg: "internal/engine", Recv: "DatasetIndex", Name: "CumulativeAppend", Results: []int{0}, Args: []int{0}},
 			{Pkg: "internal/engine", Recv: "DatasetIndex", Name: "BlockCounts"},
 			{Pkg: "internal/engine", Recv: "DatasetIndex", Name: "PartitionHistogram"},
@@ -181,7 +179,7 @@ func (c *Config) fill() {
 		c.SamplerType = "Source"
 	}
 	if len(c.SamplerMethods) == 0 {
-		c.SamplerMethods = []string{"Laplace", "LaplaceVec", "TwoSidedGeometric", "Gaussian"}
+		c.SamplerMethods = []string{"Laplace", "TwoSidedGeometric", "Gaussian"}
 	}
 }
 

@@ -154,11 +154,6 @@ func AppendFrame(dst []byte, events []Event, numAttrs int) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeFrame is AppendFrame into a fresh buffer.
-func EncodeFrame(events []Event, numAttrs int) ([]byte, error) {
-	return AppendFrame(nil, events, numAttrs)
-}
-
 // Decoder decodes batch frames, reusing its scratch buffers — the frame
 // buffer, the event slice, and the flat backing array every decoded Row is
 // carved from — across calls, so a pooled Decoder's steady-state decode

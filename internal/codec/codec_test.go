@@ -20,9 +20,9 @@ func sampleEvents() []Event {
 
 func mustFrame(t *testing.T, events []Event, numAttrs int) []byte {
 	t.Helper()
-	b, err := EncodeFrame(events, numAttrs)
+	b, err := AppendFrame(nil, events, numAttrs)
 	if err != nil {
-		t.Fatalf("EncodeFrame: %v", err)
+		t.Fatalf("AppendFrame: %v", err)
 	}
 	return b
 }
@@ -132,7 +132,7 @@ func TestEncodeRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := EncodeFrame(tc.events, tc.attrs)
+			_, err := AppendFrame(nil, tc.events, tc.attrs)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
@@ -279,7 +279,7 @@ func BenchmarkBatchDecode(b *testing.B) {
 	for i := range events {
 		events[i] = Event{Op: "append", Row: []int{i % 100, i % 7}}
 	}
-	frame, err := EncodeFrame(events, 2)
+	frame, err := AppendFrame(nil, events, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // closure). Seed corpus lives in testdata/fuzz/FuzzBatchDecode, mirroring
 // the WAL decoder's corpus layout.
 func FuzzBatchDecode(f *testing.F) {
-	valid, err := EncodeFrame(sampleFuzzEvents(), 2)
+	valid, err := AppendFrame(nil, sampleFuzzEvents(), 2)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func FuzzBatchDecode(f *testing.F) {
 				if len(events) > sh.maxEvents {
 					t.Fatalf("decoded %d events past the %d cap", len(events), sh.maxEvents)
 				}
-				reenc, err := EncodeFrame(events, sh.numAttrs)
+				reenc, err := AppendFrame(nil, events, sh.numAttrs)
 				if err != nil {
 					t.Fatalf("accepted events fail to re-encode: %v", err)
 				}

@@ -387,9 +387,6 @@ func TestSetAccessorsAndCriticalPairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMarginal: %v", err)
 	}
-	if attrs := m.Attrs(); len(attrs) != 1 || attrs[0] != 1 {
-		t.Fatalf("Attrs = %v", attrs)
-	}
 	// Marginal.Set rejects foreign datasets.
 	foreign := domain.NewDataset(d)
 	foreign.MustAdd(0)

@@ -38,9 +38,6 @@ func NewMarginal(d *domain.Domain, attrs []int) (*Marginal, error) {
 	return &Marginal{dom: d, attrs: append([]int(nil), attrs...)}, nil
 }
 
-// Attrs returns the attribute indexes [C].
-func (m *Marginal) Attrs() []int { return append([]int(nil), m.attrs...) }
-
 // Size returns size(C) = Π |Ai| over the marginal's attributes: the number
 // of cells (count queries) in the marginal.
 func (m *Marginal) Size() int {

@@ -7,35 +7,6 @@ import (
 	"strconv"
 )
 
-// WriteCSV serializes the dataset: a header row of attribute names followed
-// by one row of attribute values per tuple, in id order. The format round
-// trips through ReadCSV and is the interchange path for loading real data
-// into the library.
-func (ds *Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	d := ds.dom
-	header := make([]string, d.NumAttrs())
-	for i := range header {
-		header[i] = d.Attr(i).Name
-	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("domain: writing CSV header: %w", err)
-	}
-	row := make([]string, d.NumAttrs())
-	buf := make([]int, d.NumAttrs())
-	for _, p := range ds.pts {
-		buf = d.Decode(p, buf)
-		for i, v := range buf {
-			row[i] = strconv.Itoa(v)
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("domain: writing CSV row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // ReadCSV parses a dataset over d from CSV: a header row whose column names
 // must match d's attribute names in order, then one integer row per tuple.
 // Values are validated against the attribute ranges.

@@ -142,9 +142,6 @@ func (d *Domain) NumAttrs() int { return len(d.attrs) }
 // Attr returns the i-th attribute.
 func (d *Domain) Attr(i int) Attribute { return d.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (d *Domain) Attrs() []Attribute { return append([]Attribute(nil), d.attrs...) }
-
 // AttrIndex returns the index of the attribute with the given name, or -1.
 func (d *Domain) AttrIndex(name string) int {
 	for i, a := range d.attrs {
@@ -283,18 +280,6 @@ func (d *Domain) Diameter() float64 {
 		sum += int64(a.Size - 1)
 	}
 	return float64(sum)
-}
-
-// MaxAttrRange returns max_i (|Ai| - 1), the largest single-attribute
-// distance; the qsum sensitivity under G^attr is 2*MaxAttrRange (Lemma 6.1).
-func (d *Domain) MaxAttrRange() float64 {
-	best := 0
-	for _, a := range d.attrs {
-		if a.Size-1 > best {
-			best = a.Size - 1
-		}
-	}
-	return float64(best)
 }
 
 // Points iterates all domain values in index order, calling fn for each.

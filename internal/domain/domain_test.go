@@ -156,9 +156,6 @@ func TestDiameter(t *testing.T) {
 	if got, want := d.Diameter(), 9.0; got != want {
 		t.Fatalf("Diameter = %v, want %v", got, want)
 	}
-	if got, want := d.MaxAttrRange(), 4.0; got != want {
-		t.Fatalf("MaxAttrRange = %v, want %v", got, want)
-	}
 }
 
 func TestPointsIteration(t *testing.T) {

@@ -109,12 +109,6 @@ func (g *UniformGrid) Domain() *Domain { return g.dom }
 // NumBlocks implements Partition.
 func (g *UniformGrid) NumBlocks() int { return g.total }
 
-// Cells returns the number of cells along attribute i.
-func (g *UniformGrid) Cells(i int) int { return g.cells[i] }
-
-// Width returns the cell width along attribute i.
-func (g *UniformGrid) Width(i int) int { return g.width[i] }
-
 // Block implements Partition.
 func (g *UniformGrid) Block(p Point) int {
 	block := 0

@@ -159,9 +159,6 @@ func TestCompileConstrainedPolicy(t *testing.T) {
 	if _, err := linePlan.OHFor(4); err == nil || err.Error() != "blowfish: range release supports unconstrained policies only" {
 		t.Errorf("constrained range layout = %v", err)
 	}
-	if _, err := linePlan.LinearSensitivity([]float64{1}); !errors.Is(err, policy.ErrConstrained) {
-		t.Errorf("constrained linear sensitivity = %v, want policy.ErrConstrained", err)
-	}
 
 	// A constraint set the engine cannot analyse is refused, never ignored.
 	type opaque struct{ policy.ConstraintSet }

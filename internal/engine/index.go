@@ -16,10 +16,10 @@ import (
 // O(n) rescan of the tuples. Cumulative counts are summed from the
 // histogram when read, in the same O(|T|) pass as the copy.
 //
-// Mutations must go through the index (Add, Set, Remove) to stay
-// incremental; direct mutations of the underlying Dataset are detected via
-// its generation counter and trigger a full O(n) rebuild on the next read,
-// so results are never stale either way. A DatasetIndex is safe for
+// Mutations must go through the index (ApplyBatch) to stay incremental;
+// direct mutations of the underlying Dataset are detected via its
+// generation counter and trigger a full O(n) rebuild on the next read, so
+// results are never stale either way. A DatasetIndex is safe for
 // concurrent use, but the index's lock only covers its own caches — the
 // Dataset underneath is unsynchronized. While any operation is in flight,
 // the Dataset must not be mutated through any other path: not directly,
@@ -43,16 +43,6 @@ type DatasetIndex struct {
 
 func newDatasetIndex(p *Plan, ds *domain.Dataset) *DatasetIndex {
 	return &DatasetIndex{plan: p, ds: ds}
-}
-
-// Dataset returns the indexed dataset.
-func (x *DatasetIndex) Dataset() *domain.Dataset { return x.ds }
-
-// Len returns the number of tuples n.
-func (x *DatasetIndex) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.ds.Len()
 }
 
 // materializable reports whether per-value vectors exist for the domain.
@@ -100,57 +90,6 @@ func (x *DatasetIndex) ensureLocked() {
 	if !x.fresh() {
 		x.rebuildLocked()
 	}
-}
-
-// Add appends a tuple and maintains every count vector in O(1).
-func (x *DatasetIndex) Add(p domain.Point) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.ensureLocked()
-	if err := x.ds.Add(p); err != nil {
-		return err
-	}
-	x.applyInsertLocked(p)
-	x.gen = x.ds.Generation()
-	return nil
-}
-
-// Set replaces the value of tuple i, maintaining the counts incrementally.
-func (x *DatasetIndex) Set(i int, p domain.Point) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.ensureLocked()
-	if i < 0 || i >= x.ds.Len() {
-		// Delegate for the canonical error text.
-		return x.ds.Set(i, p)
-	}
-	old := x.ds.At(i)
-	if err := x.ds.Set(i, p); err != nil {
-		return err
-	}
-	x.applyRemoveLocked(old)
-	x.applyInsertLocked(p)
-	x.gen = x.ds.Generation()
-	return nil
-}
-
-// Remove deletes tuple i (Dataset.Remove swap semantics), maintaining the
-// counts incrementally.
-func (x *DatasetIndex) Remove(i int) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.ensureLocked()
-	if i < 0 || i >= x.ds.Len() {
-		// Delegate for the canonical error text.
-		return x.ds.Remove(i)
-	}
-	old := x.ds.At(i)
-	if err := x.ds.Remove(i); err != nil {
-		return err
-	}
-	x.applyRemoveLocked(old)
-	x.gen = x.ds.Generation()
-	return nil
 }
 
 // MutOp selects the kind of a batched Mutation.
@@ -268,27 +207,14 @@ func (x *DatasetIndex) HistogramAppend(dst []float64) ([]float64, error) {
 	return append(dst, x.hist...), nil
 }
 
-// CumulativeHistogram returns the cumulative counts S_T(D) over a
-// one-dimensional ordered domain, summed from the maintained histogram as
-// they are read. The vector is the caller's.
-func (x *DatasetIndex) CumulativeHistogram() ([]float64, error) {
-	cum, _, err := x.CumulativeSnapshot()
-	return cum, err
-}
-
-// CumulativeSnapshot returns the cumulative counts together with the
+// CumulativeAppend appends the cumulative counts S_T(D) over a
+// one-dimensional ordered domain to dst and returns them together with the
 // cardinality n they sum to, taken under a single lock acquisition so a
 // concurrent mutation can never make the pair inconsistent (the Ordered
-// Mechanism clamps its inference into [0, n]).
-func (x *DatasetIndex) CumulativeSnapshot() ([]float64, int, error) {
-	return x.CumulativeAppend(nil)
-}
-
-// CumulativeAppend is CumulativeSnapshot appending into dst — the recycling
-// variant for callers feeding a release from a pooled scratch vector (pass
-// dst[:0] to reuse its capacity). The prefix sums are formed from the
-// histogram as they are appended; counts are integers below 2^53, so the
-// float64 sums are exact.
+// Mechanism clamps its inference into [0, n]). Callers feeding a release
+// from a pooled scratch vector pass dst[:0] to reuse its capacity. The
+// prefix sums are formed from the histogram as they are appended; counts
+// are integers below 2^53, so the float64 sums are exact.
 func (x *DatasetIndex) CumulativeAppend(dst []float64) ([]float64, int, error) {
 	if x.ds.Domain().NumAttrs() != 1 {
 		return nil, 0, errors.New("domain: cumulative histogram requires a one-dimensional ordered domain")

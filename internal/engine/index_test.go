@@ -48,11 +48,18 @@ func linePlan(t *testing.T, size int) (*Plan, *domain.Domain) {
 	return plan, d
 }
 
+// apply makes one mutation through ApplyBatch, the index's only mutation
+// path.
+func apply(idx *DatasetIndex, op MutOp, i int, p domain.Point) error {
+	_, err := idx.ApplyBatch([]Mutation{{Op: op, Index: i, P: p}})
+	return err
+}
+
 // checkAgainstRebuild compares every maintained vector of idx with a
 // from-scratch recomputation on the underlying dataset.
 func checkAgainstRebuild(t *testing.T, idx *DatasetIndex, part domain.Partition, step int) {
 	t.Helper()
-	ds := idx.Dataset()
+	ds := idx.ds
 	wantHist, err := ds.Histogram()
 	if err != nil {
 		t.Fatalf("step %d: Histogram rebuild: %v", step, err)
@@ -65,9 +72,6 @@ func checkAgainstRebuild(t *testing.T, idx *DatasetIndex, part domain.Partition,
 		if gotHist[i] != wantHist[i] {
 			t.Fatalf("step %d: hist[%d] = %v, want %v", step, i, gotHist[i], wantHist[i])
 		}
-	}
-	if idx.Len() != ds.Len() {
-		t.Fatalf("step %d: Len = %d, want %d", step, idx.Len(), ds.Len())
 	}
 	if part != nil {
 		wantBlocks, err := ds.PartitionHistogram(part)
@@ -89,9 +93,12 @@ func checkAgainstRebuild(t *testing.T, idx *DatasetIndex, part domain.Partition,
 		if err != nil {
 			t.Fatalf("step %d: CumulativeHistogram rebuild: %v", step, err)
 		}
-		gotCum, err := idx.CumulativeHistogram()
+		gotCum, n, err := idx.CumulativeAppend(nil)
 		if err != nil {
-			t.Fatalf("step %d: idx.CumulativeHistogram: %v", step, err)
+			t.Fatalf("step %d: idx.CumulativeAppend: %v", step, err)
+		}
+		if n != ds.Len() {
+			t.Fatalf("step %d: snapshot n = %d, want %d", step, n, ds.Len())
 		}
 		for i := range wantCum {
 			if gotCum[i] != wantCum[i] {
@@ -117,9 +124,9 @@ var indexCases = []struct {
 }
 
 // TestDatasetIndexInterleavedOps drives a seeded random interleaving of
-// Add/Set/Remove through the index and cross-checks every maintained vector
-// against a from-scratch rebuild — the property the incremental updates
-// must preserve.
+// single add, set and remove mutations through the index and cross-checks
+// every maintained vector against a from-scratch rebuild — the property the
+// incremental updates must preserve.
 func TestDatasetIndexInterleavedOps(t *testing.T) {
 	for _, tc := range indexCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,15 +141,15 @@ func TestDatasetIndexInterleavedOps(t *testing.T) {
 			for step := 0; step < 600; step++ {
 				switch op := rng.Intn(4); {
 				case op == 0 && ds.Len() > 0: // Set
-					if err := idx.Set(rng.Intn(ds.Len()), randPoint()); err != nil {
+					if err := apply(idx, MutSet, rng.Intn(ds.Len()), randPoint()); err != nil {
 						t.Fatalf("step %d: Set: %v", step, err)
 					}
 				case op == 1 && ds.Len() > 0: // Remove (swap semantics)
-					if err := idx.Remove(rng.Intn(ds.Len())); err != nil {
+					if err := apply(idx, MutRemove, rng.Intn(ds.Len()), 0); err != nil {
 						t.Fatalf("step %d: Remove: %v", step, err)
 					}
 				default: // Add
-					if err := idx.Add(randPoint()); err != nil {
+					if err := apply(idx, MutAdd, 0, randPoint()); err != nil {
 						t.Fatalf("step %d: Add: %v", step, err)
 					}
 				}
@@ -265,16 +272,16 @@ func TestDatasetIndexInvalidOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Add(domain.Point(99)); err == nil {
+	if err := apply(idx, MutAdd, 0, domain.Point(99)); err == nil {
 		t.Error("out-of-domain Add accepted")
 	}
-	if err := idx.Set(5, 1); err == nil {
+	if err := apply(idx, MutSet, 5, 1); err == nil {
 		t.Error("out-of-range Set accepted")
 	}
-	if err := idx.Set(0, domain.Point(-1)); err == nil {
+	if err := apply(idx, MutSet, 0, domain.Point(-1)); err == nil {
 		t.Error("out-of-domain Set accepted")
 	}
-	if err := idx.Remove(7); err == nil {
+	if err := apply(idx, MutRemove, 7, 0); err == nil {
 		t.Error("out-of-range Remove accepted")
 	}
 	checkAgainstRebuild(t, idx, nil, 0)
@@ -327,7 +334,7 @@ func TestVectorsCacheInvalidation(t *testing.T) {
 	if idx.Vectors()[0][0] != 1 {
 		t.Fatal("cached vectors wrong")
 	}
-	if err := idx.Set(0, plan.Domain().MustEncode(5, 7)); err != nil {
+	if err := apply(idx, MutSet, 0, plan.Domain().MustEncode(5, 7)); err != nil {
 		t.Fatal(err)
 	}
 	v2 := idx.Vectors()

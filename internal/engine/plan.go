@@ -14,7 +14,7 @@
 //     ever calls a *Sensitivity() method or rebuilds a tree.
 //   - DatasetIndex materializes the flat histogram, per-block counts and
 //     cumulative counts of a dataset and maintains them incrementally under
-//     Add/Set/Remove, replacing the O(n) tuple rescan per release with
+//     batched mutations, replacing the O(n) tuple rescan per release with
 //     O(1)–O(|T|) cache maintenance.
 //   - Engine serves releases from the compiled forms. A keyed engine
 //     derives each release's noise from its key and the release's ordinal,
@@ -51,13 +51,6 @@ import (
 // materializes for its registered partition. Above this the engine falls
 // back to Partition.Block arithmetic, which is only a few divisions.
 const maxBlockTableSize = 1 << 22
-
-// maxDistTableVertices caps the all-pairs hop-distance table compiled for
-// explicit secret graphs: the flat table holds |T|² int32 entries (16 MiB
-// at the cap). Larger explicit graphs skip the table and fall back to the
-// graph's own memoized per-source BFS, which is still never re-run per
-// release — only the all-at-once precomputation is skipped.
-const maxDistTableVertices = 2048
 
 // Cache bounds: both plan-level caches are keyed by caller-supplied
 // pointers, so without a cap a caller minting fresh partitions per call —
@@ -109,14 +102,9 @@ type Plan struct {
 	theta    int
 	rangeErr error
 
-	// maxEdge is the graph's largest edge length, compiled once: it drives
-	// the linear-query sensitivity (Section 5) without re-walking the graph
-	// per call.
-	maxEdge float64
-
-	// explicit holds the compiled artifacts of an explicit (adjacency-list)
-	// secret graph: the all-pairs BFS distance table, the connected-
-	// component index, and edge statistics. Nil for implicit graph kinds.
+	// explicit holds the edge and connected-component counts of an explicit
+	// (adjacency-list) secret graph, which policy responses report. Nil for
+	// implicit graph kinds.
 	explicit *explicitPlan
 
 	// mu guards the caches below. Read paths (every release) take the read
@@ -162,7 +150,6 @@ func Compile(pol *policy.Policy) (*Plan, error) {
 	p.histSens, p.histErr = HistogramSensitivity(pol)
 	p.cumSens, p.cumErr = pol.CumulativeHistogramSensitivity()
 	p.sumSens, p.kmErr = pol.SumSensitivity()
-	p.maxEdge = pol.Graph().MaxEdgeDistance()
 	p.compilePartition()
 	p.compileRange()
 	p.compileExplicit()
@@ -184,46 +171,21 @@ func HistogramSensitivity(pol *policy.Policy) (float64, error) {
 	return sens, err
 }
 
-// explicitPlan is the compiled form of an explicit secret graph.
+// explicitPlan is the compiled form of an explicit secret graph: its edge
+// and connected-component counts. Releases read only the sensitivities and
+// θ the graph fixes, so nothing per vertex pair is kept.
 type explicitPlan struct {
-	n     int
-	edges int
-	// dist is the flat all-pairs hop-distance table, row-major: dist[x*n+y]
-	// is d_G(x, y), -1 where disconnected. Nil when n exceeds
-	// maxDistTableVertices; HopDistance then falls back to the graph's
-	// memoized BFS.
-	dist []int32
-	// comp labels each vertex with its connected-component id; numComp
-	// counts components. Two vertices have finite hop distance iff their
-	// labels agree, so component checks never touch the distance table.
-	comp    []int32
-	numComp int
+	edges, components int
 }
 
-// compileExplicit precomputes the distance and component indexes for
-// explicit secret graphs, so no release — and no diagnostic endpoint —
-// ever re-runs BFS on the hot path.
+// compileExplicit records the edge and component counts of an explicit
+// secret graph.
 func (p *Plan) compileExplicit() {
 	g, ok := p.pol.Graph().(*secgraph.Explicit)
 	if !ok {
 		return
 	}
-	n := int(p.dom.Size())
-	labels, sizes := g.ComponentLabels()
-	ep := &explicitPlan{n: n, edges: g.NumEdges(), comp: make([]int32, n), numComp: len(sizes)}
-	for i, l := range labels {
-		ep.comp[i] = int32(l)
-	}
-	if n <= maxDistTableVertices {
-		// ComputeDistances bypasses the graph's BFS memo: the flat table is
-		// the only copy the plan keeps, rather than doubling every row into
-		// the memo map for the policy's lifetime.
-		ep.dist = make([]int32, n*n)
-		for x := 0; x < n; x++ {
-			copy(ep.dist[x*n:(x+1)*n], g.ComputeDistances(x))
-		}
-	}
-	p.explicit = ep
+	p.explicit = &explicitPlan{edges: g.NumEdges(), components: g.Components()}
 }
 
 // compilePartition precomputes the sensitivity for the policy's own
@@ -306,9 +268,6 @@ func (p *Plan) compileRange() {
 	p.theta, p.rangeErr = RangeTheta(p.pol)
 }
 
-// Policy returns the compiled policy.
-func (p *Plan) Policy() *policy.Policy { return p.pol }
-
 // Domain returns the policy's domain T.
 func (p *Plan) Domain() *domain.Domain { return p.dom }
 
@@ -330,69 +289,13 @@ func (p *Plan) KMeansSensitivities() (sizeSens, sumSens float64, err error) {
 	return p.histSens, p.sumSens, nil
 }
 
-// LinearSensitivity returns S(f_w, P) for the weighted per-individual sum
-// over a one-dimensional domain, from the compiled max edge length:
-// max_i |w_i| · L (Section 5's linear sum query), with no graph walk per
-// call.
-func (p *Plan) LinearSensitivity(w []float64) (float64, error) {
-	if !p.pol.Unconstrained() {
-		return 0, policy.ErrConstrained
-	}
-	if p.dom.NumAttrs() != 1 {
-		return 0, errors.New("engine: linear query requires a one-dimensional domain")
-	}
-	maxW := 0.0
-	for _, wi := range w {
-		if a := math.Abs(wi); a > maxW {
-			maxW = a
-		}
-	}
-	return maxW * p.maxEdge, nil
-}
-
-// MaxEdgeDistance returns the compiled largest edge length of the policy's
-// graph.
-func (p *Plan) MaxEdgeDistance() float64 { return p.maxEdge }
-
 // ExplicitStats reports the compiled edge and connected-component counts of
 // an explicit secret graph; ok is false for implicit graph kinds.
 func (p *Plan) ExplicitStats() (edges, components int, ok bool) {
 	if p.explicit == nil {
 		return 0, 0, false
 	}
-	return p.explicit.edges, p.explicit.numComp, true
-}
-
-// HopDistance returns d_G(x, y) for the policy's graph. Explicit graphs
-// answer from the compiled all-pairs table (O(1), no BFS); implicit kinds
-// delegate to their analytic formulas.
-func (p *Plan) HopDistance(x, y domain.Point) float64 {
-	if !p.dom.Contains(x) || !p.dom.Contains(y) {
-		return math.Inf(1)
-	}
-	if ep := p.explicit; ep != nil {
-		if x == y {
-			return 0
-		}
-		// Cross-component pairs answer from the component index alone.
-		if ep.comp[x] != ep.comp[y] {
-			return math.Inf(1)
-		}
-		if ep.dist != nil {
-			return float64(ep.dist[int(x)*ep.n+int(y)])
-		}
-	}
-	return p.pol.Graph().HopDistance(x, y)
-}
-
-// SameComponent reports whether x and y are connected in an explicit
-// secret graph (ok=false for implicit kinds, where connectivity follows
-// from the analytic hop distance instead).
-func (p *Plan) SameComponent(x, y domain.Point) (connected, ok bool) {
-	if p.explicit == nil || !p.dom.Contains(x) || !p.dom.Contains(y) {
-		return false, false
-	}
-	return p.explicit.comp[x] == p.explicit.comp[y], true
+	return p.explicit.edges, p.explicit.components, true
 }
 
 // Partition returns the policy's own partition, or nil when the secret

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"blowfish/internal/composition"
@@ -104,7 +105,7 @@ func TestExplicitPlanSensitivitiesMatchOracle(t *testing.T) {
 			return []float64{sum}
 		}
 		wantLin := oracle.Sensitivity(linear)
-		gotLin, err := plan.LinearSensitivity(w)
+		gotLin, err := pol.LinearQuerySensitivity(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,41 +115,51 @@ func TestExplicitPlanSensitivitiesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestExplicitPlanDistanceTable pins the compiled all-pairs table and the
-// component index against fresh BFS on random graphs.
-func TestExplicitPlanDistanceTable(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	for trial := 0; trial < 10; trial++ {
-		size := 8 + rng.IntN(25)
-		_, g := randomExplicit(t, rng, size, 0.08)
-		plan, err := Compile(policy.New(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges, comps, ok := plan.ExplicitStats()
-		if !ok {
-			t.Fatal("ExplicitStats not ok for an explicit graph")
-		}
-		if edges != g.NumEdges() || comps != g.Components() {
-			t.Fatalf("stats (%d, %d), want (%d, %d)", edges, comps, g.NumEdges(), g.Components())
-		}
-		for x := 0; x < size; x++ {
-			for y := 0; y < size; y++ {
-				px, py := domain.Point(x), domain.Point(y)
-				want := g.HopDistance(px, py)
-				got := plan.HopDistance(px, py)
-				if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-					t.Fatalf("HopDistance(%d,%d) = %v, want %v", x, y, got, want)
-				}
-				conn, ok := plan.SameComponent(px, py)
-				if !ok {
-					t.Fatal("SameComponent not ok for an explicit graph")
-				}
-				if conn != !math.IsInf(want, 1) {
-					t.Fatalf("SameComponent(%d,%d) = %v, but hop distance is %v", x, y, conn, want)
-				}
+// TestExplicitPlanCompileMemory pins what compiling an explicit policy
+// costs: the plan keeps the edge and component counts that policy responses
+// report and nothing per vertex pair. The graph has 2048 vertices, each
+// joined to the next 8 (16,348 edges); the 4 MiB bound is a quarter of what
+// one int32 per vertex pair would take.
+func TestExplicitPlanCompileMemory(t *testing.T) {
+	const size, band = 2048, 8
+	d, err := domain.Line("v", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := secgraph.NewExplicit(d, "banded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < size; x++ {
+		for y := x + 1; y <= x+band && y < size; y++ {
+			if err := g.AddEdge(domain.Point(x), domain.Point(y)); err != nil {
+				t.Fatal(err)
 			}
 		}
+	}
+	pol := policy.New(g)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	plan, err := Compile(pol)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxBytes = 4 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Compile allocated %.3f MiB", float64(got)/(1<<20))
+	if got > maxBytes {
+		t.Errorf("Compile allocated %.2f MiB, want at most %d MiB", float64(got)/(1<<20), maxBytes>>20)
+	}
+
+	edges, comps, ok := plan.ExplicitStats()
+	if !ok {
+		t.Fatal("ExplicitStats not ok for an explicit graph")
+	}
+	if edges != 16348 || comps != 1 {
+		t.Fatalf("stats (%d, %d), want (16348, 1)", edges, comps)
 	}
 }
 

@@ -143,45 +143,6 @@ func countUnvisitedAtLeast(visited []bool, lo int) int {
 	return n
 }
 
-// HasCycle reports whether the graph contains any directed cycle, using an
-// iterative three-color DFS (no recursion depth limits on large graphs).
-func (g *Directed) HasCycle() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int8, g.n)
-	type frame struct {
-		u, i int
-	}
-	for s := 0; s < g.n; s++ {
-		if color[s] != white {
-			continue
-		}
-		stack := []frame{{s, 0}}
-		color[s] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.i < len(g.adj[f.u]) {
-				v := g.adj[f.u][f.i]
-				f.i++
-				switch color[v] {
-				case gray:
-					return true
-				case white:
-					color[v] = gray
-					stack = append(stack, frame{v, 0})
-				}
-				continue
-			}
-			color[f.u] = black
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return false
-}
-
 // Undirected is a simple undirected graph on vertices 0..N-1.
 type Undirected struct {
 	n   int
@@ -196,9 +157,6 @@ func NewUndirected(n int) *Undirected {
 	}
 	return &Undirected{n: n, adj: make([][]int, n), has: make(map[[2]int]bool)}
 }
-
-// N returns the number of vertices.
-func (g *Undirected) N() int { return g.n }
 
 // M returns the number of edges.
 func (g *Undirected) M() int { return len(g.has) }

@@ -167,38 +167,6 @@ func TestCycleAndPathAgainstBruteForceRandom(t *testing.T) {
 	}
 }
 
-func TestHasCycle(t *testing.T) {
-	g := NewDirected(4)
-	mustAdd(t, g.AddEdge(0, 1))
-	mustAdd(t, g.AddEdge(1, 2))
-	mustAdd(t, g.AddEdge(2, 3))
-	if g.HasCycle() {
-		t.Fatal("DAG reported cyclic")
-	}
-	mustAdd(t, g.AddEdge(3, 1))
-	if !g.HasCycle() {
-		t.Fatal("cyclic graph reported acyclic")
-	}
-}
-
-func TestHasCycleConsistentWithLongestCycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(6)
-		g := NewDirected(n)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if u != v && rng.Float64() < 0.25 {
-					mustAdd(t, g.AddEdge(u, v))
-				}
-			}
-		}
-		if got, want := g.HasCycle(), g.LongestSimpleCycle() > 0; got != want {
-			t.Fatalf("trial %d: HasCycle = %v but LongestSimpleCycle = %d", trial, got, g.LongestSimpleCycle())
-		}
-	}
-}
-
 func TestUndirectedComponents(t *testing.T) {
 	g := NewUndirected(7)
 	mustAdd(t, g.AddEdge(0, 1))

@@ -63,10 +63,6 @@ func (r *Registry) writeTextSeen(b *strings.Builder, seen map[string]bool) {
 			for _, c := range f.counterVec.v.children() {
 				writeSample(b, f.name, withConst(cl, c.labels), float64(c.m.Value()))
 			}
-		case f.gaugeVec != nil:
-			for _, c := range f.gaugeVec.v.children() {
-				writeSample(b, f.name, withConst(cl, c.labels), float64(c.m.Value()))
-			}
 		case f.histVec != nil:
 			for _, c := range f.histVec.v.children() {
 				writeHistogram(b, f.name, withConst(cl, c.labels), c.m)

@@ -119,43 +119,6 @@ func (h *Histogram) snapshot() (cum []uint64, sum float64, count uint64) {
 	return cum, h.sum.load(), h.count.Load()
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the owning bucket, the standard Prometheus histogram_quantile
-// estimate. Diagnostic quality only; the stress harness records exact
-// sample percentiles instead.
-func (h *Histogram) Quantile(q float64) float64 {
-	cum, _, count := h.snapshot()
-	if count == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(count)
-	lower := 0.0
-	for i, c := range cum {
-		if float64(c) >= rank {
-			upper := math.Inf(1)
-			if i < len(h.bounds) {
-				upper = h.bounds[i]
-			}
-			if math.IsInf(upper, 1) {
-				return lower
-			}
-			var below uint64
-			if i > 0 {
-				below = cum[i-1]
-			}
-			in := float64(c - below)
-			if in == 0 {
-				return upper
-			}
-			return lower + (upper-lower)*(rank-float64(below))/in
-		}
-		if i < len(h.bounds) {
-			lower = h.bounds[i]
-		}
-	}
-	return lower
-}
-
 // atomicFloat is a float64 accumulated with a compare-and-swap loop over
 // its bit pattern — the standard lock-free float add.
 type atomicFloat struct {
@@ -186,8 +149,7 @@ type labeled[M any] struct {
 	m      *M
 }
 
-// vec is the shared child registry behind CounterVec, GaugeVec and
-// HistogramVec: children keyed by the rendered label values, created on
+// vec is the shared child registry behind CounterVec and HistogramVec: children keyed by the rendered label values, created on
 // first With. With allocates (key construction, map insert) — resolve
 // children once and cache the pointer; never call With per operation on a
 // hot path.
@@ -268,12 +230,6 @@ type CounterVec struct{ v vec[Counter] }
 // in the order the label names were declared. Cache the result; With
 // allocates.
 func (cv *CounterVec) With(values ...string) *Counter { return cv.v.with(values...) }
-
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct{ v vec[Gauge] }
-
-// With resolves the child gauge for the label values. Cache the result.
-func (gv *GaugeVec) With(values ...string) *Gauge { return gv.v.with(values...) }
 
 // HistogramVec is a histogram family partitioned by labels; every child
 // shares the family's bucket boundaries.

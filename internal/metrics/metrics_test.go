@@ -47,21 +47,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("blowfish_test_q_seconds", "latency", []float64{1, 2, 3, 4})
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%4) + 0.5) // uniform over buckets 1..4
-	}
-	if q := h.Quantile(0.5); q < 1.5 || q > 2.5 {
-		t.Fatalf("p50 = %g, want ~2", q)
-	}
-	empty := newHistogram(nil)
-	if q := empty.Quantile(0.5); !math.IsNaN(q) {
-		t.Fatalf("empty quantile = %g, want NaN", q)
-	}
-}
-
 func TestVecChildrenAndIdentity(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("blowfish_test_requests_total", "by route", "route", "status")

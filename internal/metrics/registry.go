@@ -43,7 +43,6 @@ type family struct {
 	hist    *Histogram
 
 	counterVec *CounterVec
-	gaugeVec   *GaugeVec
 	histVec    *HistogramVec
 }
 
@@ -136,17 +135,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 	cv.v.mk = func() *Counter { return &Counter{} }
 	r.register(&family{name: name, help: help, kind: KindCounter, counterVec: cv})
 	return cv
-}
-
-// GaugeVec registers a gauge family partitioned by labelNames.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	checkLabelNames(name, labelNames)
-	gv := &GaugeVec{}
-	gv.v.names = append([]string(nil), labelNames...)
-	gv.v.byKey = make(map[string]*labeled[Gauge])
-	gv.v.mk = func() *Gauge { return &Gauge{} }
-	r.register(&family{name: name, help: help, kind: KindGauge, gaugeVec: gv})
-	return gv
 }
 
 // HistogramVec registers a histogram family partitioned by labelNames.

@@ -81,9 +81,6 @@ func (s *Source) Int63n(n int64) int64 { return s.rng.Int64N(n) }
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 
-// Shuffle randomizes the order of n elements using the provided swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
-
 // Laplace returns a variate from the Laplace distribution with mean 0 and
 // the given scale b (density ∝ exp(-|x|/b), variance 2b²). The Laplace
 // mechanism of Definition 2.3 and Theorem 5.1 draws noise with
@@ -105,15 +102,6 @@ func (s *Source) Laplace(scale float64) float64 {
 		return scale * math.Log(2*u)
 	}
 	return -scale * math.Log(2*(1-u))
-}
-
-// LaplaceVec fills dst with independent Laplace(scale) variates and returns
-// it; it allocates when dst is nil.
-func (s *Source) LaplaceVec(dst []float64, scale float64) []float64 {
-	for i := range dst {
-		dst[i] = s.Laplace(scale)
-	}
-	return dst
 }
 
 // TwoSidedGeometric returns an integer variate Z with

@@ -47,6 +47,9 @@ func TestConstrainedPolicy(t *testing.T) {
 	if _, err := p.SumSensitivity(); err != ErrConstrained {
 		t.Fatalf("SumSensitivity err = %v, want ErrConstrained", err)
 	}
+	if _, err := p.LinearQuerySensitivity([]float64{1}); err != ErrConstrained {
+		t.Fatalf("LinearQuerySensitivity err = %v, want ErrConstrained", err)
+	}
 }
 
 func TestHistogramSensitivityAnalytic(t *testing.T) {

@@ -44,9 +44,6 @@ func NewWithBottom(base Graph) (*BottomGraph, error) {
 // Bottom returns the ⊥ point of the extended domain.
 func (b *BottomGraph) Bottom() domain.Point { return domain.Point(b.ext.Size() - 1) }
 
-// Base returns the wrapped graph.
-func (b *BottomGraph) Base() Graph { return b.base }
-
 // Domain implements Graph: the extended domain including ⊥.
 func (b *BottomGraph) Domain() *domain.Domain { return b.ext }
 
@@ -112,9 +109,6 @@ func NewLInfThreshold(d *domain.Domain, theta float64) (*LInfThreshold, error) {
 	}
 	return &LInfThreshold{dom: d, theta: theta}, nil
 }
-
-// Theta returns the threshold θ.
-func (g *LInfThreshold) Theta() float64 { return g.theta }
 
 // Domain implements Graph.
 func (g *LInfThreshold) Domain() *domain.Domain { return g.dom }

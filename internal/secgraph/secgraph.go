@@ -358,8 +358,9 @@ func (e *Explicit) HopDistance(x, y domain.Point) float64 {
 }
 
 // DistancesFrom returns the hop distances from x to every vertex (-1 where
-// unreachable), serving the memoized slice when one exists. The returned
-// slice is shared and must not be modified.
+// unreachable): one single-source BFS per source, memoized, so later calls
+// serve the same slice. The returned slice is shared and must not be
+// modified.
 func (e *Explicit) DistancesFrom(x domain.Point) []int32 {
 	s := int(x)
 	e.mu.RLock()
@@ -368,7 +369,11 @@ func (e *Explicit) DistancesFrom(x domain.Point) []int32 {
 	if ok {
 		return dist
 	}
-	dist = e.ComputeDistances(s)
+	raw := e.und.BFSDistances(s)
+	dist = make([]int32, len(raw))
+	for i, d := range raw {
+		dist[i] = int32(d)
+	}
 	maxSources := maxMemoBytes / (4 * len(dist))
 	if maxSources < 1 {
 		maxSources = 1
@@ -392,40 +397,17 @@ func (e *Explicit) DistancesFrom(x domain.Point) []int32 {
 	return dist
 }
 
-// ComputeDistances runs one single-source BFS and returns a fresh distance
-// slice, bypassing (and never feeding) the memo — bulk precomputations
-// that keep their own table use it so the memo does not retain a second
-// copy of every slice.
-func (e *Explicit) ComputeDistances(s int) []int32 {
-	raw := e.und.BFSDistances(s)
-	dist := make([]int32, len(raw))
-	for i, d := range raw {
-		dist[i] = int32(d)
-	}
-	return dist
-}
-
 // MaxEdgeDistance implements Graph.
 func (e *Explicit) MaxEdgeDistance() float64 { return e.maxEdge }
 
 // NumEdges returns the number of secret pairs.
 func (e *Explicit) NumEdges() int { return e.und.M() }
 
-// Neighbors returns the adjacency list of x; the slice must not be
-// modified.
-func (e *Explicit) Neighbors(x domain.Point) []int { return e.und.Neighbors(int(x)) }
-
 // Components returns the number of connected components (isolated vertices
 // included); PartitionGraph-like structure emerges when > 1.
 func (e *Explicit) Components() int {
 	_, sizes := e.und.Components()
 	return len(sizes)
-}
-
-// ComponentLabels labels every vertex with its connected-component id in
-// [0, #components) and returns the per-component sizes alongside.
-func (e *Explicit) ComponentLabels() (labels []int, sizes []int) {
-	return e.und.Components()
 }
 
 // EdgeLimit bounds how many vertex pairs Edges will scan for implicit

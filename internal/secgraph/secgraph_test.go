@@ -381,20 +381,6 @@ func TestAccessors(t *testing.T) {
 	if e.Adjacent(domain.Point(99), 0) {
 		t.Fatal("out-of-range point adjacent")
 	}
-	b, err := NewWithBottom(dt)
-	if err != nil {
-		t.Fatalf("NewWithBottom: %v", err)
-	}
-	if b.Base() != Graph(dt) {
-		t.Fatal("Base accessor wrong")
-	}
-	li, err := NewLInfThreshold(d, 3)
-	if err != nil {
-		t.Fatalf("NewLInfThreshold: %v", err)
-	}
-	if li.Theta() != 3 {
-		t.Fatalf("LInf Theta = %v", li.Theta())
-	}
 }
 
 func TestEdgesExplicitFastPathEarlyStop(t *testing.T) {

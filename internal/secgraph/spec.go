@@ -77,14 +77,6 @@ type Spec struct {
 	Graphs []Spec `json:"graphs,omitempty"`
 }
 
-// Validate checks the spec against d without building per-vertex state
-// beyond what construction itself requires. It is Build with the result
-// discarded.
-func (s Spec) Validate(d *domain.Domain) error {
-	_, _, err := s.Build(d)
-	return err
-}
-
 // Build constructs the secret graph s declares over d. For kind partition
 // the underlying partition is returned alongside (nil otherwise).
 func (s Spec) Build(d *domain.Domain) (Graph, domain.Partition, error) {
@@ -354,9 +346,6 @@ func NewProduct(d *domain.Domain, name string, factors []Graph) (*Product, error
 	}
 	return &Product{dom: d, factors: factors, name: name, maxEdge: maxEdge}, nil
 }
-
-// Factor returns the i-th per-attribute graph.
-func (p *Product) Factor(i int) Graph { return p.factors[i] }
 
 // Domain implements Graph.
 func (p *Product) Domain() *domain.Domain { return p.dom }

@@ -109,7 +109,7 @@ func TestSpecExplicitValidation(t *testing.T) {
 		{"compose without operands", Spec{Kind: "compose", Op: "union"}},
 	}
 	for _, tc := range cases {
-		if err := tc.spec.Validate(d); err == nil {
+		if _, _, err := tc.spec.Build(d); err == nil {
 			t.Fatalf("%s: validated", tc.name)
 		}
 	}
@@ -238,11 +238,11 @@ func TestSpecVertexCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge := [][2][]int{{{0}, {1}}}
-	if err := (Spec{Kind: "explicit", Edges: edge}).Validate(big); err == nil {
+	if _, _, err := (Spec{Kind: "explicit", Edges: edge}).Build(big); err == nil {
 		t.Fatal("explicit spec built over an oversized domain")
 	}
 	union := Spec{Kind: "compose", Op: "union", Graphs: []Spec{{Kind: "line"}}}
-	if err := union.Validate(big); err == nil {
+	if _, _, err := union.Build(big); err == nil {
 		t.Fatal("union spec built over an oversized domain")
 	}
 	if _, err := Intersect(big, "", NewComplete(big)); err == nil {

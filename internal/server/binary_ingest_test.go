@@ -45,7 +45,7 @@ func TestBinaryBatchIngest(t *testing.T) {
 		{Op: "upsert", ID: 0, Row: []int{7}},
 		{Op: "delete", ID: 1},
 	}
-	frame, err := codec.EncodeFrame(events, 1)
+	frame, err := codec.AppendFrame(nil, events, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBinaryBatchIngest(t *testing.T) {
 	}
 
 	// Two frames in one body concatenate.
-	frame2, err := codec.EncodeFrame([]blowfish.StreamEvent{{Op: "append", Row: []int{3}}}, 1)
+	frame2, err := codec.AppendFrame(nil, []blowfish.StreamEvent{{Op: "append", Row: []int{3}}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func TestBinaryBatchIngest(t *testing.T) {
 	bad[len(bad)-1] ^= 0x40
 	wantError(t, doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, bad),
 		http.StatusBadRequest, service.CodeBadRequest)
-	twoCol, err := codec.EncodeFrame([]blowfish.StreamEvent{{Op: "append", Row: []int{1, 2}}}, 2)
+	twoCol, err := codec.AppendFrame(nil, []blowfish.StreamEvent{{Op: "append", Row: []int{1, 2}}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantError(t, doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, twoCol),
 		http.StatusBadRequest, service.CodeBadRequest)
-	empty, err := codec.EncodeFrame(nil, 1)
+	empty, err := codec.AppendFrame(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestBinaryBatchIngest(t *testing.T) {
 		http.StatusBadRequest, service.CodeBadRequest)
 
 	// A domain-invalid value decodes fine but fails validation at submit.
-	over, err := codec.EncodeFrame([]blowfish.StreamEvent{{Op: "append", Row: []int{64}}}, 1)
+	over, err := codec.AppendFrame(nil, []blowfish.StreamEvent{{Op: "append", Row: []int{64}}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestEventsBatchCap(t *testing.T) {
 			fmt.Fprintf(&nd, `{"op":"append","row":[%d]}`+"\n", i)
 		}
 		js.WriteString("]}")
-		frame, err := codec.EncodeFrame(evs, 1)
+		frame, err := codec.AppendFrame(nil, evs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestEventsBackpressureHammer(t *testing.T) {
 	leak.Check(t)
 	s, dsID := backpressureServer(t)
 
-	frame, err := codec.EncodeFrame([]blowfish.StreamEvent{
+	frame, err := codec.AppendFrame(nil, []blowfish.StreamEvent{
 		{Op: "append", Row: []int{1}},
 		{Op: "append", Row: []int{2}},
 		{Op: "append", Row: []int{3}},

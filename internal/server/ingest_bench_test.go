@@ -58,7 +58,7 @@ func ingestBenchFixture(b *testing.B) (s *Server, path string, ndjson, binary, e
 		wires[i] = service.EventWire{Op: "upsert", ID: i, Row: []int{v}}
 		fmt.Fprintf(&nd, `{"op":"upsert","id":%d,"row":[%d]}`+"\n", i, v)
 	}
-	bin, err := codec.EncodeFrame(events, 1)
+	bin, err := codec.AppendFrame(nil, events, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -57,12 +57,6 @@ func (c *Core) HasDataset(id string) bool {
 	return ok
 }
 
-// HasStream reports whether a stream id is live.
-func (c *Core) HasStream(id string) bool {
-	_, ok := c.getStream(id)
-	return ok
-}
-
 // IngestStartSeq reports the sequence number the named dataset's next
 // ingestor resumes from (set by recovery to the table cursor), or 0.
 func (c *Core) IngestStartSeq(id string) uint64 {

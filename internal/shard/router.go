@@ -176,9 +176,6 @@ func checkLayout(dir string, n int) error {
 	return nil
 }
 
-// Shards returns the number of shard cores.
-func (r *Router) Shards() int { return len(r.cores) }
-
 // ShardOf reports which shard currently owns a dataset, session or
 // stream id (-1 when unknown). Diagnostics and tests.
 func (r *Router) ShardOf(id string) int {

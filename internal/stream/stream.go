@@ -269,9 +269,6 @@ func New(eng *engine.Engine, tbl *Table, cfg Config) (*Stream, error) {
 	}, nil
 }
 
-// Table returns the stream's table.
-func (st *Stream) Table() *Table { return st.tbl }
-
 // Unbind detaches the stream's index from its table, so ingestion stops
 // maintaining count vectors nobody will read. Call it when deleting a
 // stream whose dataset lives on; a no-op if a newer stream has bound its

@@ -149,17 +149,11 @@ func (t *Table) Applied() uint64 {
 	return t.applied
 }
 
-// ApplyBatch applies mutations in order under one write-lock acquisition,
-// through the bound index when present (one index-lock acquisition per
-// batch) and directly onto the dataset otherwise. On the first failing
-// mutation it stops, returning how many applied and the error; the applied
-// prefix stays applied.
-func (t *Table) ApplyBatch(muts []engine.Mutation) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.applyLocked(muts)
-}
-
+// applyLocked applies mutations in order, through the bound index when
+// present (one index-lock acquisition per batch) and directly onto the
+// dataset otherwise. On the first failing mutation it stops, returning how
+// many applied and the error; the applied prefix stays applied. The caller
+// holds t.mu for writing.
 func (t *Table) applyLocked(muts []engine.Mutation) (int, error) {
 	var n int
 	var err error

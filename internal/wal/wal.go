@@ -245,9 +245,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // LastLSN returns the LSN of the most recently appended record (0 when the
 // log is empty).
 func (l *Log) LastLSN() uint64 {

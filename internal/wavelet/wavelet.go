@@ -41,18 +41,11 @@ func New(n int) (*Transform, error) {
 	return &Transform{n: n, padded: padded, levels: levels}, nil
 }
 
-// Len returns the histogram length n.
-func (t *Transform) Len() int { return t.n }
-
 // Padded returns the power-of-two transform length.
 func (t *Transform) Padded() int { return t.padded }
 
 // Levels returns log2(Padded()).
 func (t *Transform) Levels() int { return t.levels }
-
-// NumCoefficients returns the coefficient count: 1 average + padded-1
-// detail coefficients.
-func (t *Transform) NumCoefficients() int { return t.padded }
 
 // Forward computes the Haar coefficients of counts. Coefficient 0 is the
 // overall average; coefficient k (k ≥ 1, heap order) is
@@ -161,26 +154,6 @@ func (r *Released) RangeQuery(lo, hi int) (float64, error) {
 	var sum float64
 	for i := lo; i <= hi; i++ {
 		sum += r.leaves[i]
-	}
-	return sum, nil
-}
-
-// WeightedSensitivity computes Σ_c W(c)·|Δc| between the transforms of two
-// histograms — the quantity the Privelet privacy analysis bounds. Exposed
-// for the test suite's brute-force verification.
-func (t *Transform) WeightedSensitivity(a, b []float64) (float64, error) {
-	ca, err := t.Forward(a)
-	if err != nil {
-		return 0, err
-	}
-	cb, err := t.Forward(b)
-	if err != nil {
-		return 0, err
-	}
-	w := t.Weights()
-	var sum float64
-	for i := range ca {
-		sum += w[i] * math.Abs(ca[i]-cb[i])
 	}
 	return sum, nil
 }

@@ -89,6 +89,26 @@ func TestWeights(t *testing.T) {
 	}
 }
 
+// weightedSensitivity computes Σ_c W(c)·|Δc| between the transforms of two
+// histograms: the quantity the Privelet privacy analysis bounds, and so the
+// sensitivity the release's noise is calibrated to.
+func weightedSensitivity(t *Transform, a, b []float64) (float64, error) {
+	ca, err := t.Forward(a)
+	if err != nil {
+		return 0, err
+	}
+	cb, err := t.Forward(b)
+	if err != nil {
+		return 0, err
+	}
+	w := t.Weights()
+	var sum float64
+	for i := range ca {
+		sum += w[i] * math.Abs(ca[i]-cb[i])
+	}
+	return sum, nil
+}
+
 // Privelet's privacy analysis: the weighted L1 distance between coefficient
 // vectors of histograms differing by ±1 in one cell is at most 1 + levels,
 // and at most 2(1+levels) for one-tuple-change neighbors. Verify by brute
@@ -113,9 +133,9 @@ func TestWeightedSensitivityBound(t *testing.T) {
 				mod := append([]float64(nil), base...)
 				mod[x]--
 				mod[y]++
-				s, err := tr.WeightedSensitivity(base, mod)
+				s, err := weightedSensitivity(tr, base, mod)
 				if err != nil {
-					t.Fatalf("WeightedSensitivity: %v", err)
+					t.Fatalf("weightedSensitivity: %v", err)
 				}
 				if s > worst {
 					worst = s

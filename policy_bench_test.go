@@ -1,9 +1,9 @@
 // Benchmarks for custom-policy compilation and explicit-graph releases,
 // recorded in BENCH_policy.json and gated by cmd/benchgate in CI:
-// plan compilation must stay a registration-time cost (tens of
-// milliseconds for a ~1k-vertex, ~32k-edge graph, dominated by the
-// all-pairs BFS table), and releases over explicit-graph policies must
-// match the built-in kinds' per-release profile — no BFS on the hot path.
+// registering a custom policy must stay a registration-time cost (a few
+// milliseconds for a ~1k-vertex, ~32k-edge graph, most of it lowering the
+// edge list), and releases over explicit-graph policies must match the
+// built-in kinds' per-release profile — no BFS on the hot path.
 package blowfish_test
 
 import (
@@ -40,8 +40,7 @@ func explicitBenchSpec(b *testing.B) (*blowfish.Domain, blowfish.GraphSpec) {
 
 // BenchmarkPolicyCompileExplicit measures the full registration path for a
 // custom policy: spec build (edge-list lowering) plus plan compilation —
-// the all-pairs BFS distance table, the component index and every cached
-// sensitivity.
+// every cached sensitivity and the edge and component counts.
 func BenchmarkPolicyCompileExplicit(b *testing.B) {
 	dom, spec := explicitBenchSpec(b)
 	b.ReportAllocs()
@@ -58,9 +57,9 @@ func BenchmarkPolicyCompileExplicit(b *testing.B) {
 }
 
 // BenchmarkEngineExplicitHistogram measures repeated histogram releases
-// over a compiled explicit-graph policy: the distance table and
-// sensitivities were paid at compile time, so the per-release cost must be
-// the same O(|T|) snapshot + noise as the built-in kinds.
+// over a compiled explicit-graph policy: the sensitivities were paid at
+// compile time, so the per-release cost must be the same O(|T|) snapshot +
+// noise as the built-in kinds.
 func BenchmarkEngineExplicitHistogram(b *testing.B) {
 	dom, spec := explicitBenchSpec(b)
 	g, _, err := blowfish.BuildGraph(dom, spec)

@@ -135,13 +135,6 @@ func (s *Session) Accountant() *Accountant { return s.acct }
 // Remaining returns the unspent budget.
 func (s *Session) Remaining() float64 { return s.acct.Remaining() }
 
-// Forget drops the engine's cached count vectors for ds, releasing their
-// memory. Call it when a long-lived session streams many short-lived
-// datasets; the next release over ds rebuilds the index. For sessions
-// minted from a shared CompiledPolicy the cache is shared, so sibling
-// sessions over the same dataset rebuild on their next release too.
-func (s *Session) Forget(ds *Dataset) { s.eng.Plan().Forget(ds) }
-
 // ReleaseHistogram releases the complete histogram, charging eps.
 func (s *Session) ReleaseHistogram(ds *Dataset, eps float64) ([]float64, error) {
 	idx, err := s.eng.Index(ds)
@@ -210,9 +203,8 @@ func (s *Session) NewStream(tbl *StreamTable, cfg StreamConfig) (*Stream, error)
 	return stream.New(s.eng, tbl, cfg)
 }
 
-// ReadDatasetCSV parses a dataset from the library's CSV interchange format
-// (a header of attribute names, one integer row per tuple); Dataset.WriteCSV
-// produces it.
+// ReadDatasetCSV parses a dataset from the library's CSV interchange format:
+// a header of attribute names, then one integer row per tuple.
 func ReadDatasetCSV(d *Domain, r io.Reader) (*Dataset, error) {
 	return domain.ReadCSV(d, r)
 }

@@ -1,7 +1,7 @@
 package blowfish
 
 import (
-	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -138,15 +138,21 @@ func TestSessionExactPartitionReleaseIsFree(t *testing.T) {
 
 func TestDatasetCSVThroughFacade(t *testing.T) {
 	d, ds := testDataset(t)
-	var buf bytes.Buffer
-	if err := ds.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
+	var text strings.Builder
+	text.WriteString("v\n")
+	for i := 0; i < ds.Len(); i++ {
+		text.WriteString(strconv.Itoa(int(ds.At(i))) + "\n")
 	}
-	back, err := ReadDatasetCSV(d, &buf)
+	back, err := ReadDatasetCSV(d, strings.NewReader(text.String()))
 	if err != nil {
 		t.Fatalf("ReadDatasetCSV: %v", err)
 	}
 	if back.Len() != ds.Len() {
 		t.Fatalf("round trip length %d, want %d", back.Len(), ds.Len())
+	}
+	for i := 0; i < ds.Len(); i++ {
+		if back.At(i) != ds.At(i) {
+			t.Fatalf("tuple %d changed: %d vs %d", i, back.At(i), ds.At(i))
+		}
 	}
 }

@@ -68,12 +68,6 @@ const (
 	StreamMutRemove = engine.MutRemove
 )
 
-// EncodeStreamEvents validates events against dom and lowers them to the
-// mutations an ingest journal records and a recovery replays.
-func EncodeStreamEvents(dom *Domain, events []StreamEvent) ([]StreamMutation, error) {
-	return stream.EncodeEvents(dom, events)
-}
-
 // Window kinds.
 const (
 	WindowCumulative = stream.WindowCumulative
