@@ -9,6 +9,11 @@
 //
 //	blowfish-serve -addr :8080 -seed 1 -session-ttl 30m
 //
+// -seed is the base of every noise key: a session's or stream's key is
+// derived from it and the resource's id, which the server never reuses.
+// Clients cannot choose a key, and two servers with the same -seed and
+// the same requests publish identical releases at any -shards count.
+//
 // With -data-dir the server is durable: every acknowledged operation —
 // registry changes, budget charges, ingest batches, epoch closes — is
 // written to a CRC-checked write-ahead log before the response is sent
@@ -25,8 +30,10 @@
 // them by rendezvous hashing and sessions/streams are colocated with
 // their dataset (see internal/shard). One shard is the same router and
 // the same layout with a single worker. The shard count is fixed per data
-// directory, and a directory that holds a WAL at its root (the unsharded
-// layout of earlier releases) is refused rather than started beside.
+// directory. A data directory records its on-disk format and -seed in a
+// FORMAT file; the server refuses a directory whose FORMAT is missing or
+// names another version, rather than read it wrongly, and refuses another
+// -seed, which would re-draw the noise of releases already served.
 //
 // Observability: the API mux serves a Prometheus text exposition at
 // GET /metrics (request latencies, per-policy release latencies, budget
@@ -68,7 +75,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		seed        = flag.Int64("seed", 1, "base seed for per-session noise sources")
+		seed        = flag.Int64("seed", 1, "base seed: every session's and stream's noise key derives from it and the resource id; a -data-dir keeps the seed it was created with")
 		ttl         = flag.Duration("session-ttl", 30*time.Minute, "idle session lifetime (0 = never expire)")
 		sweep       = flag.Duration("sweep", time.Minute, "session expiry sweep interval")
 		drain       = flag.Duration("drain", 5*time.Second, "shutdown deadline for in-flight requests")

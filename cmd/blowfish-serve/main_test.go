@@ -94,6 +94,9 @@ func TestServeShardedGracefulShutdown(t *testing.T) {
 		// eps is a power of two, so a ledger's spend is exactly the
 		// number of charges times eps.
 		eps = 1.0 / 64
+		// seed is the server's -seed; the directory keeps it, and the
+		// reopen below must give the same one.
+		seed = 7
 	)
 	dir := filepath.Join(t.TempDir(), "data")
 	freeAddr := func() string {
@@ -111,7 +114,7 @@ func TestServeShardedGracefulShutdown(t *testing.T) {
 	// http.Server.Shutdown itself gives up on a connection that never sent
 	// a request, so a silent connection left open fails the log check below.
 	cmd := exec.Command(os.Args[0], "-addr", addr, "-metrics-addr", adminAddr, "-drain", "2s",
-		"-shards", strconv.Itoa(shards), "-data-dir", dir, "-fsync", "interval")
+		"-shards", strconv.Itoa(shards), "-data-dir", dir, "-fsync", "interval", "-seed", strconv.Itoa(seed))
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
@@ -345,7 +348,7 @@ func TestServeShardedGracefulShutdown(t *testing.T) {
 		}
 	}
 
-	r, err := shard.Open(service.Config{Durability: service.DurabilityConfig{Dir: dir}}, shards)
+	r, err := shard.Open(service.Config{Seed: seed, Durability: service.DurabilityConfig{Dir: dir}}, shards)
 	if err != nil {
 		t.Fatalf("reopening %s: %v", dir, err)
 	}

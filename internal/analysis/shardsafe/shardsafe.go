@@ -1,6 +1,6 @@
 // Package shardsafe enforces the router/shard isolation contract: every
 // front serves the shard router, and each shard core owns its
-// registries, WAL directory and seed lineage, so the router may
+// registries and WAL directory, so the router may
 // coordinate shards only through the cores' request/response and
 // broadcast surface. Three rules, reported inside the shard packages
 // only:
@@ -150,7 +150,7 @@ func (c *checker) checkSurface(sel *ast.SelectorExpr) {
 	}
 	if !contains(c.cfg.AllowedMethods, fn.Name()) {
 		c.pass.Reportf(sel.Sel.Pos(),
-			"shard core accessed outside the request surface: %s.%s is a white-box accessor reserved for tests — per-shard registries, WAL and seeds must stay behind the routed interface",
+			"shard core accessed outside the request surface: %s.%s is a white-box accessor reserved for tests — per-shard registries and WAL must stay behind the routed interface",
 			c.cfg.CoreType, fn.Name())
 	}
 }
@@ -171,7 +171,7 @@ func (c *checker) checkIndex(fd *ast.FuncDecl, idx ast.Expr) {
 	obj := c.objOf(id)
 	if obj == nil || !c.identProvenanceOK(fd, obj) {
 		c.pass.Reportf(idx.Pos(),
-			"shard index %s is not derived from a routing table, a cores range, the literal-0 fallback, or %s: cross-shard access breaks per-shard isolation (registries, WAL, seeds)",
+			"shard index %s is not derived from a routing table, a cores range, the literal-0 fallback, or %s: cross-shard access breaks per-shard isolation (registries, WAL)",
 			id.Name, c.cfg.ShardForFunc)
 	}
 }

@@ -54,6 +54,15 @@ func SeedKey(seed int64) Key {
 	return sha256.Sum256(b[:])
 }
 
+// ResourceKey derives the Key of a named resource: SHA-256 of the seed's
+// little-endian bytes followed by the id. A server never reuses an id, so
+// no two of its resources share a key, and the key does not depend on
+// where or in what order the resource was created.
+func ResourceKey(seed int64, id string) Key {
+	msg := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(id)), uint64(seed))
+	return sha256.Sum256(append(msg, id...))
+}
+
 // Reseed restarts s as the generator for (key, ordinal): SHA-256(key ‖
 // ordinal) seeds the PCG in place, without allocating after the first call.
 func (s *Source) Reseed(key *Key, ordinal uint64) {

@@ -1,6 +1,8 @@
 package noise
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -65,6 +67,27 @@ func TestReseedIsPureFunctionOfKeyAndOrdinal(t *testing.T) {
 	}
 	if SeedKey(3) != k {
 		t.Fatal("SeedKey is not deterministic")
+	}
+}
+
+// TestResourceKey pins the derivation SHA-256(le64(seed) ‖ id): a restart
+// re-derives every key from it, so it must never change, and distinct
+// seeds or ids must give distinct keys.
+func TestResourceKey(t *testing.T) {
+	want := sha256.Sum256(append([]byte{1, 0, 0, 0, 0, 0, 0, 0}, "sess-1"...))
+	if got := ResourceKey(1, "sess-1"); got != want {
+		t.Fatalf("ResourceKey(1, sess-1) = %x, want %x", got, want)
+	}
+	seen := make(map[Key]string)
+	for _, seed := range []int64{0, 1, -1} {
+		for _, id := range []string{"", "sess-1", "sess-2", "stream-1", "sess-10"} {
+			k := ResourceKey(seed, id)
+			name := fmt.Sprint(seed, "/", id)
+			if prev, dup := seen[k]; dup {
+				t.Fatalf("%s and %s share a key", prev, name)
+			}
+			seen[k] = name
+		}
 	}
 }
 

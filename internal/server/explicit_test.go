@@ -51,7 +51,7 @@ func TestExplicitPolicyEndToEnd(t *testing.T) {
 	}
 
 	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(200, 64)})
-	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: pol.ID, Budget: 10, Seed: i64(5)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: pol.ID, Budget: 10})
 
 	hist := decode[service.HistogramResponse](t, do(t, s, "POST",
 		"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
@@ -72,8 +72,8 @@ func TestExplicitPolicyEndToEnd(t *testing.T) {
 }
 
 // TestExplicitPolicySeededDeterminism pins the compiled path's determinism:
-// two servers given the same seeded requests over an explicit policy answer
-// bit-for-bit identical releases.
+// two servers with the same base seed given the same requests over an
+// explicit policy answer bit-for-bit identical releases.
 func TestExplicitPolicySeededDeterminism(t *testing.T) {
 	run := func() []float64 {
 		s, _ := newTestServer(t)
@@ -83,13 +83,13 @@ func TestExplicitPolicySeededDeterminism(t *testing.T) {
 			Graph:  service.GraphSpec{Kind: "explicit", Edges: bandEdges()},
 		})
 		dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(100, 64)})
-		sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 5, Seed: i64(99)})
+		sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 5})
 		return decode[service.HistogramResponse](t, do(t, s, "POST",
 			"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.4})).Counts
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("seeded explicit-policy releases diverged across servers")
+		t.Fatal("explicit-policy releases diverged across servers with one base seed")
 	}
 }
 
@@ -138,7 +138,7 @@ func TestComposePolicyKinds(t *testing.T) {
 		t.Fatalf("product histogram sensitivity = %v, want 2", prod.HistogramSensitivity)
 	}
 	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: prod.ID, Rows: [][]int{{1, 2}, {3, 4}, {19, 11}}})
-	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: prod.ID, Budget: 2, Seed: i64(3)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: prod.ID, Budget: 2})
 	hist := do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram",
 		service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5})
 	if hist.Code != http.StatusOK {
@@ -182,7 +182,6 @@ func TestStreamExhaustedPlainPoll(t *testing.T) {
 		PolicyID:  polID,
 		DatasetID: dsID,
 		Budget:    0.2,
-		Seed:      i64(21),
 		Epoch:     service.EpochSpec{Epsilon: 0.1},
 	})
 	postEvents(t, s, dsID, appendEvents(1, 2, 3))
@@ -216,10 +215,10 @@ func TestStreamExhaustedPlainPoll(t *testing.T) {
 }
 
 // TestRecoveryExplicitPolicy pins the durable path for custom graphs: an
-// explicit-graph policy and its seeded session survive a crash-style
-// restart (no final checkpoint) with registry stats intact, and the
-// post-recovery release is bit-for-bit what a never-crashed server would
-// have produced.
+// explicit-graph policy and its session survive a crash-style restart (no
+// final checkpoint) with registry stats intact, and the post-recovery
+// release is bit-for-bit what a never-crashed server with the same base
+// seed would have produced.
 func TestRecoveryExplicitPolicy(t *testing.T) {
 	dir := t.TempDir()
 	cfg := service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}}
@@ -231,7 +230,7 @@ func TestRecoveryExplicitPolicy(t *testing.T) {
 	spec := service.GraphSpec{Kind: "explicit", Name: "bands", Edges: bandEdges()}
 	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: spec})
 	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(150, 64)})
-	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 5, Seed: i64(77)})
+	sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 5})
 	pre := decode[service.HistogramResponse](t, do(t, s, "POST",
 		"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
 	abandon(s) // crash stand-in: WAL only, no snapshot
@@ -252,12 +251,13 @@ func TestRecoveryExplicitPolicy(t *testing.T) {
 	post := decode[service.HistogramResponse](t, do(t, r, "POST",
 		"/v1/sessions/"+sessID+"/releases/histogram", service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5}))
 
-	// Control: the same request sequence on one in-memory server.
-	ctl, _ := newTestServer(t)
+	// Control: the same request sequence on one in-memory server with the
+	// crashed server's base seed.
+	ctl := newServer(t, service.Config{Seed: cfg.Seed})
 	defer ctl.Close()
 	cPol := mustCreatePolicy(t, ctl, service.CreatePolicyRequest{Domain: lineDomain, Graph: spec})
 	cDS := mustCreateDataset(t, ctl, service.CreateDatasetRequest{PolicyID: cPol, Rows: lineRows(150, 64)})
-	cSess := mustCreateSession(t, ctl, service.CreateSessionRequest{PolicyID: cPol, Budget: 5, Seed: i64(77)})
+	cSess := mustCreateSession(t, ctl, service.CreateSessionRequest{PolicyID: cPol, Budget: 5})
 	want1 := decode[service.HistogramResponse](t, do(t, ctl, "POST",
 		"/v1/sessions/"+cSess+"/releases/histogram", service.HistogramRequest{DatasetID: cDS, Epsilon: 0.5}))
 	want2 := decode[service.HistogramResponse](t, do(t, ctl, "POST",

@@ -3,8 +3,9 @@ package server
 // Crash-recovery tests. The deterministic contract under test: with
 // fsync=always, every operation the server acknowledged survives kill -9 —
 // budget spend is monotone (never lower than any acked charge), no acked
-// ingest event is lost, and a seeded stream's post-recovery releases are
-// bit-for-bit what a never-crashed server would have produced.
+// ingest event is lost, and a stream's post-recovery releases are
+// bit-for-bit what a never-crashed server with the same base seed and
+// creates would have produced.
 //
 // TestCrashRecovery re-executes this test binary as a child process (see
 // TestMain) running a real durable HTTP server, drives it over HTTP,
@@ -98,8 +99,6 @@ func httpJSON(t *testing.T, method, url string, body, out any) int {
 	return resp.StatusCode
 }
 
-func i64(v int64) *int64 { return &v }
-
 // crashGraphSpec drives the kill -9 harness through the custom-graph path:
 // a composed union of the line graph and an explicit wrap edge over v:16.
 // The crash child registers it over HTTP and the control server replays
@@ -184,17 +183,14 @@ func TestCrashRecovery(t *testing.T) {
 	httpJSON(t, "POST", base+"/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID}, &dsA)
 	httpJSON(t, "POST", base+"/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID}, &dsB)
 
-	// Two seeded streams: A takes the mid-ingest kill, B is
-	// quiesced before the kill and carries the bit-for-bit assertion.
+	// Two streams: A takes the mid-ingest kill, B is quiesced before the
+	// kill and carries the bit-for-bit assertion.
 	var stA, stB service.StreamResponse
-	httpJSON(t, "POST", base+"/v1/streams", service.CreateStreamRequest{
-		PolicyID: pol.ID, DatasetID: dsA.ID, Budget: 3.0, Seed: i64(7),
-		Epoch: service.EpochSpec{Epsilon: 0.5},
-	}, &stA)
-	httpJSON(t, "POST", base+"/v1/streams", service.CreateStreamRequest{
-		PolicyID: pol.ID, DatasetID: dsB.ID, Budget: 3.0, Seed: i64(11),
-		Epoch: service.EpochSpec{Epsilon: 0.5},
-	}, &stB)
+	streamOn := func(polID, dsID string) service.CreateStreamRequest {
+		return service.CreateStreamRequest{PolicyID: polID, DatasetID: dsID, Budget: 3.0, Epoch: service.EpochSpec{Epsilon: 0.5}}
+	}
+	httpJSON(t, "POST", base+"/v1/streams", streamOn(pol.ID, dsA.ID), &stA)
+	httpJSON(t, "POST", base+"/v1/streams", streamOn(pol.ID, dsB.ID), &stB)
 
 	ingest := func(dsID string, vals []int) service.EventsResponse {
 		evs := make([]service.EventWire, len(vals))
@@ -316,20 +312,22 @@ func TestCrashRecovery(t *testing.T) {
 		}
 	}
 
-	// Bit-for-bit vs the no-crash run: replay the acked operation
-	// sequence for stream B on an in-memory control server and compare
-	// the post-recovery epoch close.
+	// Bit-for-bit vs the no-crash run: an in-memory control server with
+	// the crashed server's base seed repeats its creates in order, so its
+	// stream B has the same id and key, and replays the acked operation
+	// sequence for stream B; then compare the post-recovery epoch close.
 	ctl := newServer(t, service.Config{})
 	polID := mustCreatePolicy(t, ctl, service.CreatePolicyRequest{
 		Domain: []service.AttrSpec{{Name: "v", Size: 16}},
 		Graph:  crashGraphSpec,
 	})
+	ctlA := mustCreateDataset(t, ctl, service.CreateDatasetRequest{PolicyID: polID})
 	ctlDS := mustCreateDataset(t, ctl, service.CreateDatasetRequest{PolicyID: polID})
-	w := do(t, ctl, "POST", "/v1/streams", service.CreateStreamRequest{
-		PolicyID: polID, DatasetID: ctlDS, Budget: 3.0, Seed: i64(11),
-		Epoch: service.EpochSpec{Epsilon: 0.5},
-	})
-	ctlStream := decode[service.StreamResponse](t, w)
+	mustCreateStream(t, ctl, streamOn(polID, ctlA))
+	ctlStream := decode[service.StreamResponse](t, do(t, ctl, "POST", "/v1/streams", streamOn(polID, ctlDS)))
+	if ctlStream.ID != stB.ID {
+		t.Fatalf("control stream B is %s, crashed server's is %s", ctlStream.ID, stB.ID)
+	}
 	rowsB := make([][]int, len(valsB1))
 	for i, v := range valsB1 {
 		rowsB[i] = []int{v}
@@ -428,10 +426,10 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 				PolicyID: polID, Rows: lineRows(30, 12),
 			})
 			sessID := mustCreateSession(t, live, service.CreateSessionRequest{
-				PolicyID: polID, Budget: 1000, Seed: i64(int64(seed) * 17),
+				PolicyID: polID, Budget: 1000,
 			})
 			w := do(t, live, "POST", "/v1/streams", service.CreateStreamRequest{
-				PolicyID: polID, DatasetID: dsID, Budget: 1000, Seed: i64(int64(seed) * 31),
+				PolicyID: polID, DatasetID: dsID, Budget: 1000,
 				Epoch: service.EpochSpec{Epsilon: 0.25},
 				Kinds: []string{"histogram", "cumulative"},
 			})
@@ -599,7 +597,7 @@ func BenchmarkRecovery(b *testing.B) {
 			post("/v1/datasets", service.CreateDatasetRequest{PolicyID: pol.ID, Rows: lineRows(50000, 64)}, &ds)
 			var st service.StreamResponse
 			post("/v1/streams", service.CreateStreamRequest{
-				PolicyID: pol.ID, DatasetID: ds.ID, Budget: 10000, Seed: i64(3),
+				PolicyID: pol.ID, DatasetID: ds.ID, Budget: 10000,
 				Epoch: service.EpochSpec{Epsilon: 0.1},
 			}, &st)
 			// Snapshot covers the upload; the tail is ingest + closes.
@@ -779,7 +777,7 @@ func TestMultiGenerationRestarts(t *testing.T) {
 	})
 	dsID := mustCreateDataset(t, s1, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(5, 8)})
 	w := do(t, s1, "POST", "/v1/streams", service.CreateStreamRequest{
-		PolicyID: polID, DatasetID: dsID, Budget: 1.0, Seed: i64(3),
+		PolicyID: polID, DatasetID: dsID, Budget: 1.0,
 		Epoch: service.EpochSpec{Epsilon: 0.25},
 	})
 	stID := decode[service.StreamResponse](t, w).ID

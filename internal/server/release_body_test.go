@@ -37,7 +37,6 @@ func wantEncoded(t *testing.T, what string, w *httptest.ResponseRecorder, v any)
 // reply to json.Encoder's output for the service's own response, for every
 // release shape and poll length, while the front shares release bodies.
 func TestEpochReleaseBodiesByteIdentical(t *testing.T) {
-	seed := int64(7)
 	cases := []struct {
 		name  string
 		graph service.GraphSpec
@@ -57,7 +56,7 @@ func TestEpochReleaseBodiesByteIdentical(t *testing.T) {
 			polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: tc.graph})
 			dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(200, 64)})
 			req := tc.req
-			req.PolicyID, req.DatasetID, req.Budget, req.Seed = polID, dsID, 10, &seed
+			req.PolicyID, req.DatasetID, req.Budget = polID, dsID, 10
 			req.Epoch = service.EpochSpec{Epsilon: 0.5}
 			stID := mustCreateStream(t, s, req)
 			base := "/v1/streams/" + stID

@@ -388,6 +388,42 @@ func TestCreateSessionValidation(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesSeed: the server keys every session and stream from its
+// own base seed and the resource id, so a create that names a seed is
+// refused, and two sessions with identical bodies over one dataset draw
+// different noise.
+func TestCreateRefusesSeed(t *testing.T) {
+	s, _ := newTestServer(t)
+	defer s.Close()
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "l1", Theta: 4}})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(200, 64)})
+	for path, body := range map[string]string{
+		"/v1/sessions": fmt.Sprintf(`{"policy_id":%q,"dataset_id":%q,"budget":1`, polID, dsID),
+		"/v1/streams":  fmt.Sprintf(`{"policy_id":%q,"dataset_id":%q,"budget":1,"epoch":{"epsilon":0.5}`, polID, dsID),
+	} {
+		w := do(t, s, "POST", path, json.RawMessage(body+`,"seed":7}`))
+		wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
+		if !strings.Contains(w.Body.String(), `\"seed\"`) {
+			t.Fatalf("POST %s refusal does not name the seed field: %s", path, w.Body.String())
+		}
+		if w := do(t, s, "POST", path, json.RawMessage(body+`}`)); w.Code != http.StatusCreated {
+			t.Fatalf("POST %s without a seed: %d %s", path, w.Code, w.Body.String())
+		}
+	}
+
+	var draws [2][]float64
+	for i := range draws {
+		sessID := mustCreateSession(t, s, service.CreateSessionRequest{PolicyID: polID, Budget: 1, DatasetID: dsID})
+		draws[i] = decode[service.HistogramResponse](t, do(t, s, "POST", "/v1/sessions/"+sessID+"/releases/histogram",
+			service.HistogramRequest{DatasetID: dsID, Epsilon: 0.5})).Counts
+	}
+	for i := range draws[0] {
+		if draws[0][i] == draws[1][i] {
+			t.Fatalf("count %d is %v in both sessions: identical creates share noise", i, draws[0][i])
+		}
+	}
+}
+
 func TestSessionDeleteAndExpiry(t *testing.T) {
 	s, clk := newTestServer(t)
 	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "full"}})

@@ -62,12 +62,10 @@ func TestStreamLifecycle(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()
 	polID, dsID := streamFixtureIDs(t, s)
-	seed := int64(7)
 	stID := mustCreateStream(t, s, service.CreateStreamRequest{
 		PolicyID:  polID,
 		DatasetID: dsID,
 		Budget:    0.3,
-		Seed:      &seed,
 		Epoch:     service.EpochSpec{Epsilon: 0.1},
 	})
 
@@ -124,19 +122,17 @@ func TestStreamLifecycle(t *testing.T) {
 }
 
 // TestStreamReproducible pins the acceptance criterion end to end: two
-// servers replaying the same seeded stream produce bit-for-bit identical
-// epoch releases.
+// servers with the same base seed replaying the same stream produce
+// bit-for-bit identical epoch releases.
 func TestStreamReproducible(t *testing.T) {
 	run := func() []float64 {
 		s, _ := newTestServer(t)
 		defer s.Close()
 		polID, dsID := streamFixtureIDs(t, s)
-		seed := int64(99)
 		stID := mustCreateStream(t, s, service.CreateStreamRequest{
 			PolicyID:  polID,
 			DatasetID: dsID,
 			Budget:    1,
-			Seed:      &seed,
 			Epoch:     service.EpochSpec{Epsilon: 0.5},
 		})
 		postEvents(t, s, dsID, appendEvents(5, 9, 9, 30, 31))

@@ -256,8 +256,7 @@ func (c *Core) ApplySession(id string, req CreateSessionRequest) (SessionRespons
 	}
 	// Sessions run keyed on the policy's compiled plan, so parallel release
 	// requests draw noise concurrently and no noise depends on the host.
-	seed := c.resolveSeed(req.Seed)
-	e, err := c.buildSessionEntry(pe, req.Budget, seed)
+	e, err := c.buildSessionEntry(pe, req.Budget, id)
 	if err != nil {
 		return SessionResponse{}, badRequest(err)
 	}
@@ -274,11 +273,7 @@ func (c *Core) ApplySession(id string, req CreateSessionRequest) (SessionRespons
 		c.mu.Unlock()
 		return SessionResponse{}, errf(CodeBadRequest, "session %q already exists", id)
 	}
-	e.id = id
-	if err := c.journal(recSessionPut, walSessionPut{
-		ID: e.id, PolicyID: pe.id, Budget: req.Budget,
-		Seed: seed, NextSeed: c.nextSeed.Load(),
-	}); err != nil {
+	if err := c.journal(recSessionPut, walSessionPut{ID: e.id, PolicyID: pe.id, Budget: req.Budget}); err != nil {
 		c.mu.Unlock()
 		return SessionResponse{}, durabilityErr(err)
 	}

@@ -53,6 +53,13 @@ type DurabilityConfig struct {
 	SnapshotEvery int
 }
 
+// FormatVersion names the on-disk format of a data directory: the WAL
+// records and snapshot payload below, the wal package's frames and the
+// shard-<i> layout. shard.Open stamps it in the directory's FORMAT file
+// and reads no other, so a change to any record or snapshot type here
+// bumps it.
+const FormatVersion = "1"
+
 // WAL record kinds.
 const (
 	recPolicyPut byte = iota + 1
@@ -89,18 +96,11 @@ type walSessionPut struct {
 	ID       string  `json:"id"`
 	PolicyID string  `json:"policy_id"`
 	Budget   float64 `json:"budget"`
-	Seed     int64   `json:"seed"`
-	// NextSeed is the core's seed counter after the create. A snapshot
-	// entry leaves it out: the snapshot's own next_seed covers it.
-	NextSeed int64 `json:"next_seed,omitempty"`
 }
 
 type walStreamPut struct {
-	ID   string              `json:"id"`
-	Req  CreateStreamRequest `json:"req"`
-	Seed int64               `json:"seed"`
-	// NextSeed is as in walSessionPut.
-	NextSeed int64 `json:"next_seed,omitempty"`
+	ID  string              `json:"id"`
+	Req CreateStreamRequest `json:"req"`
 }
 
 type walDelete struct {
@@ -141,7 +141,6 @@ type walEpoch struct {
 // as its WAL record), plus the state it has reached since.
 type snapServer struct {
 	NextID   [4]uint64      `json:"next_id"`
-	NextSeed int64          `json:"next_seed"`
 	Policies []walPolicyPut `json:"policies,omitempty"`
 	Datasets []snapDataset  `json:"datasets,omitempty"`
 	Sessions []snapSession  `json:"sessions,omitempty"`
@@ -362,7 +361,7 @@ func (c *Core) Checkpoint() (CheckpointStats, error) {
 //lint:allow truthflow snapshots journal the raw dataset tuples by design: the durable state IS the data, and the data directory is server-private, never a release surface
 func (c *Core) buildSnapshot() *snapServer {
 	c.mu.RLock()
-	snap := &snapServer{NextID: c.nextID, NextSeed: c.nextSeed.Load()}
+	snap := &snapServer{NextID: c.nextID}
 	policies := make([]*policyEntry, 0, len(c.policies))
 	for _, e := range c.policies {
 		policies = append(policies, e)
@@ -397,11 +396,8 @@ func (c *Core) buildSnapshot() *snapServer {
 		st := e.sess.ExportState()
 		e.relMu.Unlock()
 		snap.Sessions = append(snap.Sessions, snapSession{
-			walSessionPut: walSessionPut{
-				ID: e.id, PolicyID: e.policyID,
-				Budget: e.sess.Accountant().Budget(), Seed: e.seed,
-			},
-			State: st,
+			walSessionPut: walSessionPut{ID: e.id, PolicyID: e.policyID, Budget: e.sess.Accountant().Budget()},
+			State:         st,
 		})
 	}
 	for _, e := range streams {
@@ -411,7 +407,7 @@ func (c *Core) buildSnapshot() *snapServer {
 		// between closes, never mid-close.
 		stState := e.st.Snapshot(func() { sessState = e.sess.ExportState() })
 		snap.Streams = append(snap.Streams, snapStream{
-			walStreamPut: walStreamPut{ID: e.id, Req: e.req, Seed: e.seed},
+			walStreamPut: walStreamPut{ID: e.id, Req: e.req},
 			State:        stState, Session: sessState,
 		})
 	}
@@ -431,15 +427,5 @@ func bumpCounter(ctr *uint64, id string) {
 	}
 	if n > *ctr {
 		*ctr = n
-	}
-}
-
-// raiseSeed advances the core's seed counter past a replayed value.
-func (c *Core) raiseSeed(v int64) {
-	for {
-		cur := c.nextSeed.Load()
-		if v <= cur || c.nextSeed.CompareAndSwap(cur, v) {
-			return
-		}
 	}
 }

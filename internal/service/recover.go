@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"blowfish"
+	"blowfish/internal/noise"
 	"blowfish/internal/wal"
 )
 
@@ -93,9 +94,7 @@ func (c *Core) finishRecovery() {
 
 // loadSnapshot rebuilds the registries from a checkpoint payload: each
 // entry is applied as its put record, then restored to the state it had
-// reached. The snapshot's own counters are stored last: they cover every
-// entry, whose put records carry no next_seed (it reads as 0, above the
-// counter of a shard whose seeds are negative).
+// reached.
 func (c *Core) loadSnapshot(payload []byte) error {
 	snap, err := decodeSnapshot(payload)
 	if err != nil {
@@ -137,7 +136,6 @@ func (c *Core) loadSnapshot(payload []byte) error {
 		}
 	}
 	c.nextID = snap.NextID
-	c.nextSeed.Store(snap.NextSeed)
 	return nil
 }
 
@@ -217,7 +215,7 @@ func (c *Core) replayRecord(rec wal.Record) error {
 
 // The apply functions register one recovered resource from its put record,
 // for WAL replay and snapshot load alike. Each raises the namespace's id
-// counter (and the seed counter) past the record, and skips an id that is
+// counter past the record, and skips an id that is
 // already registered: a create journaled while a checkpoint serialized is
 // both in the snapshot and in the replayed tail. They return the entry
 // under the record's id, so the snapshot path can restore its state.
@@ -261,7 +259,6 @@ func (c *Core) applyDatasetPut(r walDatasetPut) (*datasetEntry, error) {
 //lint:allow waljournal recovery registers resources read FROM durable state (WAL replay and snapshot load); journaling them again would double every record on each recovery
 func (c *Core) applySessionPut(r walSessionPut) (*sessionEntry, error) {
 	bumpCounter(&c.nextID[2], r.ID)
-	c.raiseSeed(r.NextSeed)
 	if e, ok := c.sessions[r.ID]; ok {
 		return e, nil
 	}
@@ -269,11 +266,10 @@ func (c *Core) applySessionPut(r walSessionPut) (*sessionEntry, error) {
 	if !ok {
 		return nil, fmt.Errorf("session %s references unknown policy %s", r.ID, r.PolicyID)
 	}
-	se, err := c.buildSessionEntry(pe, r.Budget, r.Seed)
+	se, err := c.buildSessionEntry(pe, r.Budget, r.ID)
 	if err != nil {
 		return nil, fmt.Errorf("session %s: %w", r.ID, err)
 	}
-	se.id = r.ID
 	c.sessions[se.id] = se
 	return se, nil
 }
@@ -284,15 +280,13 @@ func (c *Core) applySessionPut(r walSessionPut) (*sessionEntry, error) {
 //lint:allow waljournal recovery registers resources read FROM durable state (WAL replay and snapshot load); journaling them again would double every record on each recovery
 func (c *Core) applyStreamPut(r walStreamPut) (*streamEntry, error) {
 	bumpCounter(&c.nextID[3], r.ID)
-	c.raiseSeed(r.NextSeed)
 	if e, ok := c.streams[r.ID]; ok {
 		return e, nil
 	}
-	e, err := c.buildStreamEntryLocked(r.Req, r.Seed)
+	e, err := c.buildStreamEntryLocked(r.Req, r.ID)
 	if err != nil {
 		return nil, fmt.Errorf("stream %s: %w", r.ID, err)
 	}
-	e.id = r.ID
 	c.streams[e.id] = e
 	return e, nil
 }
@@ -436,28 +430,18 @@ func (c *Core) buildDatasetEntry(attrs []AttrSpec, pts []blowfish.Point) (*datas
 	return &datasetEntry{ds: ds, attrs: append([]AttrSpec(nil), attrs...), tbl: tbl, ingCfg: c.cfg.Ingest}, nil
 }
 
-// buildSessionEntry mints a keyed session over a registered policy, its
-// key derived from the resolved seed, and wires the engine's per-policy
-// release instruments (resolved once here, never per release).
-func (c *Core) buildSessionEntry(pe *policyEntry, budget float64, seed int64) (*sessionEntry, error) {
-	sess, err := pe.cp.NewKeyedSession(budget, blowfish.SeedKey(seed))
+// buildSessionEntry mints session id as a keyed session over a
+// registered policy, and wires the engine's per-policy release
+// instruments (resolved once here, never per release).
+func (c *Core) buildSessionEntry(pe *policyEntry, budget float64, id string) (*sessionEntry, error) {
+	sess, err := pe.cp.NewKeyedSession(budget, noise.ResourceKey(c.cfg.Seed, id))
 	if err != nil {
 		return nil, err
 	}
 	sess.SetEngineMetrics(c.metrics.engineMetrics(pe.id))
-	e := &sessionEntry{policyID: pe.id, pol: pe, sess: sess, seed: seed}
+	e := &sessionEntry{id: id, policyID: pe.id, pol: pe, sess: sess}
 	e.lastUsed.Store(c.cfg.Now().UnixNano())
 	return e, nil
-}
-
-// resolveSeed pins the noise seed of a create request: the client's seed
-// if it sent one, else the core's next derived seed (Config.Seed + k).
-func (c *Core) resolveSeed(reqSeed *int64) int64 {
-	seed := c.nextSeed.Add(1)
-	if reqSeed != nil {
-		seed = *reqSeed
-	}
-	return seed
 }
 
 // streamConfigFromRequest lowers the wire-level stream spec.
@@ -488,7 +472,7 @@ func streamConfigFromRequest(req CreateStreamRequest) blowfish.StreamConfig {
 // request, resolving the policy and dataset from the registries without
 // taking the core lock — recovery (single-threaded) owns the maps, and
 // the serving path resolves entries itself before calling the shared core.
-func (c *Core) buildStreamEntryLocked(req CreateStreamRequest, seed int64) (*streamEntry, error) {
+func (c *Core) buildStreamEntryLocked(req CreateStreamRequest, id string) (*streamEntry, error) {
 	pe, ok := c.policies[req.PolicyID]
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %s", req.PolicyID)
@@ -497,14 +481,14 @@ func (c *Core) buildStreamEntryLocked(req CreateStreamRequest, seed int64) (*str
 	if !ok {
 		return nil, fmt.Errorf("unknown dataset %s", req.DatasetID)
 	}
-	return c.buildStreamEntry(pe, de, req, seed)
+	return c.buildStreamEntry(pe, de, req, id)
 }
 
-// buildStreamEntry binds a policy and dataset into a stream over a
-// dedicated session keyed from seed; the stream is NOT started (callers
-// start it after registration — recovery only after the whole replay).
-func (c *Core) buildStreamEntry(pe *policyEntry, de *datasetEntry, req CreateStreamRequest, seed int64) (*streamEntry, error) {
-	sess, err := pe.cp.NewKeyedSession(req.Budget, blowfish.SeedKey(seed))
+// buildStreamEntry binds a policy and dataset into stream id over a
+// dedicated keyed session; the stream is NOT started (callers start it
+// after registration — recovery only after the whole replay).
+func (c *Core) buildStreamEntry(pe *policyEntry, de *datasetEntry, req CreateStreamRequest, id string) (*streamEntry, error) {
+	sess, err := pe.cp.NewKeyedSession(req.Budget, noise.ResourceKey(c.cfg.Seed, id))
 	if err != nil {
 		return nil, err
 	}
@@ -516,6 +500,7 @@ func (c *Core) buildStreamEntry(pe *policyEntry, de *datasetEntry, req CreateStr
 		return nil, err
 	}
 	return &streamEntry{
+		id:        id,
 		policyID:  pe.id,
 		datasetID: de.id,
 		pol:       pe,
@@ -523,7 +508,6 @@ func (c *Core) buildStreamEntry(pe *policyEntry, de *datasetEntry, req CreateStr
 		sess:      sess,
 		st:        st,
 		req:       req,
-		seed:      seed,
 	}, nil
 }
 

@@ -22,8 +22,10 @@ var (
 // charged — label and ε — and move the session's ordinal to the record's:
 // histogram, cumulative and range releases are charged; an exact
 // partition-policy histogram leaves no entry; and a release whose dataset
-// was deleted earlier in the log charges like any other. The next release
-// after recovery must match a never-crashed core bit for bit.
+// was deleted earlier in the log charges like any other. The session put
+// records carry no key: recovery derives it from the base seed and the
+// session id, so the next release after recovery must match a
+// never-crashed core with the same base seed bit for bit.
 func TestReplayRebuildsLedger(t *testing.T) {
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever})
@@ -45,8 +47,8 @@ func TestReplayRebuildsLedger(t *testing.T) {
 	write(recPolicyPut, walPolicyPut{ID: "pol-2", Domain: replayGrid, Graph: GraphSpec{Kind: "partition", Blocks: 4}})
 	write(recDatasetPut, walDatasetPut{ID: "ds-1", Domain: replayLine, Points: rows})
 	write(recDatasetPut, walDatasetPut{ID: "ds-2", Domain: replayGrid, Points: []blowfish.Point{0, 5, 15}})
-	write(recSessionPut, walSessionPut{ID: "sess-1", PolicyID: "pol-1", Budget: 10, Seed: 7})
-	write(recSessionPut, walSessionPut{ID: "sess-2", PolicyID: "pol-2", Budget: 10, Seed: 8})
+	write(recSessionPut, walSessionPut{ID: "sess-1", PolicyID: "pol-1", Budget: 10})
+	write(recSessionPut, walSessionPut{ID: "sess-2", PolicyID: "pol-2", Budget: 10})
 	write(recRelease, walRelease{SessionID: "sess-1", Ordinal: 1, Kind: "histogram", DatasetID: "ds-1", Epsilon: 0.5})
 	write(recRelease, walRelease{SessionID: "sess-1", Ordinal: 2, Kind: "cumulative", DatasetID: "ds-1", Epsilon: 0.25})
 	write(recRelease, walRelease{SessionID: "sess-1", Ordinal: 3, Kind: "range", DatasetID: "ds-1", Epsilon: 0.125})
@@ -99,7 +101,7 @@ func TestReplayRebuildsLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := ctl.ApplySession("sess-1", CreateSessionRequest{PolicyID: pol.ID, Budget: 10, Seed: ptr(int64(7))})
+	sess, err := ctl.ApplySession("sess-1", CreateSessionRequest{PolicyID: pol.ID, Budget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +134,9 @@ func TestReplayRebuildsLedger(t *testing.T) {
 	}
 }
 
-func ptr[T any](v T) *T { return &v }
-
-// TestNoiseIndependentOfHost pins that a core's noise depends on its seed
-// and the requests alone: two cores with the same Config.Seed and the same
-// unseeded creates, one at GOMAXPROCS 1 and one at 4, publish identical
+// TestNoiseIndependentOfHost pins that a core's noise depends on its base
+// seed and the requests alone: two cores with the same Config.Seed and the
+// same creates, one at GOMAXPROCS 1 and one at 4, publish identical
 // releases.
 func TestNoiseIndependentOfHost(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

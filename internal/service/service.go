@@ -39,9 +39,11 @@ import (
 
 // Config tunes a Core. The zero value is usable.
 type Config struct {
-	// Seed is the base seed: the k-th session or stream created without a
-	// seed gets Seed + k, and its noise key is SHA-256 of its seed. Cores
-	// with the same Seed and requests publish identical releases.
+	// Seed is the base of every noise key: a session's or stream's key is
+	// noise.ResourceKey(Seed, id). Ids are never reused, so no two
+	// resources share a key, and servers with the same Seed and requests
+	// publish identical releases at any shard count. A data directory
+	// keeps the Seed it was written with (shard.Open refuses another).
 	Seed int64
 	// SessionTTL expires sessions idle for longer than this; zero means
 	// sessions never expire.
@@ -98,8 +100,6 @@ type Core struct {
 	// raised again by replay, so it outlives the ids' deletion.
 	nextID [4]uint64
 	closed bool
-
-	nextSeed atomic.Int64
 
 	// persist is nil for in-memory cores; when set, every state-changing
 	// operation is journaled to the write-ahead log before it is
@@ -201,10 +201,9 @@ type streamEntry struct {
 	// its accountant is what epoch closes charge.
 	sess *blowfish.Session
 	st   *blowfish.Stream
-	// req is the creation request and seed its resolved noise seed, which
-	// snapshots and WAL replay rebuild the stream from.
-	req  CreateStreamRequest
-	seed int64
+	// req is the creation request, which snapshots and WAL replay rebuild
+	// the stream from.
+	req CreateStreamRequest
 }
 
 type sessionEntry struct {
@@ -219,8 +218,6 @@ type sessionEntry struct {
 	// lastUsed is the unix-nano timestamp of the latest access, advanced
 	// atomically so reads can stay under the core's read lock.
 	lastUsed atomic.Int64
-	// seed is the resolved noise seed the session's key derives from.
-	seed int64
 	// relMu serializes this session's releases on the durable path: a
 	// release and its WAL record form one critical section, so the record
 	// carries the release's ordinal and a checkpoint (which takes the same
@@ -257,7 +254,6 @@ func newCore(cfg Config) *Core {
 	// The shared ingest instruments flow into every dataset's writer via
 	// the base ingest config.
 	c.cfg.Ingest.Metrics = c.metrics.ingest
-	c.nextSeed.Store(cfg.Seed)
 	c.registerCollectors()
 	return c
 }

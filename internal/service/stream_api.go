@@ -84,10 +84,7 @@ func (c *Core) ApplyStream(id string, req CreateStreamRequest) (StreamResponse, 
 	if !ok {
 		return StreamResponse{}, errf(CodeUnknownDataset, "no dataset %q", req.DatasetID)
 	}
-	// Same seeding contract as sessions: the stream's dedicated session is
-	// keyed from the resolved seed.
-	seed := c.resolveSeed(req.Seed)
-	e, err := c.buildStreamEntry(pe, de, req, seed)
+	e, err := c.buildStreamEntry(pe, de, req, id)
 	if err != nil {
 		return StreamResponse{}, libError(err)
 	}
@@ -140,10 +137,7 @@ func (c *Core) ApplyStream(id string, req CreateStreamRequest) (StreamResponse, 
 		rollback()
 		return StreamResponse{}, errf(CodeBadRequest, "stream %q already exists", id)
 	}
-	e.id = id
-	if err := c.journal(recStreamPut, walStreamPut{
-		ID: e.id, Req: req, Seed: seed, NextSeed: c.nextSeed.Load(),
-	}); err != nil {
+	if err := c.journal(recStreamPut, walStreamPut{ID: e.id, Req: req}); err != nil {
 		c.mu.Unlock()
 		rollback()
 		return StreamResponse{}, durabilityErr(err)

@@ -84,11 +84,6 @@ type DatasetResponse struct {
 type CreateSessionRequest struct {
 	PolicyID string  `json:"policy_id"`
 	Budget   float64 `json:"budget"`
-	// Seed optionally fixes the session's noise for reproducible runs: its
-	// key is SHA-256 of the seed and its n-th release draws from (key, n),
-	// so the same seed and requests replay identically on any host.
-	// Omitted, the server derives the seed from its own (Config.Seed).
-	Seed *int64 `json:"seed,omitempty"`
 	// DatasetID is an optional placement hint for sharded deployments:
 	// the session is colocated with the named dataset's shard, so its
 	// releases over that dataset route without a cross-shard hop. At one
@@ -237,14 +232,11 @@ type WindowSpec struct {
 // CreateStreamRequest binds a dataset and a policy into a continual-release
 // stream with a total ε budget.
 type CreateStreamRequest struct {
-	PolicyID  string  `json:"policy_id"`
-	DatasetID string  `json:"dataset_id"`
-	Budget    float64 `json:"budget"`
-	// Seed optionally fixes the stream's noise key (same semantics as
-	// session seeds).
-	Seed   *int64     `json:"seed,omitempty"`
-	Epoch  EpochSpec  `json:"epoch"`
-	Window WindowSpec `json:"window,omitempty"`
+	PolicyID  string     `json:"policy_id"`
+	DatasetID string     `json:"dataset_id"`
+	Budget    float64    `json:"budget"`
+	Epoch     EpochSpec  `json:"epoch"`
+	Window    WindowSpec `json:"window,omitempty"`
 	// Kinds defaults to ["histogram"]; also "cumulative" and "range".
 	Kinds []string `json:"kinds,omitempty"`
 	// Fanout is the range-release hierarchy branching factor; default 16.

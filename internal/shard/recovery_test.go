@@ -15,8 +15,10 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -171,15 +173,14 @@ func TestShardedCrashRecovery(t *testing.T) {
 		t.Fatalf("datasets cover %d of %d shards; grow numDatasets", len(owned), crashShards)
 	}
 
-	// One seeded stream per dataset; the first takes the mid-ingest
-	// kill, the second is quiesced pre-kill and carries the bit-for-bit
-	// release assertion.
+	// One stream per dataset; the first takes the mid-ingest kill, the
+	// second is quiesced pre-kill and carries the bit-for-bit release
+	// assertion.
 	var streams []service.StreamResponse
-	for i, ds := range datasets[:2] {
+	for _, ds := range datasets[:2] {
 		var st service.StreamResponse
-		seed := int64(7 + i)
 		httpJSON(t, "POST", base+"/v1/streams", service.CreateStreamRequest{
-			PolicyID: pol.ID, DatasetID: ds.ID, Budget: 3.0, Seed: &seed,
+			PolicyID: pol.ID, DatasetID: ds.ID, Budget: 3.0,
 			Epoch: service.EpochSpec{Epsilon: 0.5},
 		}, &st)
 		streams = append(streams, st)
@@ -357,53 +358,184 @@ func TestOpenRejectsShrunkLayout(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnshardedLayout: a directory holding a WAL segment or a
-// snapshot at its root was written by a single core with no router (the
-// layout -shards 1 used before every shard count ran the router). Opening
-// beside those files would start empty and forget every ledger in them,
-// so Open must refuse, name the layout, and leave the directory as it
-// found it.
+// TestOpenRejectsUnshardedLayout: Open reads only a directory that its
+// own format wrote, as named by the FORMAT file at the root. It refuses a
+// directory without that file, or with another version in it, before it
+// creates or changes anything, and the error names both versions. The
+// fixtures are the unsharded layout of the releases before the router ran
+// at every shard count (a root-level WAL, or a root-level snapshot alone),
+// the sharded layout that came before FORMAT (shard-0/ with a WAL), and a
+// FORMAT of another version. A new directory, which may hold a torn
+// FORMAT write and what a new volume or a provisioned directory holds
+// (lost+found, .gitkeep), is stamped with the version and the seed, and
+// opens and reopens.
 func TestOpenRejectsUnshardedLayout(t *testing.T) {
-	dir := t.TempDir()
-	cfg := service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}}
-	refused := func(what string) {
+	cfgAt := func(dir string) service.Config {
+		return service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}}
+	}
+	// core leaves one core's state in dir: a crash keeps its WAL, a
+	// graceful close checkpoints.
+	core := func(t *testing.T, dir string, graceful bool) {
 		t.Helper()
-		for _, n := range []int{1, 4} {
-			_, err := shard.Open(cfg, n)
-			if err == nil || !strings.Contains(err.Error(), "unsharded layout") {
-				t.Fatalf("Open(%d shards) over %s = %v, want a refusal naming the unsharded layout", n, what, err)
-			}
+		c, err := service.Open(cfgAt(dir))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sub, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(sub) != 0 {
-			t.Fatalf("refused Open still created %v", sub)
+		if _, err := c.ApplyPolicy("pol-1", crashPolicy); err != nil {
+			t.Fatal(err)
+		}
+		if graceful {
+			c.Close()
+		} else {
+			c.Abandon()
 		}
 	}
 
-	// A crashed core leaves its WAL at the root.
-	core, err := service.Open(cfg)
-	if err != nil {
+	fresh := filepath.Join(t.TempDir(), "new")
+	if err := os.MkdirAll(fresh, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.ApplyPolicy("pol-1", crashPolicy); err != nil {
+	if err := os.MkdirAll(filepath.Join(fresh, "lost+found"), 0o700); err != nil {
 		t.Fatal(err)
 	}
-	core.Abandon()
-	refused("a root-level WAL")
-
-	// A graceful close checkpoints: the snapshot alone is refused too.
-	core, err = service.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.Close()
-	logs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	for _, l := range logs {
-		if err := os.Remove(l); err != nil {
+	for _, name := range []string{"FORMAT.tmp-torn", ".gitkeep"} {
+		if err := os.WriteFile(filepath.Join(fresh, name), []byte("1"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.db")); len(snaps) == 0 {
-		t.Fatal("graceful close wrote no snapshot at the root")
+	for i := 0; i < 2; i++ {
+		r, err := shard.Open(cfgAt(fresh), 2)
+		if err != nil {
+			t.Fatalf("open %d of a new directory: %v", i+1, err)
+		}
+		r.Close()
 	}
-	refused("a root-level snapshot")
+	stamp, err := os.ReadFile(filepath.Join(fresh, "FORMAT"))
+	if want := service.FormatVersion + "\nseed 0\n"; err != nil || string(stamp) != want {
+		t.Fatalf("FORMAT of a new directory = %q, %v; want %q", stamp, err, want)
+	}
+	want := fmt.Sprintf("reads only format %q", service.FormatVersion)
+
+	for _, tc := range []struct {
+		name, found string // found: the version the refusal names
+		make        func(t *testing.T, dir string)
+	}{
+		{"root-level WAL", "none", func(t *testing.T, dir string) { core(t, dir, false) }},
+		{"root-level snapshot", "none", func(t *testing.T, dir string) {
+			core(t, dir, true)
+			logs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+			for _, l := range logs {
+				if err := os.Remove(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.db")); len(snaps) == 0 {
+				t.Fatal("graceful close wrote no snapshot at the root")
+			}
+		}},
+		{"shard-0 WAL without FORMAT", "none", func(t *testing.T, dir string) { core(t, filepath.Join(dir, "shard-0"), false) }},
+		{"FORMAT of another version", `"999"`, func(t *testing.T, dir string) {
+			core(t, filepath.Join(dir, "shard-0"), false)
+			if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("999\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.make(t, dir)
+			before := tree(t, dir)
+			for _, n := range []int{1, 4} {
+				_, err := shard.Open(cfgAt(dir), n)
+				if err == nil || !strings.Contains(err.Error(), "is format "+tc.found) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Open(%d shards) = %v, want a refusal naming format %s and %s", n, err, tc.found, want)
+				}
+			}
+			if after := tree(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+}
+
+// TestOpenRejectsOtherSeed: every recovered noise key derives from the
+// base seed, so a data directory keeps the seed it was written with. A
+// durable stream closes an epoch and the server dies; reopening with
+// another seed is refused, naming both, and leaves the directory as
+// found, since replaying the close under another key would serve a
+// second, independent release of an epoch charged once. Reopening with
+// the original seed serves the very release the close returned.
+func TestOpenRejectsOtherSeed(t *testing.T) {
+	cfg := service.Config{Seed: 42, Durability: service.DurabilityConfig{Dir: t.TempDir(), Fsync: "always"}}
+	r, err := shard.Open(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := r.CreatePolicy(crashPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{1}, {2}, {9}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.CreateStream(service.CreateStreamRequest{PolicyID: pol.ID, DatasetID: ds.ID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := r.CloseEpoch(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Abandon()
+
+	before := tree(t, cfg.Durability.Dir)
+	for _, seed := range []int64{0, 1, 43} {
+		other := cfg
+		other.Seed = seed
+		_, err := shard.Open(other, 2)
+		if want := fmt.Sprintf("written with seed 42, not %d", seed); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open with seed %d = %v, want a refusal naming %q", seed, err, want)
+		}
+	}
+	if after := tree(t, cfg.Durability.Dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+
+	rec, err := shard.Open(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	polled, err := rec.StreamReleases(context.Background(), st.ID, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal([]service.EpochReleaseWire{closed})
+	if got, _ := json.Marshal(polled.Releases); string(got) != string(want) {
+		t.Fatalf("release after reopening with the same seed:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// tree maps every path under dir to its file's contents ("/" for a
+// directory).
+func tree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			out[path] = "/"
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		out[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

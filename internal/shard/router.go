@@ -2,7 +2,9 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -12,14 +14,8 @@ import (
 	"blowfish"
 	"blowfish/internal/metrics"
 	"blowfish/internal/service"
+	"blowfish/internal/wal"
 )
-
-// seedStride separates the shards' base seeds: shard i derives its noise
-// and per-session seeds from cfg.Seed + i*seedStride (the 64-bit golden
-// gamma, so consecutive shards land far apart in seed space). The stride
-// is part of the on-disk contract — recovery re-derives the same per-shard
-// seeds from the same base seed.
-const seedStride int64 = -0x61C8864680B583EB // 0x9E3779B97F4A7C15 as int64
 
 // Router is the service the HTTP front (server.New) serves: N ≥ 1 shard
 // cores behind one logical namespace. One shard is simply the smallest
@@ -53,16 +49,14 @@ type Router struct {
 
 // Open creates a router over n cores, recovering each shard's durable
 // state from its own subdirectory <cfg.Durability.Dir>/shard-<i> when a
-// data directory is configured. The shard count is part of the on-disk
-// layout: reopening with a different n would strand datasets on shards
-// the hash no longer picks, so Open refuses a directory whose shard
-// subdirectories contradict n.
+// data directory is configured, after openDataDir has stamped a new
+// directory or checked an existing one against this format, seed and n.
 func Open(cfg service.Config, n int) (*Router, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
 	if cfg.Durability.Dir != "" {
-		if err := checkLayout(cfg.Durability.Dir, n); err != nil {
+		if err := openDataDir(cfg.Durability.Dir, cfg.Seed, n); err != nil {
 			return nil, err
 		}
 	}
@@ -76,7 +70,6 @@ func Open(cfg service.Config, n int) (*Router, error) {
 	for i := 0; i < n; i++ {
 		sub := cfg
 		sub.ShardLabel = strconv.Itoa(i)
-		sub.Seed = cfg.Seed + int64(i)*seedStride
 		if cfg.Durability.Dir != "" {
 			sub.Durability.Dir = filepath.Join(cfg.Durability.Dir, "shard-"+strconv.Itoa(i))
 		}
@@ -93,7 +86,6 @@ func Open(cfg service.Config, n int) (*Router, error) {
 	base := r.cores[0].Config()
 	base.Durability.Dir = cfg.Durability.Dir
 	base.ShardLabel = ""
-	base.Seed = cfg.Seed
 	r.cfg = base
 	r.rebuild()
 	return r, nil
@@ -145,33 +137,56 @@ func (r *Router) rebuild() {
 	}
 }
 
-// checkLayout verifies an existing data directory agrees with the shard
-// count: every shard-<i> subdirectory present must be i < n, and no WAL
-// segment or snapshot may sit at the root. Root-level files are the
-// unsharded layout earlier releases wrote at -shards 1; opening beside
-// them would start empty and forget every ledger they hold.
-func checkLayout(dir string, n int) error {
-	for _, pattern := range []string{"wal-*.log", "snap-*.db"} {
-		found, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
-			return err
-		}
-		if len(found) > 0 {
-			return fmt.Errorf("shard: data directory %s holds %s at its root: that is the unsharded layout (one WAL in the directory itself), which this server does not read; every shard keeps its state under shard-<i>/", dir, filepath.Base(found[0]))
-		}
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "shard-*"))
-	if err != nil {
+// openDataDir checks a data directory before anything in it is created
+// or changed. A new one, which holds no FORMAT and nothing a server
+// writes (shard-<i>, or a WAL or snapshot at the root, as every earlier
+// layout has) but may hold a volume's lost+found, is stamped with
+// FORMAT: service.FormatVersion, then the base seed. An existing one
+// must carry the same stamp, since reading another format's records
+// loses or resets state, and every recovered noise key derives from the
+// seed: another would re-draw releases already served. Its shard-<i>
+// must also have i < n, or reopening would strand datasets on shards
+// the hash no longer picks.
+func openDataDir(dir string, seed int64, n int) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	for _, m := range matches {
+	state, top := "", -1 // an entry a server wrote; the highest shard index
+	for _, e := range ents {
 		var i int
-		if _, err := fmt.Sscanf(filepath.Base(m), "shard-%d", &i); err != nil {
-			continue
+		log, _ := filepath.Match("wal-*.log", e.Name())
+		snap, _ := filepath.Match("snap-*.db", e.Name())
+		if _, err := fmt.Sscanf(e.Name(), "shard-%d", &i); err == nil {
+			state, top = e.Name(), max(top, i)
+		} else if log || snap {
+			state = e.Name()
 		}
-		if i >= n {
-			return fmt.Errorf("shard: data directory %s holds %s but only %d shard(s) configured; reopen with the original shard count", dir, filepath.Base(m), n)
-		}
+	}
+	refuse := func(found string) error {
+		return fmt.Errorf("shard: data directory %s is format %s, but this server reads only format %q; it converts no other format", dir, found, service.FormatVersion)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "FORMAT"))
+	switch {
+	case errors.Is(err, os.ErrNotExist) && state == "":
+		return wal.WriteFileAtomic(dir, "FORMAT", fmt.Appendf(nil, "%s\nseed %d\n", service.FormatVersion, seed))
+	case errors.Is(err, os.ErrNotExist):
+		return refuse("none (no FORMAT file beside " + state + ")")
+	case err != nil:
+		return err
+	}
+	var version string
+	var stored int64
+	_, err = fmt.Sscanf(string(b), "%s\nseed %d", &version, &stored)
+	switch {
+	case version != service.FormatVersion:
+		return refuse(strconv.Quote(version))
+	case err != nil:
+		return fmt.Errorf("shard: data directory %s: FORMAT names no seed: %w", dir, err)
+	case stored != seed:
+		return fmt.Errorf("shard: data directory %s was written with seed %d, not %d: its noise keys derive from the seed, and another would re-draw releases already served; reopen with seed %d", dir, stored, seed, stored)
+	case top >= n:
+		return fmt.Errorf("shard: data directory %s holds shard-%d but only %d shard(s) configured; reopen with the original shard count", dir, top, n)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,8 +12,6 @@ import (
 
 	"blowfish/internal/service"
 )
-
-func i64(v int64) *int64 { return &v }
 
 var testPolicy = service.CreatePolicyRequest{
 	Domain: []service.AttrSpec{{Name: "v", Size: 16}},
@@ -137,14 +137,14 @@ func TestRouterAssignmentStableAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess, err := r.CreateSession(service.CreateSessionRequest{
-			PolicyID: pol.ID, Budget: 10, DatasetID: ds.ID, Seed: i64(int64(i)),
+			PolicyID: pol.ID, Budget: 10, DatasetID: ds.ID,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st, err := r.CreateStream(service.CreateStreamRequest{
 			PolicyID: pol.ID, DatasetID: ds.ID, Budget: 10,
-			Epoch: service.EpochSpec{Epsilon: 0.5}, Seed: i64(int64(i)),
+			Epoch: service.EpochSpec{Epsilon: 0.5},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -580,11 +580,11 @@ func TestRouterInUseRefusalsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRouterSeedsContinueAfterRestart: a restart from snapshots resumes
-// every shard's seed counter where it stopped, so an unseeded session
-// created afterwards draws the noise it would have drawn without the
-// restart. The shards' base seeds lie a negative stride apart, so some
-// shards count in negative numbers.
+// TestRouterSeedsContinueAfterRestart: a session created after a restart
+// from snapshots draws the noise it would have drawn without the restart.
+// Its key derives from the base seed and its id alone, and the reopened
+// router resumes minting ids where it stopped, so the session gets the id,
+// and with it the key, that a router that never restarted gives it.
 func TestRouterSeedsContinueAfterRestart(t *testing.T) {
 	const n = 4
 	populate := func(r *Router) []string {
@@ -638,10 +638,61 @@ func TestRouterSeedsContinueAfterRestart(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterOverhead measures the routing tax: the same seeded
-// histogram release drawn through a 1-shard router versus directly
-// against the core it routes to. The delta is the routing-table lookup
-// under the router's read lock — the perf gate keeps it honest.
+// TestRouterReleasesIndependentOfShardCount: a resource's noise depends
+// only on the base seed, its id and its ordinal, so the same creates and
+// releases on in-memory routers at 1 and at 4 shards publish
+// byte-identical bodies, although the 4-shard router spreads the datasets,
+// sessions and streams over its cores.
+func TestRouterReleasesIndependentOfShardCount(t *testing.T) {
+	run := func(n int) []byte {
+		t.Helper()
+		r := newTestRouter(t, n, "")
+		defer r.Close()
+		check := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%d shards: %v", n, err)
+			}
+		}
+		pol, err := r.CreatePolicy(testPolicy)
+		check(err)
+		var out []any
+		for i := 0; i < 8; i++ {
+			ds, err := r.CreateDataset(service.CreateDatasetRequest{PolicyID: pol.ID, Rows: [][]int{{i}, {i + 1}, {15 - i}}})
+			check(err)
+			sess, err := r.CreateSession(service.CreateSessionRequest{PolicyID: pol.ID, Budget: 10, DatasetID: ds.ID})
+			check(err)
+			st, err := r.CreateStream(service.CreateStreamRequest{
+				PolicyID: pol.ID, DatasetID: ds.ID, Budget: 10, Epoch: service.EpochSpec{Epsilon: 0.5},
+				Kinds: []string{"histogram", "cumulative", "range"}, RangeQueries: []service.RangeQuery{{Lo: 2, Hi: 9}},
+			})
+			check(err)
+			h, err := r.Histogram(sess.ID, service.HistogramRequest{DatasetID: ds.ID, Epsilon: 0.5})
+			check(err)
+			c, err := r.Cumulative(sess.ID, service.CumulativeRequest{DatasetID: ds.ID, Epsilon: 0.5})
+			check(err)
+			g, err := r.Range(sess.ID, service.RangeRequest{DatasetID: ds.ID, Epsilon: 0.5, Queries: []service.RangeQuery{{Lo: 0, Hi: 7}}})
+			check(err)
+			out = append(out, h, c, g)
+			for e := 0; e < 2; e++ {
+				rel, err := r.CloseEpoch(context.Background(), st.ID)
+				check(err)
+				out = append(out, rel)
+			}
+		}
+		body, err := json.Marshal(out)
+		check(err)
+		return body
+	}
+	if one, four := run(1), run(4); string(one) != string(four) {
+		t.Fatalf("releases differ between 1 and 4 shards:\n1: %.300s\n4: %.300s", one, four)
+	}
+}
+
+// BenchmarkRouterOverhead measures the routing tax: the same histogram
+// release drawn through a 1-shard router versus directly against the core
+// it routes to. The delta is the routing-table lookup under the router's
+// read lock — the perf gate keeps it honest.
 func BenchmarkRouterOverhead(b *testing.B) {
 	setup := func(b *testing.B) (r *Router, sessID, dsID string) {
 		b.Helper()
@@ -661,7 +712,7 @@ func BenchmarkRouterOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		sess, err := r.CreateSession(service.CreateSessionRequest{
-			PolicyID: pol.ID, Budget: 1e12, DatasetID: ds.ID, Seed: i64(7),
+			PolicyID: pol.ID, Budget: 1e12, DatasetID: ds.ID,
 		})
 		if err != nil {
 			b.Fatal(err)

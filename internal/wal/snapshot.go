@@ -15,49 +15,53 @@ import (
 //
 //	"BFSNAP1\n" [u64 lsn] [u32 crc32c of payload] [payload]
 //
-// The file is written to a temp name, fsynced, then renamed into place and
-// the directory fsynced, so a crash mid-write can never shadow an older
-// valid snapshot with a torn new one.
+// The file is written atomically (WriteFileAtomic), so a crash mid-write
+// can never shadow an older valid snapshot with a torn new one.
 
 // WriteSnapshot durably writes a snapshot covering every record with
 // LSN <= lsn and returns its path.
 func WriteSnapshot(dir string, lsn uint64, payload []byte) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
 	name := fmt.Sprintf("%s%016x%s", snapPrefix, lsn, snapSuffix)
-	path := filepath.Join(dir, name)
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return "", err
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
 	hdr := make([]byte, 0, len(snapMagic)+12)
 	hdr = append(hdr, snapMagic...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, lsn)
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, castagnoli))
-	if _, err := tmp.Write(hdr); err != nil {
-		tmp.Close()
+	if err := WriteFileAtomic(dir, name, hdr, payload); err != nil {
 		return "", err
 	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return "", err
+	return filepath.Join(dir, name), nil
+}
+
+// WriteFileAtomic durably writes the concatenated parts to dir/name,
+// creating dir if needed: it writes a temp file (name.tmp-*), fsyncs it,
+// renames it into place and fsyncs dir, so a crash leaves either the old
+// file or the whole new one, never a torn one under name.
+func WriteFileAtomic(dir, name string, parts ...[]byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, name+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after successful rename
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return "", err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return "", err
+		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", err
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
+		return err
 	}
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	return path, nil
+	return syncDir(dir)
 }
 
 // LatestSnapshot loads the newest valid snapshot in dir, returning its LSN

@@ -26,7 +26,8 @@
 // covers the same range. A record that fails its length or CRC check ends
 // the readable log: in the active (last) segment that is the expected torn
 // tail of a crash and is truncated away on Open; in an earlier segment it
-// is corruption and Open fails loudly.
+// is corruption and Open fails loudly. A change to this layout, this
+// framing or the snapshot frame bumps service.FormatVersion.
 package wal
 
 import (
