@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -133,4 +135,65 @@ func BenchmarkIngestJSONEnvelope(b *testing.B) {
 	}
 	drain(b, s, path)
 	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkDatasetUpload measures one POST /v1/datasets through ServeHTTP:
+// body decode, domain encode and the dataset build. The loadbench case is
+// the upload every loadbench workload makes at set-up (200,000 rows of one
+// 1024-value attribute); the skin case has the shape of the paper's Skin
+// dataset (245,057 rows of three 256-value attributes). Each op's dataset
+// is deleted outside the timer, so memory stays flat across ops.
+func BenchmarkDatasetUpload(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		rows  int
+		attrs []service.AttrSpec
+	}{
+		{"loadbench", 200_000, []service.AttrSpec{{Name: "v", Size: 1024}}},
+		{"skin", 245_057, []service.AttrSpec{{Name: "r", Size: 256}, {Name: "g", Size: 256}, {Name: "b", Size: 256}}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := newServer(b, service.Config{Seed: 1})
+			b.Cleanup(s.Close)
+			spec, _ := json.Marshal(service.CreatePolicyRequest{Domain: tc.attrs, Graph: service.GraphSpec{Kind: "l1", Theta: 16}})
+			w := doRaw(b, s, "POST", "/v1/policies", "", spec)
+			if w.Code != http.StatusCreated {
+				b.Fatalf("create policy: %d %s", w.Code, w.Body.String())
+			}
+			var pol service.PolicyResponse
+			_ = json.Unmarshal(w.Body.Bytes(), &pol)
+			// {"policy_id":"pol-1","rows":[[v,...],...]}, values uniform.
+			rng := rand.New(rand.NewPCG(1, 2))
+			body := fmt.Appendf(nil, `{"policy_id":%q,"rows":[`, pol.ID)
+			for i := range tc.rows {
+				if i > 0 {
+					body = append(body, ',')
+				}
+				body = append(body, '[')
+				for j, a := range tc.attrs {
+					if j > 0 {
+						body = append(body, ',')
+					}
+					body = strconv.AppendInt(body, int64(rng.IntN(a.Size)), 10)
+				}
+				body = append(body, ']')
+			}
+			body = append(body, ']', '}')
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := doRaw(b, s, "POST", "/v1/datasets", "", body)
+				b.StopTimer()
+				var ds service.DatasetResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &ds); w.Code != http.StatusCreated || err != nil || ds.Rows != tc.rows {
+					b.Fatalf("upload: %d %s", w.Code, w.Body.String())
+				}
+				if w := doRaw(b, s, "DELETE", "/v1/datasets/"+ds.ID, "", nil); w.Code != http.StatusNoContent {
+					b.Fatalf("delete: %d %s", w.Code, w.Body.String())
+				}
+				b.StartTimer()
+			}
+		})
+	}
 }

@@ -255,13 +255,51 @@ func TestCreatePolicy(t *testing.T) {
 	}
 }
 
+// TestCreatePolicyRejectsMalformedJSON sends bodies that are not exactly
+// one valid JSON value: each gets 400 bad_request. Trailing data after an
+// otherwise valid body is refused on every decode path, the NDJSON lines
+// included, and creates nothing.
 func TestCreatePolicyRejectsMalformedJSON(t *testing.T) {
 	s, _ := newTestServer(t)
-	for _, body := range []string{"{not json", `{"domain": [], "grap": {}}`} {
-		req := httptest.NewRequest("POST", "/v1/policies", strings.NewReader(body))
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, req)
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{Domain: lineDomain, Graph: service.GraphSpec{Kind: "line"}})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: [][]int{{1}}})
+	for _, tc := range []struct{ path, contentType, body string }{
+		{"/v1/policies", "", "{not json"},
+		{"/v1/policies", "", `{"domain": [], "grap": {}}`},
+		{"/v1/policies", "", `{"domain":[{"name":"v","size":8}],"graph":{"kind":"line"}} {}`},
+		{"/v1/datasets", "", `{"policy_id":"` + polID + `","rows":[[1],[2]]} trailing garbage`},
+		{"/v1/datasets", "", `{"policy_id":"` + polID + `","rows":[[1],[2]]}{"x":1}`},
+		{"/v1/datasets/" + dsID + "/events?wait=1", "application/x-ndjson", `{"op":"append","row":[2]} junk` + "\n"},
+	} {
+		w := doRaw(t, s, "POST", tc.path, tc.contentType, []byte(tc.body))
 		wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
+	}
+	if n := len(decode[service.ListPoliciesResponse](t, do(t, s, "GET", "/v1/policies", nil)).Policies); n != 1 {
+		t.Errorf("%d policies after the refusals, want 1", n)
+	}
+	datasets := decode[service.ListDatasetsResponse](t, do(t, s, "GET", "/v1/datasets", nil)).Datasets
+	if len(datasets) != 1 || datasets[0].Rows != 1 {
+		t.Errorf("datasets after the refusals: %+v, want one of 1 row", datasets)
+	}
+}
+
+// TestNullInRowRefused sends null inside a row on all three JSON paths
+// that carry rows. encoding/json would read it as 0 and store a tuple;
+// each must get 400 bad_request and change no row count.
+func TestNullInRowRefused(t *testing.T) {
+	s, _ := newTestServer(t)
+	polID, dsID := streamFixtureIDs(t, s)
+	events := "/v1/datasets/" + dsID + "/events?wait=1"
+	for _, tc := range []struct{ path, contentType, body string }{
+		{"/v1/datasets", "", `{"policy_id":"` + polID + `","rows":[[1],[null],[3]]}`},
+		{events, "", `{"events":[{"op":"append","row":[null]}],"wait":true}`},
+		{events, "application/x-ndjson", `{"op":"append","row":[null]}` + "\n"},
+	} {
+		wantError(t, doRaw(t, s, "POST", tc.path, tc.contentType, []byte(tc.body)), http.StatusBadRequest, service.CodeBadRequest)
+	}
+	datasets := decode[service.ListDatasetsResponse](t, do(t, s, "GET", "/v1/datasets", nil)).Datasets
+	if len(datasets) != 1 || datasets[0].Rows != 0 {
+		t.Errorf("datasets after the refusals: %+v, want the one empty fixture", datasets)
 	}
 }
 

@@ -99,7 +99,7 @@ func waitParam(r *http.Request) bool {
 
 // ndjsonScratch holds the per-request NDJSON decode state a pooled handler
 // reuses: the line scanner's buffer, the wire-event slice (each entry's Row
-// backing array survives reuse — json.Unmarshal appends into the reset
+// backing array survives reuse — service.Row decodes into the reset
 // slice) and the converted ingest batch. Its events alias the scratch and
 // must not be retained past the request.
 type ndjsonScratch struct {
@@ -117,7 +117,8 @@ func getNDJSONScratch() *ndjsonScratch   { return ndjsonPool.Get().(*ndjsonScrat
 func putNDJSONScratch(sc *ndjsonScratch) { ndjsonPool.Put(sc) }
 
 // decode parses one event object per non-empty line into the scratch's
-// reused buffers, leaving the converted batch in sc.events.
+// reused buffers, leaving the converted batch in sc.events. A line holds
+// exactly one object.
 func (sc *ndjsonScratch) decode(body io.Reader, max int) error {
 	out := sc.wire[:0]
 	s := bufio.NewScanner(body)
@@ -143,9 +144,7 @@ func (sc *ndjsonScratch) decode(body io.Reader, max int) error {
 		ev := &out[len(out)-1]
 		ev.Op, ev.ID, ev.Row = "", 0, ev.Row[:0]
 		sc.rd.Reset(b)
-		dec := json.NewDecoder(&sc.rd)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(ev); err != nil {
+		if err := decodeOne(&sc.rd, ev); err != nil {
 			sc.wire = out
 			return fmt.Errorf("ndjson line %d: %v", line, err)
 		}

@@ -70,7 +70,7 @@ type CreateDatasetRequest struct {
 	// exclusive with Domain.
 	PolicyID string     `json:"policy_id,omitempty"`
 	Domain   []AttrSpec `json:"domain,omitempty"`
-	Rows     [][]int    `json:"rows"`
+	Rows     Rows       `json:"rows"`
 }
 
 // DatasetResponse describes a registered dataset.
@@ -182,7 +182,7 @@ type ListStreamsResponse struct {
 type EventWire struct {
 	Op  string `json:"op"`
 	ID  int    `json:"id,omitempty"`
-	Row []int  `json:"row,omitempty"`
+	Row Row    `json:"row,omitempty"`
 }
 
 // EventsRequest submits a batch of events to a dataset's event log. The
