@@ -264,6 +264,10 @@ func ReleaseCumulativeHistogram(p *Policy, ds *Dataset, eps float64, src *Source
 	return s.ReleaseCumulativeHistogram(ds, eps)
 }
 
+// RangeQuery is one inclusive range count q[Lo, Hi], as
+// Session.ReleaseRangeAnswers and range-kind stream epochs answer it.
+type RangeQuery = ordered.RangeQuery
+
 // RangeReleaser answers arbitrary range queries over an ordered domain via
 // the Ordered Hierarchical Mechanism (Section 7.2), with θ taken from the
 // policy's distance-threshold graph (|T| for differential privacy, 1 for

@@ -22,7 +22,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,14 +32,8 @@ import (
 
 	"blowfish"
 	"blowfish/internal/codec"
+	"blowfish/internal/service"
 )
-
-// eventWire mirrors the server's NDJSON event shape.
-type eventWire struct {
-	Op  string `json:"op"`
-	ID  int    `json:"id"`
-	Row []int  `json:"row"`
-}
 
 func main() {
 	attrs := flag.Int("attrs", 0, "number of row attributes (the dataset domain's width); required")
@@ -57,57 +50,72 @@ func main() {
 	if *max < 1 {
 		fail(fmt.Errorf("-max %d < 1", *max))
 	}
+	st, err := convert(os.Stdin, *attrs, *max, sinkFor(*url, *wait))
+	if err != nil {
+		fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "blowfish-batch: %d events in %d frames (%d bytes)\n", st.events, st.frames, st.sent)
+}
 
-	sink := sinkFor(*url, *wait)
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+// stats counts what convert sent.
+type stats struct {
+	events, frames int
+	sent           int64
+}
+
+// convert reads events from in, one object per non-empty line, and hands
+// sink one frame per max events. A line must decode as the server decodes
+// an NDJSON event line (service.EventWire, unknown fields and trailing
+// data refused); the first that does not stops the conversion, named by
+// its line number.
+func convert(in io.Reader, attrs, max int, sink func([]byte) error) (stats, error) {
 	var (
-		batch  []blowfish.StreamEvent
-		frame  []byte
-		line   int
-		events int
-		frames int
-		sent   int64
+		st    stats
+		batch []blowfish.StreamEvent
+		frame []byte
+		line  int
 	)
-	flush := func() {
+	flush := func() error {
 		if len(batch) == 0 {
-			return
+			return nil
 		}
 		var err error
-		frame, err = codec.AppendFrame(frame[:0], batch, *attrs)
+		frame, err = codec.AppendFrame(frame[:0], batch, attrs)
 		if err != nil {
-			fail(fmt.Errorf("line %d: encoding frame: %w", line, err))
+			return fmt.Errorf("line %d: encoding frame: %w", line, err)
 		}
 		if err := sink(frame); err != nil {
-			fail(err)
+			return err
 		}
-		frames++
-		sent += int64(len(frame))
+		st.frames++
+		st.sent += int64(len(frame))
 		batch = batch[:0]
+		return nil
 	}
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		var ev eventWire
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ev); err != nil {
-			fail(fmt.Errorf("line %d: %w", line, err))
+		var ev service.EventWire
+		if err := service.DecodeOne(bytes.NewReader(raw), &ev); err != nil {
+			return st, fmt.Errorf("line %d: %w", line, err)
 		}
 		batch = append(batch, blowfish.StreamEvent{Op: ev.Op, ID: ev.ID, Row: ev.Row})
-		events++
-		if len(batch) >= *max {
-			flush()
+		st.events++
+		if len(batch) >= max {
+			if err := flush(); err != nil {
+				return st, err
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fail(fmt.Errorf("reading stdin: %w", err))
+		return st, fmt.Errorf("reading events: %w", err)
 	}
-	flush()
-	fmt.Fprintf(os.Stderr, "blowfish-batch: %d events in %d frames (%d bytes)\n", events, frames, sent)
+	return st, flush()
 }
 
 // sinkFor returns the frame consumer: stdout, or a POSTing client that

@@ -83,6 +83,21 @@ func pinReleaseAllocs(t *testing.T, sess *blowfish.Session, ds *blowfish.Dataset
 		t.Fatalf("range release allocates %v per call, want <= 8", rangeAllocs)
 	}
 
+	// The served range path: only its answers escape, so it is held to the
+	// histogram path's bound.
+	queries := []blowfish.RangeQuery{{Lo: 10, Hi: 900}}
+	if _, err := sess.ReleaseRangeAnswers(ds, 16, eps, queries); err != nil {
+		t.Fatal(err)
+	}
+	answerAllocs := testing.AllocsPerRun(100, func() {
+		if _, err := sess.ReleaseRangeAnswers(ds, 16, eps, queries); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if answerAllocs > 4 {
+		t.Fatalf("range answers allocate %v per call, want <= 4", answerAllocs)
+	}
+
 	cumAllocs := testing.AllocsPerRun(100, func() {
 		if _, err := sess.ReleaseCumulativeHistogram(ds, eps); err != nil {
 			t.Fatal(err)
@@ -132,6 +147,15 @@ func pinReleaseAllocs(t *testing.T, sess *blowfish.Session, ds *blowfish.Dataset
 	})
 	if rangeMetered > 8 {
 		t.Fatalf("instrumented range release allocates %v per call, want <= 8", rangeMetered)
+	}
+
+	answersMetered := testing.AllocsPerRun(100, func() {
+		if _, err := sess.ReleaseRangeAnswers(ds, 16, eps, queries); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if answersMetered > 4 {
+		t.Fatalf("instrumented range answers allocate %v per call, want <= 4", answersMetered)
 	}
 
 	histMetered := testing.AllocsPerRun(100, func() {

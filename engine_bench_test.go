@@ -121,6 +121,37 @@ func BenchmarkEngineRepeatedRangeMetrics(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineRangeAnswers measures the served range path at
+// loadbench's shape: |T| = 1024, θ = 16, fanout 16, 200,000 rows and one
+// query per release, answered from only the nodes it reads.
+func BenchmarkEngineRangeAnswers(b *testing.B) {
+	dom, err := blowfish.LineDomain("v", 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := blowfish.DistanceThreshold(dom, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := blowfish.NewDataset(dom)
+	src := blowfish.NewSource(1)
+	for i := 0; i < benchTuples; i++ {
+		ds.MustAdd(blowfish.Point(src.Int63n(1024)))
+	}
+	sess := benchSession(b, blowfish.NewPolicy(g))
+	queries := []blowfish.RangeQuery{{Lo: 100, Hi: 900}}
+	if _, err := sess.ReleaseRangeAnswers(ds, 16, benchEps, queries); err != nil { // prime caches
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.ReleaseRangeAnswers(ds, 16, benchEps, queries); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineRepeatedCumulative measures the Ordered Mechanism on the
 // maintained cumulative counts.
 func BenchmarkEngineRepeatedCumulative(b *testing.B) {

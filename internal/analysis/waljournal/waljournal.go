@@ -58,7 +58,7 @@ func (c *Config) fill() {
 		c.JournalFuncs = []string{"journal", "journalDelete", "journalRelease", "eventJournal", "epochJournal", "Append"}
 	}
 	if len(c.ReleaseFuncs) == 0 {
-		c.ReleaseFuncs = []string{"ReleaseHistogram", "ReleasePartitionHistogram", "ReleaseCumulativeHistogram", "NewRangeReleaser"}
+		c.ReleaseFuncs = []string{"ReleaseHistogram", "ReleasePartitionHistogram", "ReleaseCumulativeHistogram", "NewRangeReleaser", "ReleaseRangeAnswers"}
 	}
 }
 

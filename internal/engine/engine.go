@@ -341,16 +341,35 @@ func (e *Engine) ReleaseCumulative(idx *DatasetIndex, eps float64) (raw, inferre
 // NewRangeRelease publishes the Ordered Hierarchical structure over the
 // plan's cached tree layout, charging eps.
 func (e *Engine) NewRangeRelease(idx *DatasetIndex, fanout int, eps float64) (*ordered.OHRelease, error) {
+	rel, _, err := e.releaseRange(idx, fanout, eps, nil)
+	return rel, err
+}
+
+// ReleaseRangeAnswers is NewRangeRelease for callers that keep only the
+// answers to queries: one ordinal, one charge of eps, and the answers the
+// released structure's Range gives, bit for bit. Only the nodes those
+// answers read are noised, and only the answers are allocated.
+func (e *Engine) ReleaseRangeAnswers(idx *DatasetIndex, fanout int, eps float64, queries []ordered.RangeQuery) ([]float64, error) {
+	if len(queries) == 0 {
+		return nil, errors.New("engine: a range release needs at least one query")
+	}
+	_, answers, err := e.releaseRange(idx, fanout, eps, queries)
+	return answers, err
+}
+
+// releaseRange runs one Ordered Hierarchical release: the whole structure
+// when queries is nil, and otherwise only the answers to queries.
+func (e *Engine) releaseRange(idx *DatasetIndex, fanout int, eps float64, queries []ordered.RangeQuery) (*ordered.OHRelease, []float64, error) {
 	if err := e.checkIndex(idx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.precheck(eps); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, start := e.releaseStart()
 	oh, err := e.plan.OHFor(fanout)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The histogram is pure staging for the OH release — the released
 	// structure carves its own storage — so it comes from the plan's arena.
@@ -358,23 +377,29 @@ func (e *Engine) NewRangeRelease(idx *DatasetIndex, fanout int, eps float64) (*o
 	counts, err := idx.HistogramAppend((*buf)[:0])
 	if err != nil {
 		e.plan.putVec(buf)
-		return nil, err
+		return nil, nil, err
 	}
 	src := e.noiseFor()
-	rel, err := oh.Release(counts, eps, src)
+	var rel *ordered.OHRelease
+	var answers []float64
+	if queries == nil {
+		rel, err = oh.Release(counts, eps, src)
+	} else {
+		answers, err = oh.ReleaseAnswers(counts, eps, src, queries)
+	}
 	e.doneNoise(src)
 	*buf = counts
 	e.plan.putVec(buf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.charge(kindRange, nil, eps); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if m != nil {
 		m.Range.observe(start)
 	}
-	return rel, nil
+	return rel, answers, nil
 }
 
 // KMeansBox returns the clamping box the domain dictates for k-means

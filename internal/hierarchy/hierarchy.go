@@ -247,6 +247,20 @@ func (t *Tree) ReleaseInteriorInto(values, variance, counts []float64, scale flo
 	return Released{tree: t, values: values, variance: variance}, nil
 }
 
+// SkipInterior moves src past the draws ReleaseInteriorInto makes at this
+// scale, one per non-root node (one in all for a single-node tree),
+// without evaluating or noising anything. It refuses the scales
+// ReleaseInteriorInto refuses.
+func (t *Tree) SkipInterior(scale float64, src *noise.Source) error {
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("hierarchy: invalid noise scale %v", scale)
+	}
+	if scale > 0 {
+		src.SkipLaplace(max(len(t.nodes)-1, 1))
+	}
+	return nil
+}
+
 func (t *Tree) release(counts []float64, scale float64, truth []float64, src *noise.Source, interiorRoot bool) (*Released, error) {
 	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		return nil, fmt.Errorf("hierarchy: invalid noise scale %v", scale)

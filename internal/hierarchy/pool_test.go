@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 // variant to the allocating path bit for bit: identical seeds must yield
 // identical node values and variances, or the Ordered Hierarchical noise
 // stream (and with it crash-recovery determinism) has silently shifted.
+// SkipInterior must move a Source exactly as far as the release does.
 func TestReleaseInteriorIntoMatchesReleaseInterior(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, shape := range []struct {
@@ -38,9 +40,17 @@ func TestReleaseInteriorIntoMatchesReleaseInterior(t *testing.T) {
 		n := tr.NodeCount()
 		values := make([]float64, n)
 		variance := make([]float64, n)
-		got, err := tr.ReleaseInteriorInto(values, variance, counts, shape.scale, noise.NewSource(41))
+		src := noise.NewSource(41)
+		got, err := tr.ReleaseInteriorInto(values, variance, counts, shape.scale, src)
 		if err != nil {
 			t.Fatalf("ReleaseInteriorInto(%+v): %v", shape, err)
+		}
+		skipped := noise.NewSource(41)
+		if err := tr.SkipInterior(shape.scale, skipped); err != nil {
+			t.Fatalf("SkipInterior(%+v): %v", shape, err)
+		}
+		if a, b := src.Uniform(), skipped.Uniform(); a != b {
+			t.Fatalf("%+v: after SkipInterior the next uniform is %v, want %v", shape, b, a)
 		}
 		for i := 0; i < n; i++ {
 			if got.Value(i) != want.Value(i) {
@@ -69,6 +79,11 @@ func TestReleaseInteriorIntoValidation(t *testing.T) {
 	src := noise.NewSource(1)
 	if _, err := tr.ReleaseInteriorInto(good, good, make([]float64, 8), -1, src); err == nil {
 		t.Error("negative scale accepted")
+	}
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := tr.SkipInterior(bad, src); err == nil {
+			t.Errorf("SkipInterior accepted scale %v", bad)
+		}
 	}
 	if _, err := tr.ReleaseInteriorInto(make([]float64, n-1), good, make([]float64, 8), 1, src); err == nil {
 		t.Error("short values slab accepted")

@@ -113,6 +113,17 @@ func (s *Source) Laplace(scale float64) float64 {
 	return -scale * math.Log(2*(1-u))
 }
 
+// SkipLaplace moves s past n Laplace draws of positive scale without
+// computing them: it consumes the uniforms those draws would, each one
+// redrawn while it is zero, so every later variate is the one it would
+// have been. A zero-scale draw consumes nothing; do not count it in n.
+func (s *Source) SkipLaplace(n int) {
+	for ; n > 0; n-- {
+		for s.rng.Float64() == 0 {
+		}
+	}
+}
+
 // TwoSidedGeometric returns an integer variate Z with
 // P[Z = z] = (1-α)/(1+α) · α^|z| for α = exp(-1/scale), the discrete
 // analogue of Laplace(scale). It is exact (difference of two geometric

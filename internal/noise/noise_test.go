@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -155,6 +156,60 @@ func TestLaplaceZeroScale(t *testing.T) {
 		if got := s.Laplace(0); got != 0 {
 			t.Fatalf("Laplace(0) = %v, want 0", got)
 		}
+	}
+}
+
+// scripted is a rand.Source that replays fixed words, then counts up.
+type scripted struct {
+	words []uint64
+	next  uint64
+}
+
+func (s *scripted) Uint64() uint64 {
+	if len(s.words) > 0 {
+		w := s.words[0]
+		s.words = s.words[1:]
+		return w
+	}
+	s.next += 1 << 20
+	return s.next
+}
+
+// TestSkipLaplaceMatchesDraws pins SkipLaplace to the draws it stands
+// for: after any mix of draws and skips, the next variate is the one a
+// Source that drew every time would give, over a seeded stream and over
+// one whose uniforms include zeros, which Laplace redraws.
+func TestSkipLaplaceMatchesDraws(t *testing.T) {
+	drawn, skipped := NewSource(5), NewSource(5)
+	for i := 0; i < 200; i++ {
+		n := i % 7
+		for j := 0; j < n; j++ {
+			drawn.Laplace(0.5 + float64(j))
+		}
+		skipped.SkipLaplace(n)
+		if a, b := drawn.Laplace(3), skipped.Laplace(3); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("round %d: after %d skips the next draw is %v, want %v", i, n, b, a)
+		}
+	}
+
+	// Float64 turns a zero word into the uniform 0: the first draw
+	// consumes three words, the second one.
+	zeros := func() *Source {
+		s := new(Source)
+		s.rng = rand.New(&scripted{words: []uint64{0, 0, 7 << 40, 0, 9 << 40}})
+		return s
+	}
+	drawn, skipped = zeros(), zeros()
+	drawn.Laplace(1)
+	drawn.Laplace(1)
+	skipped.SkipLaplace(2)
+	if a, b := drawn.Uniform(), skipped.Uniform(); a != b {
+		t.Fatalf("after zero uniforms, skipping left the stream at %v, want %v", b, a)
+	}
+	skipped.SkipLaplace(0)
+	skipped.SkipLaplace(-1)
+	if a, b := drawn.Uniform(), skipped.Uniform(); a != b {
+		t.Fatalf("SkipLaplace(n <= 0) moved the stream: %v, want %v", b, a)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"blowfish/internal/hierarchy"
 	"blowfish/internal/infer"
@@ -238,12 +239,6 @@ func (o *OH) Release(counts []float64, eps float64, src *noise.Source) (*OHRelea
 // Lap(1/ε_S); H-nodes in blocks i ≥ 2 receive Lap(2h/ε_H); H_1 — whose root
 // is s_1 — receives Lap(2h/(ε_S+ε_H)).
 func (o *OH) ReleaseWithSplit(counts []float64, epsS, epsH float64, src *noise.Source) (*OHRelease, error) {
-	if len(counts) != o.size {
-		return nil, fmt.Errorf("ordered: %d counts for size %d", len(counts), o.size)
-	}
-	if epsS < 0 || epsH < 0 || epsS+epsH <= 0 {
-		return nil, fmt.Errorf("ordered: invalid budget split (%v, %v)", epsS, epsH)
-	}
 	// The whole release escapes to the caller as one unit, so its storage is
 	// carved from one slab: k S-node prefixes, then per released block a
 	// values and a variance vector. A fixed handful of allocations (slab,
@@ -251,9 +246,35 @@ func (o *OH) ReleaseWithSplit(counts []float64, epsS, epsH float64, src *noise.S
 	// naive path, and the block truths are evaluated straight into the slab
 	// — no per-block Eval scratch at all.
 	slab := make([]float64, o.k+2*o.releasedNodes)
-	relSlab := make([]hierarchy.Released, o.releasedBlocks)
 	r := &OHRelease{oh: o, sPrefix: slab[:o.k:o.k], blocks: make([]*hierarchy.Released, 0, len(o.blocks))}
-	off := o.k
+	if err := o.release(r, slab[o.k:], make([]hierarchy.Released, o.releasedBlocks), counts, epsS, epsH, src, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// What a query-driven release noises, per block index i: the S-node
+// prefix s_{i+1}, and the H-subtree over block i.
+const (
+	readsPrefix uint8 = 1 << iota
+	readsBlock
+)
+
+// release noises r in the release schedule's draw order: the H-subtree of
+// every block wider than one position (block 0 at the combined budget),
+// then s_1, then s_2..s_k. The blocks' values and variances are carved
+// from slab in turn and their headers from rels. With reads nil every node
+// is noised. Otherwise only the prefixes and blocks reads marks are: every
+// other block is nil, every other prefix NaN, and src moves past their
+// draws, so each noised node holds the bits a full release gives it.
+func (o *OH) release(r *OHRelease, slab []float64, rels []hierarchy.Released, counts []float64, epsS, epsH float64, src *noise.Source, reads []uint8) error {
+	if len(counts) != o.size {
+		return fmt.Errorf("ordered: %d counts for size %d", len(counts), o.size)
+	}
+	if !(epsS >= 0) || !(epsH >= 0) || !(epsS+epsH > 0) {
+		return fmt.Errorf("ordered: invalid budget split (%v, %v)", epsS, epsH)
+	}
+	off := 0
 
 	// H-subtrees. Block 0 uses the combined budget. Single-node trees
 	// (θ=1, or a width-1 last block) are never queried — their positions
@@ -274,7 +295,7 @@ func (o *OH) ReleaseWithSplit(counts []float64, epsS, epsH float64, src *noise.S
 		scale := 0.0
 		if h > 0 {
 			if budget <= 0 {
-				return nil, errors.New("ordered: H-subtrees need positive budget when θ > 1")
+				return errors.New("ordered: H-subtrees need positive budget when θ > 1")
 			}
 			scale = 2 * h / budget
 		}
@@ -282,12 +303,19 @@ func (o *OH) ReleaseWithSplit(counts []float64, epsS, epsH float64, src *noise.S
 		values := slab[off : off+n : off+n]
 		variance := slab[off+n : off+2*n : off+2*n]
 		off += 2 * n
+		if reads != nil && reads[i]&readsBlock == 0 {
+			if err := tree.SkipInterior(scale, src); err != nil {
+				return err
+			}
+			r.blocks = append(r.blocks, nil)
+			continue
+		}
 		rel, err := tree.ReleaseInteriorInto(values, variance, blockCounts, scale, src)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		relSlab[released] = rel
-		r.blocks = append(r.blocks, &relSlab[released])
+		rels[released] = rel
+		r.blocks = append(r.blocks, &rels[released])
 		released++
 	}
 
@@ -306,16 +334,20 @@ func (o *OH) ReleaseWithSplit(counts []float64, epsS, epsH float64, src *noise.S
 		s1Scale = 2 * math.Max(h, 1) / (epsS + epsH)
 	} else {
 		if epsS <= 0 {
-			return nil, errors.New("ordered: θ=1 requires positive ε_S")
+			return errors.New("ordered: θ=1 requires positive ε_S")
 		}
 		s1Scale = 1 / epsS
 	}
-	r.sPrefix[0] = block0Total + src.Laplace(s1Scale)
+	if reads == nil || reads[0]&readsPrefix != 0 {
+		r.sPrefix[0] = block0Total + src.Laplace(s1Scale)
+	} else {
+		r.sPrefix[0] = skipDraw(s1Scale, src)
+	}
 
 	// Remaining S-nodes: true prefixes + Lap(1/ε_S).
 	if o.k > 1 {
 		if epsS <= 0 {
-			return nil, errors.New("ordered: multiple S-nodes require positive ε_S")
+			return errors.New("ordered: multiple S-nodes require positive ε_S")
 		}
 		prefix := block0Total
 		for i := 1; i < o.k; i++ {
@@ -323,47 +355,153 @@ func (o *OH) ReleaseWithSplit(counts []float64, epsS, epsH float64, src *noise.S
 			for j := lo; j < lo+o.blocks[i].Size(); j++ {
 				prefix += counts[j]
 			}
-			r.sPrefix[i] = prefix + src.Laplace(1/epsS)
+			if reads == nil || reads[i]&readsPrefix != 0 {
+				r.sPrefix[i] = prefix + src.Laplace(1/epsS)
+			} else {
+				r.sPrefix[i] = skipDraw(1/epsS, src)
+			}
 		}
 	}
-	return r, nil
+	return nil
+}
+
+// skipDraw moves src past the Laplace(scale) draw of a node that is not
+// noised, and returns the NaN that stands for its value. A zero scale
+// draws nothing.
+func skipDraw(scale float64, src *noise.Source) float64 {
+	if scale > 0 {
+		src.SkipLaplace(1)
+	}
+	return math.NaN()
+}
+
+// RangeQuery is one inclusive range count q[Lo, Hi].
+type RangeQuery struct {
+	Lo, Hi int
+}
+
+// partialRelease is the pooled storage of a query-driven release: the
+// release, the slab and headers its read blocks are carved from, and the
+// marks of what its queries read.
+type partialRelease struct {
+	rel   OHRelease
+	slab  []float64
+	rels  []hierarchy.Released
+	reads []uint8
+}
+
+var partials = sync.Pool{New: func() any { return new(partialRelease) }}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// ReleaseAnswers answers queries from a release at the optimal split:
+// each answer is the one Release followed by Range gives, bit for bit, and
+// src ends where Release leaves it. Only the S-node prefixes and blocks
+// the answers read are noised — at most two of each per query — and src
+// moves past every other node's draws, so only the answers are allocated.
+func (o *OH) ReleaseAnswers(counts []float64, eps float64, src *noise.Source, queries []RangeQuery) ([]float64, error) {
+	epsS, epsH := o.OptimalSplit(eps)
+	return o.answerWithSplit(counts, epsS, epsH, src, queries)
+}
+
+// answerWithSplit is ReleaseAnswers at an explicit split.
+func (o *OH) answerWithSplit(counts []float64, epsS, epsH float64, src *noise.Source, queries []RangeQuery) ([]float64, error) {
+	for _, q := range queries {
+		if err := o.checkRange(q.Lo, q.Hi); err != nil {
+			return nil, err
+		}
+	}
+	p := partials.Get().(*partialRelease)
+	defer partials.Put(p)
+	p.slab = resize(p.slab, o.k+2*o.releasedNodes)
+	p.rels = resize(p.rels, o.releasedBlocks)
+	p.reads = resize(p.reads, o.k)
+	clear(p.reads)
+	for _, q := range queries {
+		for _, j := range [2]int{q.Hi, q.Lo - 1} {
+			prefix, block := o.reads(j)
+			if prefix >= 0 {
+				p.reads[prefix] |= readsPrefix
+			}
+			if block >= 0 {
+				p.reads[block] |= readsBlock
+			}
+		}
+	}
+	r := &p.rel
+	*r = OHRelease{oh: o, sPrefix: p.slab[:o.k:o.k], blocks: r.blocks[:0]}
+	if err := o.release(r, p.slab[o.k:], p.rels, counts, epsS, epsH, src, p.reads); err != nil {
+		return nil, err
+	}
+	answers := make([]float64, len(queries))
+	for i, q := range queries {
+		a, err := r.Range(q.Lo, q.Hi)
+		if err != nil {
+			return nil, err
+		}
+		answers[i] = a
+	}
+	return answers, nil
+}
+
+// reads returns the S-node prefix and the block whose H-subtree
+// Cumulative(j) reads, each -1 when it reads none. C(j) = s_l + q[lθ, j],
+// and a j that ends its block is the prefix alone.
+func (o *OH) reads(j int) (prefix, block int) {
+	if j < 0 {
+		return -1, -1
+	}
+	b := j / o.theta
+	if j-b*o.theta == o.blocks[b].Size()-1 {
+		return b, -1
+	}
+	return b - 1, b
+}
+
+// checkRange refuses a range query that is not within [0, |T|).
+func (o *OH) checkRange(lo, hi int) error {
+	if lo < 0 || hi >= o.size || lo > hi {
+		return fmt.Errorf("ordered: invalid range [%d,%d] over size %d", lo, hi, o.size)
+	}
+	return nil
 }
 
 // Cumulative estimates C(j): the count of values ≤ j (0-indexed). C(-1)=0.
 // Per Section 7.2, C(j) = s_l + q[lθ, j] with the in-block part answered by
 // the H-subtree greedy decomposition.
 func (r *OHRelease) Cumulative(j int) (float64, error) {
-	if j == -1 {
-		return 0, nil
-	}
-	if j < 0 || j >= r.oh.size {
+	if j < -1 || j >= r.oh.size {
 		return 0, fmt.Errorf("ordered: cumulative index %d out of range [0,%d)", j, r.oh.size)
 	}
-	block := j / r.oh.theta
-	offsetHi := j - block*r.oh.theta // in-block inclusive upper bound
-	full := offsetHi == r.oh.blocks[block].Size()-1
-	if full {
-		// C(j) is exactly the S-node prefix s_{block+1}.
-		return r.sPrefix[block], nil
+	prefix, block := r.oh.reads(j)
+	var c float64
+	if prefix >= 0 {
+		c = r.sPrefix[prefix]
 	}
-	var base float64
-	if block > 0 {
-		base = r.sPrefix[block-1]
+	if block >= 0 {
+		// The in-block part covers a strict sub-block range (a j that ends
+		// its block reads the S-node alone), so the greedy decomposition
+		// never touches the unobserved block root and consists of noisy
+		// nodes only.
+		inBlock, _, err := r.blocks[block].RangeQuery(0, j-block*r.oh.theta)
+		if err != nil {
+			return 0, err
+		}
+		c += inBlock
 	}
-	// inBlock covers a strict sub-block range (the full-block case took the
-	// S-node fast path above), so the greedy decomposition never touches
-	// the unobserved block root and consists of noisy nodes only.
-	inBlock, _, err := r.blocks[block].RangeQuery(0, offsetHi)
-	if err != nil {
-		return 0, err
-	}
-	return base + inBlock, nil
+	return c, nil
 }
 
 // Range answers q[lo, hi] (inclusive) as C(hi) − C(lo−1).
 func (r *OHRelease) Range(lo, hi int) (float64, error) {
-	if lo < 0 || hi >= r.oh.size || lo > hi {
-		return 0, fmt.Errorf("ordered: invalid range [%d,%d] over size %d", lo, hi, r.oh.size)
+	if err := r.oh.checkRange(lo, hi); err != nil {
+		return 0, err
 	}
 	chi, err := r.Cumulative(hi)
 	if err != nil {

@@ -75,37 +75,62 @@ func referenceReleaseWithSplit(o *OH, counts []float64, epsS, epsH float64, src 
 	return r, nil
 }
 
+// releaseShape is one OH layout the differential tests release over;
+// wider > 0 widens its fanout past the block width (WithFanout), as
+// Plan.OHFor serves such fanouts.
+type releaseShape struct {
+	size, theta, fanout, wider int
+}
+
+// releaseShapes are the layout's corner shapes: pure ordered (θ=1), pure
+// hierarchical (θ=|T|), ragged and width-1 last blocks, the served shape
+// (|T| = 1024, θ = 16, f = 16) and a fanout above θ.
+var releaseShapes = []releaseShape{
+	{64, 7, 2, 0},
+	{64, 1, 2, 0},  // pure ordered: every block is a single node
+	{64, 64, 4, 0}, // pure hierarchical: one block
+	{49, 8, 3, 0},  // width-1 last block alongside full ones
+	{50, 8, 2, 0},  // ragged (width-2) last block
+	{5, 2, 2, 0},
+	{1024, 16, 16, 0}, // the served shape
+	{100, 10, 10, 25}, // fanout above θ, ragged last block
+}
+
+func (sh releaseShape) build(t *testing.T) *OH {
+	t.Helper()
+	o, err := NewOH(sh.size, sh.theta, sh.fanout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.wider > 0 {
+		o = o.WithFanout(sh.wider)
+	}
+	return o
+}
+
+// splits returns the budget splits a shape is released at: the optimal
+// one, an explicit one, and an infinite ε_S, whose zero-scale nodes draw
+// nothing.
+func (sh releaseShape) splits(o *OH) [][2]float64 {
+	epsS, epsH := o.OptimalSplit(1.5)
+	if sh.theta == 1 {
+		return [][2]float64{{epsS, epsH}, {1.5, 0}, {math.Inf(1), 0}}
+	}
+	return [][2]float64{{epsS, epsH}, {0.9, 0.6}, {math.Inf(1), 0.6}}
+}
+
 // TestReleaseWithSplitMatchesReference pins the slab-backed release to the
-// blockwise reference bit for bit across the layout's corner shapes: pure
-// ordered (θ=1), pure hierarchical (θ=|T|), ragged and width-1 last blocks,
-// and both optimal and explicit budget splits.
+// blockwise reference bit for bit across releaseShapes, at both optimal
+// and explicit budget splits.
 func TestReleaseWithSplitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	shapes := []struct {
-		size, theta, fanout int
-	}{
-		{64, 7, 2},
-		{64, 1, 2},  // pure ordered: every block is a single node
-		{64, 64, 4}, // pure hierarchical: one block
-		{49, 8, 3},  // width-1 last block alongside full ones
-		{50, 8, 2},  // ragged (width-2) last block
-		{5, 2, 2},
-	}
-	for _, sh := range shapes {
-		o, err := NewOH(sh.size, sh.theta, sh.fanout)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, sh := range releaseShapes {
+		o := sh.build(t)
 		counts := make([]float64, sh.size)
 		for i := range counts {
 			counts[i] = float64(rng.Intn(30))
 		}
-		epsS, epsH := o.OptimalSplit(1.5)
-		splits := [][2]float64{{epsS, epsH}, {0.9, 0.6}}
-		if sh.theta == 1 {
-			splits = [][2]float64{{epsS, epsH}, {1.5, 0}}
-		}
-		for _, split := range splits {
+		for _, split := range sh.splits(o) {
 			got, err := o.ReleaseWithSplit(counts, split[0], split[1], noise.NewSource(77))
 			if err != nil {
 				t.Fatalf("%+v split %v: %v", sh, split, err)
@@ -140,6 +165,120 @@ func TestReleaseWithSplitMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// randomQueries draws 1–8 range queries over o: the whole domain, prefixes
+// (lo = 0), runs of whole blocks (both ends on block boundaries) and
+// arbitrary ranges.
+func randomQueries(rng *rand.Rand, o *OH) []RangeQuery {
+	qs := make([]RangeQuery, 1+rng.Intn(8))
+	for i := range qs {
+		switch rng.Intn(4) {
+		case 0:
+			qs[i] = RangeQuery{0, o.size - 1}
+		case 1:
+			qs[i] = RangeQuery{0, rng.Intn(o.size)}
+		case 2:
+			first := rng.Intn(o.k)
+			last := first + rng.Intn(o.k-first)
+			qs[i] = RangeQuery{first * o.theta, min((last+1)*o.theta, o.size) - 1}
+		default:
+			lo := rng.Intn(o.size)
+			qs[i] = RangeQuery{lo, lo + rng.Intn(o.size-lo)}
+		}
+	}
+	return qs
+}
+
+// TestAnswersMatchReleaseRange is the query-driven release's differential
+// test: over releaseShapes and their splits, random query sets must get
+// the answers ReleaseWithSplit + Range gives, bit for bit, and leave the
+// Source where the full release leaves it.
+func TestAnswersMatchReleaseRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, sh := range releaseShapes {
+		o := sh.build(t)
+		counts := make([]float64, sh.size)
+		for i := range counts {
+			counts[i] = float64(rng.Intn(30))
+		}
+		for _, split := range sh.splits(o) {
+			for set := 0; set < 40; set++ {
+				qs := randomQueries(rng, o)
+				if set == 0 {
+					qs = []RangeQuery{{0, o.size - 1}}
+				}
+				full, partial := noise.NewSource(int64(100+set)), noise.NewSource(int64(100+set))
+				rel, err := o.ReleaseWithSplit(counts, split[0], split[1], full)
+				if err != nil {
+					t.Fatalf("%+v split %v: %v", sh, split, err)
+				}
+				got, err := o.answerWithSplit(counts, split[0], split[1], partial, qs)
+				if err != nil {
+					t.Fatalf("%+v split %v queries %v: %v", sh, split, qs, err)
+				}
+				for i, q := range qs {
+					want, err := rel.Range(q.Lo, q.Hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("%+v split %v query %v: answer %v, want %v", sh, split, q, got[i], want)
+					}
+				}
+				if a, b := full.Uniform(), partial.Uniform(); a != b {
+					t.Fatalf("%+v split %v queries %v: next draw %v, want %v", sh, split, qs, b, a)
+				}
+			}
+		}
+	}
+}
+
+// TestReleaseAnswersMatchesRelease checks the optimal-split entry point
+// and its refusals: an invalid query is refused before any draw.
+func TestReleaseAnswersMatchesRelease(t *testing.T) {
+	o, err := NewOH(1024, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]float64, 1024)
+	for i := range counts {
+		counts[i] = float64(i % 7)
+	}
+	qs := []RangeQuery{{10, 900}, {0, 1023}, {16, 31}, {5, 5}}
+	rel, err := o.Release(counts, 0.5, noise.NewSource(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := o.ReleaseAnswers(counts, 0.5, noise.NewSource(3), qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if want, _ := rel.Range(q.Lo, q.Hi); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("query %v: %v, want %v", q, got[i], want)
+		}
+	}
+	src, ref := noise.NewSource(4), noise.NewSource(4)
+	for _, bad := range [][]RangeQuery{{{-1, 3}}, {{0, 1024}}, {{0, 3}, {9, 8}}} {
+		if _, err := o.ReleaseAnswers(counts, 0.5, src, bad); err == nil {
+			t.Errorf("queries %v accepted", bad)
+		}
+	}
+	if _, err := o.ReleaseAnswers(counts, math.NaN(), src, qs); err == nil {
+		t.Error("NaN epsilon accepted")
+	}
+	// At θ = 1 a NaN split used to reach Laplace(NaN), which panics.
+	line, err := NewOH(64, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := line.ReleaseWithSplit(make([]float64, 64), math.NaN(), 0, src); err == nil {
+		t.Error("NaN split accepted at θ = 1")
+	}
+	if src.Uniform() != ref.Uniform() {
+		t.Fatal("a refused release drew noise")
 	}
 }
 

@@ -1,37 +1,20 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 
 	"blowfish/internal/service"
 )
 
-// decodeJSON parses a request body into v; see decodeOne for what it
-// refuses.
+// decodeJSON parses a request body into v; see service.DecodeOne for
+// what it refuses.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeOne(r.Body, v); err != nil {
+	if err := service.DecodeOne(r.Body, v); err != nil {
 		writeError(w, service.CodeBadRequest, "invalid JSON body: "+err.Error())
 		return false
 	}
 	return true
-}
-
-// decodeOne decodes the one JSON value rd holds into v. Unknown fields are
-// refused, so misspelled parameters fail loudly instead of silently
-// defaulting, and so is anything but whitespace after the value.
-func decodeOne(rd io.Reader, v any) error {
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the JSON value")
-	}
-	return nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

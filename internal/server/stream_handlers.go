@@ -144,7 +144,7 @@ func (sc *ndjsonScratch) decode(body io.Reader, max int) error {
 		ev := &out[len(out)-1]
 		ev.Op, ev.ID, ev.Row = "", 0, ev.Row[:0]
 		sc.rd.Reset(b)
-		if err := decodeOne(&sc.rd, ev); err != nil {
+		if err := service.DecodeOne(&sc.rd, ev); err != nil {
 			sc.wire = out
 			return fmt.Errorf("ndjson line %d: %v", line, err)
 		}

@@ -454,23 +454,19 @@ func (c *Core) Range(sessionID string, req RangeRequest) (RangeResponse, error) 
 	if unlock := c.lockForRelease(e); unlock != nil {
 		defer unlock()
 	}
-	// The released structure is a snapshot; only its construction needs to
-	// be ordered against streaming ingestion.
+	queries := make([]blowfish.RangeQuery, len(req.Queries))
+	for i, q := range req.Queries {
+		queries[i] = blowfish.RangeQuery(q)
+	}
+	// Only the release reads the table, so only it holds the read lock.
 	de.tbl.RLock()
-	rel, err := e.sess.NewRangeReleaser(de.ds, fanout, req.Epsilon)
+	answers, err := e.sess.ReleaseRangeAnswers(de.ds, fanout, req.Epsilon, queries)
 	de.tbl.RUnlock()
 	if err != nil {
 		return RangeResponse{}, libError(err)
 	}
 	if err := c.journalRelease(e, "range", req.DatasetID, req.Epsilon); err != nil {
 		return RangeResponse{}, durabilityErr(err)
-	}
-	answers := make([]float64, len(req.Queries))
-	for i, q := range req.Queries {
-		answers[i], err = rel.Range(q.Lo, q.Hi)
-		if err != nil {
-			return RangeResponse{}, errf(CodeBadRequest, "query %d: %v", i, err)
-		}
 	}
 	return RangeResponse{Answers: answers, Remaining: e.sess.Remaining()}, nil
 }

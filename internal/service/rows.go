@@ -40,11 +40,23 @@ func (r *Rows) UnmarshalJSON(b []byte) error {
 	if !p.skip('[') {
 		return p.typeErr(rowsType)
 	}
-	// Every integer after the first follows a comma and every row opens a
-	// bracket, so these counts bound the backing array and the row count:
-	// both are allocated once.
-	vals := make([]int, 0, bytes.Count(b, []byte{','})+1)
-	rows := make(Rows, 0, bytes.Count(b, []byte{'['})-1)
+	// Every row opens a bracket or is a null (the one JSON token outside a
+	// string that holds an 'n'), and every integer after the first follows
+	// a comma that no null row takes, so these counts bound the row count
+	// and the backing array, both allocated once. The parser refuses the
+	// first string it meets, so only the bytes before the first quote
+	// count. A valid value of len(b) bytes holds r rows and v integers with
+	// 3r+v <= len(b)-1 (a row takes at least 3 bytes of brackets and comma,
+	// an integer a digit): the hints keep to that bound whatever else the
+	// value contains.
+	read := b
+	if q := bytes.IndexByte(b, '"'); q >= 0 {
+		read = b[:q]
+	}
+	nulls := bytes.Count(read, []byte{'n'})
+	nrows := min(bytes.Count(read, []byte{'['})-1+nulls, (len(b)-1)/3)
+	vals := make([]int, 0, max(0, min(bytes.Count(read, []byte{','})+1-nulls, len(b)-1-3*nrows)))
+	rows := make(Rows, 0, nrows)
 	err := p.list(func() error {
 		if p.null() {
 			rows = append(rows, nil)

@@ -6,7 +6,28 @@ package service
 // the service package (not the HTTP front) because they are what a Core
 // speaks: every front — HTTP, the shard router — exchanges exactly these.
 
-import "blowfish"
+import (
+	"encoding/json"
+	"errors"
+	"io"
+
+	"blowfish"
+)
+
+// DecodeOne decodes the one JSON value rd holds into v. Unknown fields are
+// refused, so misspelled parameters fail loudly instead of silently
+// defaulting, and so is anything but whitespace after the value.
+func DecodeOne(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
 
 // AttrSpec declares one categorical attribute of a domain.
 type AttrSpec struct {

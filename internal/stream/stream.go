@@ -145,6 +145,8 @@ type Stream struct {
 	tbl *Table
 	idx *engine.DatasetIndex
 	cfg Config
+	// queries are cfg.RangeQueries as the engine takes them.
+	queries []ordered.RangeQuery
 
 	// waiters counts goroutines parked in WaitReleases right now — the
 	// long-poll connections the server's release-cursor endpoint holds
@@ -257,11 +259,16 @@ func New(eng *engine.Engine, tbl *Table, cfg Config) (*Stream, error) {
 	if cfg.Window == WindowSliding {
 		tbl.TrackEpochs()
 	}
+	queries := make([]ordered.RangeQuery, len(cfg.RangeQueries))
+	for i, q := range cfg.RangeQueries {
+		queries[i] = ordered.RangeQuery(q)
+	}
 	return &Stream{
 		eng:       eng,
 		tbl:       tbl,
 		idx:       idx,
 		cfg:       cfg,
+		queries:   queries,
 		lastClose: time.Now(),
 		notify:    make(chan struct{}),
 		quit:      make(chan struct{}),
@@ -387,11 +394,7 @@ func (st *Stream) computeLocked(rel *EpochRelease) error {
 			}
 			rel.CumulativeRaw, rel.CumulativeInferred = raw, inferred
 		case KindRange:
-			oh, err := st.eng.NewRangeRelease(st.idx, st.cfg.Fanout, rel.Epsilon)
-			if err != nil {
-				return err
-			}
-			answers, err := answerRangeQueries(oh, st.cfg.RangeQueries)
+			answers, err := st.eng.ReleaseRangeAnswers(st.idx, st.cfg.Fanout, rel.Epsilon, st.queries)
 			if err != nil {
 				return err
 			}
@@ -399,18 +402,6 @@ func (st *Stream) computeLocked(rel *EpochRelease) error {
 		}
 	}
 	return nil
-}
-
-func answerRangeQueries(oh *ordered.OHRelease, queries []RangeQuery) ([]float64, error) {
-	answers := make([]float64, len(queries))
-	for i, q := range queries {
-		a, err := oh.Range(q.Lo, q.Hi)
-		if err != nil {
-			return nil, fmt.Errorf("stream: range query %d: %w", i, err)
-		}
-		answers[i] = a
-	}
-	return answers, nil
 }
 
 // Releases returns the buffered releases with Seq > since, oldest first.

@@ -192,6 +192,18 @@ func (s *Session) NewRangeReleaser(ds *Dataset, fanout int, eps float64) (*Range
 	return &RangeReleaser{release: rel}, nil
 }
 
+// ReleaseRangeAnswers releases the Ordered Hierarchical structure as
+// NewRangeReleaser does, charging eps, and returns only its answers to
+// queries: the bits NewRangeReleaser's Range gives, from noise drawn for
+// just the nodes those answers read.
+func (s *Session) ReleaseRangeAnswers(ds *Dataset, fanout int, eps float64, queries []RangeQuery) ([]float64, error) {
+	idx, err := s.eng.Index(ds)
+	if err != nil {
+		return nil, err
+	}
+	return s.eng.ReleaseRangeAnswers(idx, fanout, eps, queries)
+}
+
 // NewStream binds a continual-release stream to the session: epoch closes
 // draw noise from the session's engine and charge its accountant, so a
 // stream and ad-hoc releases from the same session spend one shared ε

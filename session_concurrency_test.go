@@ -99,3 +99,74 @@ func TestSessionConcurrentBudgetAccounting(t *testing.T) {
 		t.Fatalf("ledger sum %v disagrees with Spent() %v", total, acct.Spent())
 	}
 }
+
+// TestKeyedRangeAnswersConcurrent runs the served range path from many
+// goroutines on one keyed session, each release noising into a pooled
+// partial release, and checks that the answers are exactly those of the
+// same ordinals drawn one at a time: a release that read another's pooled
+// storage would change an answer.
+func TestKeyedRangeAnswersConcurrent(t *testing.T) {
+	dom, err := blowfish.LineDomain("v", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := blowfish.DistanceThreshold(dom, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := blowfish.Compile(blowfish.NewPolicy(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := blowfish.NewDataset(dom)
+	for i := 0; i < 2000; i++ {
+		ds.MustAdd(blowfish.Point(i * 37 % 1024))
+	}
+	const (
+		goroutines = 8
+		perG       = 16
+	)
+	queries := []blowfish.RangeQuery{{Lo: 5, Hi: 700}, {Lo: 0, Hi: 1023}, {Lo: 300, Hi: 310}}
+	key := blowfish.SeedKey(9)
+	sess, err := cp.NewKeyedSession(100, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		got = map[[3]float64]int{}
+	)
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perG {
+				a, err := sess.ReleaseRangeAnswers(ds, 16, 0.01, queries)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				got[[3]float64(a)]++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	ref, err := cp.NewKeyedSession(100, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range goroutines * perG {
+		a, err := ref.ReleaseRangeAnswers(ds, 16, 0.01, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[[3]float64(a)] == 0 {
+			t.Fatalf("serial answers %v were not among the concurrent ones", a)
+		}
+		got[[3]float64(a)]--
+	}
+}
