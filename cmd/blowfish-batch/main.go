@@ -2,17 +2,18 @@
 // one-object-per-line events POST /v1/datasets/{id}/events accepts) into
 // the binary columnar batch frames of internal/codec — the zero-copy ingest
 // encoding — and either writes them to stdout or POSTs them straight to a
-// server, honoring its queue_full backpressure.
+// server, one request per frame. The server applies each frame before its
+// 202, so when the command exits every frame it sent is applied.
 //
 // Usage:
 //
 //	# encode to a file, replay it later with curl
 //	blowfish-batch -attrs 1 < events.ndjson > events.batch
-//	curl -s localhost:8080/v1/datasets/ds-1/events?wait=1 \
+//	curl -s localhost:8080/v1/datasets/ds-1/events \
 //	  -H 'Content-Type: application/x-blowfish-batch' --data-binary @events.batch
 //
 //	# or stream directly to the server, one frame per -max events
-//	blowfish-batch -attrs 1 -max 4096 -wait \
+//	blowfish-batch -attrs 1 -max 4096 \
 //	  -url http://localhost:8080/v1/datasets/ds-1/events < events.ndjson
 //
 // Each frame is self-contained (length-prefixed, CRC-checked), so frames
@@ -27,7 +28,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"blowfish"
@@ -37,9 +37,8 @@ import (
 
 func main() {
 	attrs := flag.Int("attrs", 0, "number of row attributes (the dataset domain's width); required")
-	max := flag.Int("max", 4096, "events per frame")
+	max := flag.Int("max", service.MaxEvents, "events per frame")
 	url := flag.String("url", "", "events endpoint to POST frames to (default: write frames to stdout)")
-	wait := flag.Bool("wait", false, "ask the server to apply each frame before acking (adds ?wait=1)")
 	flag.Parse()
 	if *attrs < 0 || *attrs > codec.MaxAttrs {
 		fail(fmt.Errorf("-attrs %d out of range [0,%d]", *attrs, codec.MaxAttrs))
@@ -47,10 +46,10 @@ func main() {
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected arguments %v (events are read from stdin)", flag.Args()))
 	}
-	if *max < 1 {
-		fail(fmt.Errorf("-max %d < 1", *max))
+	if *max < 1 || *max > service.MaxEvents {
+		fail(fmt.Errorf("-max %d out of range [1,%d] (the server refuses larger requests)", *max, service.MaxEvents))
 	}
-	st, err := convert(os.Stdin, *attrs, *max, sinkFor(*url, *wait))
+	st, err := convert(os.Stdin, *attrs, *max, sinkFor(*url))
 	if err != nil {
 		fail(err)
 	}
@@ -118,45 +117,27 @@ func convert(in io.Reader, attrs, max int, sink func([]byte) error) (stats, erro
 	return st, flush()
 }
 
-// sinkFor returns the frame consumer: stdout, or a POSTing client that
-// backs off and retries on the server's queue_full responses.
-func sinkFor(url string, wait bool) func([]byte) error {
+// sinkFor returns the frame consumer: stdout, or a client that POSTs each
+// frame and stops at the first response that is not 202.
+func sinkFor(url string) func([]byte) error {
 	if url == "" {
 		return func(frame []byte) error {
 			_, err := os.Stdout.Write(frame)
 			return err
 		}
 	}
-	if wait {
-		sep := "?"
-		if bytes.ContainsRune([]byte(url), '?') {
-			sep = "&"
-		}
-		url += sep + "wait=1"
-	}
 	client := &http.Client{Timeout: 60 * time.Second}
 	return func(frame []byte) error {
-		for {
-			resp, err := client.Post(url, codec.ContentType, bytes.NewReader(frame))
-			if err != nil {
-				return err
-			}
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				return nil
-			case http.StatusTooManyRequests:
-				// The bounded ingest queue is full; honor Retry-After.
-				delay := time.Second
-				if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-					delay = time.Duration(secs) * time.Second
-				}
-				time.Sleep(delay)
-			default:
-				return fmt.Errorf("POST %s: %s: %s", url, resp.Status, bytes.TrimSpace(body))
-			}
+		resp, err := client.Post(url, codec.ContentType, bytes.NewReader(frame))
+		if err != nil {
+			return err
 		}
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			return fmt.Errorf("POST %s: %s: %s", url, resp.Status, bytes.TrimSpace(body))
+		}
+		return nil
 	}
 }
 

@@ -37,19 +37,19 @@
 //
 // Observability: the API mux serves a Prometheus text exposition at
 // GET /metrics (request latencies, per-policy release latencies, budget
-// gauges, ingest queue depths, WAL fsync latency, epoch lag). With
-// -metrics-addr an admin mux additionally serves /metrics — and, when
-// -pprof is also set, the net/http/pprof handlers — on a separate
-// listener that can stay off the public network. -log-level selects the
-// slog threshold (debug logs every request and epoch close).
+// gauges, ingest apply latency and cursors, WAL fsync latency, epoch
+// lag). With -metrics-addr an admin mux additionally serves /metrics —
+// and, when -pprof is also set, the net/http/pprof handlers — on a
+// separate listener that can stay off the public network. -log-level
+// selects the slog threshold (debug logs every request and epoch close).
 //
 // On SIGINT/SIGTERM the server shuts down in order: stop accepting
 // connections, close the ones that never sent a request, and drain
 // in-flight requests (http.Server.Shutdown with a deadline), stop the
-// session-TTL reaper, then stop every stream epoch scheduler and
-// per-dataset ingest writer (flushing queued events) and — when durable —
-// take the final checkpoint, so no goroutine outlives main and no
-// acknowledged event is lost.
+// session-TTL reaper, then stop every stream epoch scheduler and — when
+// durable — take the final checkpoint, so no goroutine outlives main. An
+// event batch is journaled and applied before its 202, so no acknowledged
+// event is lost.
 package main
 
 import (
@@ -203,9 +203,9 @@ func main() {
 	// Shutdown counts one that has not sent a request as busy for up to
 	// five seconds; close those now, so the drain waits only on requests.
 	fresh.closeAll()
-	// Order matters: drain HTTP first (no new work can arrive), then the
-	// reaper, then the streaming goroutines — srv.Close stops every stream
-	// epoch ticker and flushes every dataset's event queue.
+	// Order matters: drain HTTP first (no new work can arrive, and every
+	// acked events batch is already applied), then the reaper, then the
+	// streaming goroutines — srv.Close stops every stream epoch ticker.
 	<-shutdownDone
 	stop()
 	<-reaperDone

@@ -7,7 +7,7 @@
 //
 //  1. Surface discipline: any use of a *service.Core method outside the
 //     allowlisted request/broadcast surface (the white-box accessors —
-//     DatasetTable, SessionHandle, StartedIngestor, ... — exist for
+//     DatasetTable, SessionHandle, StreamHandles, ... — exist for
 //     tests) is flagged.
 //  2. Index provenance: an index into the []*service.Core slice must be
 //     the literal 0 (the route-miss fallback that produces the core's
@@ -77,7 +77,7 @@ func (c *Config) fill() {
 			"CloseEpoch", "StreamReleases",
 			// lifecycle / aggregates
 			"Checkpoint", "ExpireSessions", "SessionCount", "StreamCount",
-			"CloseLeaked", "Close", "Abandon", "Config", "Metrics",
+			"CloseLeaked", "Close", "Abandon", "Metrics",
 			// id counters a reopened router resumes from
 			"IDCounters",
 		}

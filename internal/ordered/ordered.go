@@ -375,9 +375,12 @@ func skipDraw(scale float64, src *noise.Source) float64 {
 	return math.NaN()
 }
 
-// RangeQuery is one inclusive range count q[Lo, Hi].
+// RangeQuery is one inclusive range count q[Lo, Hi]. It is also the wire
+// shape of a range query, in release requests, stream creates and the
+// records that journal them.
 type RangeQuery struct {
-	Lo, Hi int
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
 }
 
 // partialRelease is the pooled storage of a query-driven release: the

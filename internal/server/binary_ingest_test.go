@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"blowfish"
 	"blowfish/internal/codec"
@@ -49,12 +48,12 @@ func TestBinaryBatchIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events?wait=1", codec.ContentType, frame)
+	w := doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, frame)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("binary events: status %d body %s", w.Code, w.Body.String())
 	}
 	resp := decode[service.EventsResponse](t, w)
-	if resp.Accepted != 4 || resp.FirstSeq != 1 || resp.LastSeq != 4 || resp.ProcessedSeq != 4 {
+	if resp.Accepted != 4 || resp.FirstSeq != 1 || resp.LastSeq != 4 || resp.Rejected != 0 {
 		t.Fatalf("events response = %+v", resp)
 	}
 	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
@@ -67,7 +66,7 @@ func TestBinaryBatchIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w = doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events?wait=1", codec.ContentType, append(append([]byte(nil), frame...), frame2...))
+	w = doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, append(append([]byte(nil), frame...), frame2...))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("two frames: status %d body %s", w.Code, w.Body.String())
 	}
@@ -102,103 +101,26 @@ func TestBinaryBatchIngest(t *testing.T) {
 		http.StatusBadRequest, service.CodeBadRequest)
 }
 
-// backpressureServer builds a server whose ingest queue is tiny, so tests
-// can fill it deterministically.
-func backpressureServer(t *testing.T) (*Server, string) {
-	t.Helper()
-	s := newServer(t, service.Config{Seed: 42, Ingest: blowfish.StreamIngestConfig{
-		QueueDepth: 4,
-		BatchSize:  4,
-	}})
-	t.Cleanup(s.Close)
-	_, dsID := streamFixtureIDs(t, s)
-	return s, dsID
-}
-
-// TestEventsBackpressure pins the regression contract of the bounded
-// ingest queue: once the writer stalls and the queue fills, an events POST
-// is rejected whole with the structured queue_full error and a Retry-After
-// header — and every batch that was acked with 202 is applied, none
-// dropped, once the writer resumes.
-func TestEventsBackpressure(t *testing.T) {
-	s, dsID := backpressureServer(t)
-
-	tbl := s.router.Core(0).DatasetTable(dsID)
-
-	// Wedge the single writer: applying a batch needs the table's write
-	// lock, so a held read lock stalls it with the queue intact.
-	tbl.RLock()
-	wedged := true
-	defer func() {
-		if wedged {
-			tbl.RUnlock()
-		}
-	}()
-
-	accepted := 0
-	var rejected *httptest.ResponseRecorder
-	for i := 0; i < 100; i++ {
-		w := doRawWithin(t, 5*time.Second, s, "POST", "/v1/datasets/"+dsID+"/events", "application/x-ndjson",
-			[]byte(`{"op":"append","row":[1]}`+"\n"+`{"op":"append","row":[2]}`+"\n"))
-		if w.Code == http.StatusAccepted {
-			accepted += 2
-			continue
-		}
-		rejected = w
-		break
-	}
-	if rejected == nil {
-		t.Fatal("queue never filled")
-	}
-	wantError(t, rejected, http.StatusTooManyRequests, service.CodeQueueFull)
-	if ra := rejected.Header().Get("Retry-After"); ra == "" {
-		t.Fatal("queue_full response lacks Retry-After")
-	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
-		t.Fatalf("Retry-After = %q, want a positive integer of seconds", ra)
-	}
-
-	// The rejection enqueued nothing: resume the writer, flush via a
-	// waiting post, and the dataset must hold exactly the acked events.
-	tbl.RUnlock()
-	wedged = false
-	var w *httptest.ResponseRecorder
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		w = doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events?wait=1", "application/x-ndjson",
-			[]byte(`{"op":"append","row":[3]}`+"\n"))
-		if w.Code != http.StatusTooManyRequests || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond) // queue still draining; honor the backoff
-	}
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("post-drain events: status %d body %s", w.Code, w.Body.String())
-	}
-	accepted++
-	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
-	if ds.Rows != accepted {
-		t.Fatalf("rows = %d, want %d (an acked event was dropped)", ds.Rows, accepted)
-	}
-}
-
-// TestEventsBatchCap pins the per-request cap: it is the ingest queue
-// depth, because TrySubmit admits a batch only whole. A batch one event
-// larger than the queue is a 400 naming the cap in every body encoding —
-// never a 429 a client would retry forever — and a batch of exactly the
-// queue depth is accepted on an idle queue.
+// TestEventsBatchCap pins the per-request cap, service.MaxEvents: a batch
+// one event over it is a 400 naming the cap in every body encoding, and a
+// batch of exactly the cap is applied whole.
 func TestEventsBatchCap(t *testing.T) {
-	s, dsID := backpressureServer(t)
-	path := "/v1/datasets/" + dsID + "/events?wait=1"
+	s, _ := newTestServer(t)
+	defer s.Close()
+	_, dsID := streamFixtureIDs(t, s)
+	path := "/v1/datasets/" + dsID + "/events"
 	bodies := func(n int) map[string][]byte {
 		evs := make([]blowfish.StreamEvent, n)
 		var js, nd bytes.Buffer
-		js.WriteString(`{"wait":true,"events":[`)
+		js.WriteString(`{"events":[`)
 		for i := range evs {
-			evs[i] = blowfish.StreamEvent{Op: "append", Row: []int{i}}
+			v := i % 64
+			evs[i] = blowfish.StreamEvent{Op: "append", Row: []int{v}}
 			if i > 0 {
 				js.WriteByte(',')
 			}
-			fmt.Fprintf(&js, `{"op":"append","row":[%d]}`, i)
-			fmt.Fprintf(&nd, `{"op":"append","row":[%d]}`+"\n", i)
+			fmt.Fprintf(&js, `{"op":"append","row":[%d]}`, v)
+			fmt.Fprintf(&nd, `{"op":"append","row":[%d]}`+"\n", v)
 		}
 		js.WriteString("]}")
 		frame, err := codec.AppendFrame(nil, evs, 1)
@@ -211,25 +133,25 @@ func TestEventsBatchCap(t *testing.T) {
 			codec.ContentType:      frame,
 		}
 	}
-	capRE := regexp.MustCompile(`\b4\b`)
-	for ct, body := range bodies(5) {
+	capRE := regexp.MustCompile(`\b` + strconv.Itoa(service.MaxEvents) + `\b`)
+	for ct, body := range bodies(service.MaxEvents + 1) {
 		w := doRaw(t, s, "POST", path, ct, body)
 		wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
-		if ra := w.Header().Get("Retry-After"); ra != "" {
-			t.Errorf("%s: oversized batch carries Retry-After %q", ct, ra)
-		}
 		if msg := decode[errorEnvelope](t, w).Error.Message; !capRE.MatchString(msg) {
-			t.Errorf("%s: message %q does not name the cap 4", ct, msg)
+			t.Errorf("%s: message %q does not name the cap %d", ct, msg, service.MaxEvents)
 		}
 	}
+	if ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil)); ds.Rows != 0 {
+		t.Fatalf("rows = %d after the refused batches, want 0", ds.Rows)
+	}
 	rows := 0
-	for ct, body := range bodies(4) {
+	for ct, body := range bodies(service.MaxEvents) {
 		w := doRaw(t, s, "POST", path, ct, body)
 		if w.Code != http.StatusAccepted {
-			t.Fatalf("%s: 4-event batch: status %d body %s", ct, w.Code, w.Body.String())
+			t.Fatalf("%s: %d-event batch: status %d body %s", ct, service.MaxEvents, w.Code, w.Body.String())
 		}
-		rows += 4
-		if got := decode[service.EventsResponse](t, w); got.Accepted != 4 || got.ProcessedSeq != got.LastSeq {
+		rows += service.MaxEvents
+		if got := decode[service.EventsResponse](t, w); got.Accepted != service.MaxEvents || got.LastSeq != uint64(rows) {
 			t.Fatalf("%s: events response = %+v", ct, got)
 		}
 	}
@@ -238,31 +160,22 @@ func TestEventsBatchCap(t *testing.T) {
 	}
 }
 
-// doRawWithin is doRaw on its own goroutine, failing the test if the
-// request has not returned within d. A handler that queued for a table lock
-// the test itself holds would otherwise hang the run until the package
-// timeout.
-func doRawWithin(t *testing.T, d time.Duration, s *Server, method, path, contentType string, body []byte) *httptest.ResponseRecorder {
-	t.Helper()
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- doRaw(t, s, method, path, contentType, body) }()
-	select {
-	case w := <-done:
-		return w
-	case <-time.After(d):
-		t.Fatalf("%s %s blocked for %v", method, path, d)
-		return nil
-	}
-}
-
-// TestEventsBackpressureHammer drives the tiny queue from concurrent
-// producers (run under -race in CI): each POST either acks whole or is
-// rejected whole with queue_full, and the dataset ends with exactly the
-// acked rows.
+// TestEventsBackpressureHammer drives one dataset from concurrent producers
+// while epochs close (run under -race in CI). The backpressure is the
+// request itself: its handler applies the batch before the 202, so no
+// producer can get ahead of the table. With no flush anywhere, each close
+// counts at least every event acked before it began and at most every
+// event sent by the time it returned, and at the end the rows and one more
+// close's events equal the acked appends exactly.
 func TestEventsBackpressureHammer(t *testing.T) {
 	leak.Check(t)
-	s, dsID := backpressureServer(t)
-
+	s, _ := newTestServer(t)
+	defer s.Close()
+	polID, dsID := streamFixtureIDs(t, s)
+	stID := mustCreateStream(t, s, service.CreateStreamRequest{
+		PolicyID: polID, DatasetID: dsID, Budget: 1e9,
+		Epoch: service.EpochSpec{Epsilon: 0.01},
+	})
 	frame, err := codec.AppendFrame(nil, []blowfish.StreamEvent{
 		{Op: "append", Row: []int{1}},
 		{Op: "append", Row: []int{2}},
@@ -271,53 +184,59 @@ func TestEventsBackpressureHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeEpoch := func() service.EpochReleaseWire {
+		w := do(t, s, "POST", "/v1/streams/"+stID+"/epochs", nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("epoch close: status %d body %s", w.Code, w.Body.String())
+		}
+		return decode[service.EpochReleaseWire](t, w)
+	}
 
-	var accepted, rejectedCount atomic.Int64
+	var sent, acked atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 150; i++ {
+				sent.Add(3)
 				w := doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events", codec.ContentType, frame)
-				switch w.Code {
-				case http.StatusAccepted:
-					accepted.Add(3)
-				case http.StatusTooManyRequests:
-					rejectedCount.Add(1)
-					if w.Header().Get("Retry-After") == "" {
-						t.Error("queue_full response lacks Retry-After")
-						return
-					}
-					time.Sleep(100 * time.Microsecond)
-				default:
+				if w.Code != http.StatusAccepted {
 					t.Errorf("events: status %d body %s", w.Code, w.Body.String())
 					return
 				}
+				acked.Add(3)
 			}
 		}()
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	closes := 0
+	for running := true; running; closes++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		before := acked.Load()
+		rel := closeEpoch()
+		if after := sent.Load(); int64(rel.Events) < before || int64(rel.Events) > after {
+			t.Fatalf("close %d counts %d events, want between %d acked before it and %d sent by its return",
+				closes, rel.Events, before, after)
+		}
+	}
 	if t.Failed() {
 		return
 	}
-	// Flush and count: rows must equal acked appends exactly.
-	var w *httptest.ResponseRecorder
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		w = doRaw(t, s, "POST", "/v1/datasets/"+dsID+"/events?wait=1", codec.ContentType, frame)
-		if w.Code != http.StatusTooManyRequests || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	want := acked.Load()
+	if ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil)); int64(ds.Rows) != want {
+		t.Fatalf("rows = %d, want %d acked appends", ds.Rows, want)
 	}
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("flush post: status %d body %s", w.Code, w.Body.String())
+	if rel := closeEpoch(); int64(rel.Events) != want || int64(rel.Rows) != want {
+		t.Fatalf("final close counts %d events and %d rows, want %d acked appends", rel.Events, rel.Rows, want)
 	}
-	accepted.Add(3)
-	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
-	if int64(ds.Rows) != accepted.Load() {
-		t.Fatalf("rows = %d, want %d acked appends (rejected batches: %d)",
-			ds.Rows, accepted.Load(), rejectedCount.Load())
-	}
-	t.Logf("accepted %d events, rejected %d batches", accepted.Load(), rejectedCount.Load())
+	t.Logf("acked %d events across %d epoch closes", want, closes)
 }

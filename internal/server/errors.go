@@ -36,8 +36,6 @@ func httpStatus(code string) int {
 		return http.StatusUnprocessableEntity
 	case service.CodeDurability:
 		return http.StatusInternalServerError
-	case service.CodeQueueFull:
-		return http.StatusTooManyRequests
 	default:
 		return http.StatusBadRequest
 	}
@@ -54,17 +52,11 @@ func writeError(w http.ResponseWriter, code, message string) {
 }
 
 // writeServiceError renders a service-layer failure. Coded errors carry
-// their own status mapping; a queue_full rejection additionally gets a
-// Retry-After hint (seconds, coarse — the queue drains in milliseconds
-// under a healthy writer, so the minimum legal value 1 is the hint;
-// clients treat it as "back off, then retry"). Uncoded errors fall back
-// to the library mapping.
+// their own status mapping; uncoded errors fall back to the library
+// mapping.
 func writeServiceError(w http.ResponseWriter, err error) {
 	var se *service.Error
 	if errors.As(err, &se) {
-		if se.Code == service.CodeQueueFull {
-			w.Header().Set("Retry-After", "1")
-		}
 		writeError(w, se.Code, se.Message)
 		return
 	}

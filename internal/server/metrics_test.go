@@ -34,7 +34,6 @@ func metricsFixture(t *testing.T, s *Server) {
 	}
 	if w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{
 		Events: []service.EventWire{{Op: "append", Row: []int{7}}, {Op: "append", Row: []int{9}}},
-		Wait:   true,
 	}); w.Code != http.StatusAccepted {
 		t.Fatalf("events: status %d body %s", w.Code, w.Body.String())
 	}
@@ -78,12 +77,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		// Composition: per-session budget spent/remaining gauges.
 		`blowfish_session_budget_spent{shard="0",session="sess-1",policy="pol-1"} 1`,
 		`blowfish_session_budget_remaining{shard="0",session="sess-1",policy="pol-1"} 9`,
-		// Stream: ingest queue depth, epoch lag, waiters, epoch cursor.
-		`blowfish_ingest_queue_depth{shard="0",dataset="ds-1"} 0`,
+		// Stream: ingest cursor, epoch lag, waiters, epoch cursor.
+		`blowfish_ingest_processed_seq{shard="0",dataset="ds-1"} 2`,
 		`blowfish_stream_epoch_lag_seconds{shard="0",stream="stream-1"}`,
 		`blowfish_stream_epoch{shard="0",stream="stream-1"} 1`,
 		`blowfish_stream_waiters{shard="0",stream="stream-1"} 0`,
-		// Ingest writer instruments.
+		// Ingest apply instruments.
 		`blowfish_ingest_events_total{shard="0"} 2`,
 		`blowfish_ingest_apply_seconds_count{shard="0"} 1`,
 		// WAL: fsync latency histogram, segments, bytes.
@@ -105,8 +104,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsHTTPStatusLabels checks that error responses are counted
-// under their status code (and the queue-full counter stays tied to 429s,
-// covered by the backpressure tests).
+// under their status code.
 func TestMetricsHTTPStatusLabels(t *testing.T) {
 	s, _ := newTestServer(t)
 	defer s.Close()

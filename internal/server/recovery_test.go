@@ -13,7 +13,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
@@ -116,14 +115,14 @@ func abandon(s *Server) {
 	s.router.Abandon()
 }
 
-// appendRows submits one wait=true events batch of the given rows.
+// appendRows submits one events batch of the given rows.
 func appendRows(t *testing.T, s *Server, dsID string, rows [][]int) service.EventsResponse {
 	t.Helper()
 	evs := make([]service.EventWire, len(rows))
 	for i, r := range rows {
 		evs[i] = service.EventWire{Op: "append", Row: r}
 	}
-	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: evs, Wait: true})
+	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: evs})
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("events: %d %s", w.Code, w.Body.String())
 	}
@@ -199,7 +198,7 @@ func TestCrashRecovery(t *testing.T) {
 		}
 		var out service.EventsResponse
 		code := httpJSON(t, "POST", base+"/v1/datasets/"+dsID+"/events",
-			service.EventsRequest{Events: evs, Wait: true}, &out)
+			service.EventsRequest{Events: evs}, &out)
 		if code != http.StatusAccepted {
 			t.Fatalf("ingest on %s: status %d", dsID, code)
 		}
@@ -223,9 +222,13 @@ func TestCrashRecovery(t *testing.T) {
 	ackedB1 := closeEpoch(stB.ID)
 
 	// --- kill -9 mid-ingest ------------------------------------------
-	// Hammer unacked batches at dataset A and kill while they are in
-	// flight: everything above is acked and must survive; the storm may
-	// survive partially (durable-but-unacked), never torn.
+	// Storm dataset A with 20-event batches from one sequential client
+	// and kill while they are in flight: everything above is acked and
+	// must survive, and so must every storm batch that got its 202. At
+	// most the one batch in flight at the kill may survive unacked
+	// (durable before its 202 was sent), and no batch is ever torn.
+	const stormBatch = 20
+	var stormAcked int // written by the storm goroutine, read after stormDone
 	stop := make(chan struct{})
 	stormDone := make(chan struct{})
 	go func() {
@@ -238,7 +241,7 @@ func TestCrashRecovery(t *testing.T) {
 				return
 			default:
 			}
-			evs := make([]service.EventWire, 20)
+			evs := make([]service.EventWire, stormBatch)
 			for i := range evs {
 				evs[i] = service.EventWire{Op: "append", Row: []int{(n + i) % 16}}
 			}
@@ -249,6 +252,9 @@ func TestCrashRecovery(t *testing.T) {
 				return // child died mid-request: expected
 			}
 			resp.Body.Close()
+			if resp.StatusCode == http.StatusAccepted {
+				stormAcked++
+			}
 		}
 	}()
 	time.Sleep(60 * time.Millisecond) // let the storm land mid-flight
@@ -288,9 +294,12 @@ func TestCrashRecovery(t *testing.T) {
 	if got := rec.router.Core(0).DatasetHandle(dsB.ID).Len(); got != len(valsB1) {
 		t.Fatalf("dataset B recovered %d rows, want %d", got, len(valsB1))
 	}
-	if got := rec.router.Core(0).DatasetHandle(dsA.ID).Len(); got < len(valsA1) {
-		t.Fatalf("dataset A recovered %d rows, want >= %d acked", got, len(valsA1))
+	acked := len(valsA1) + stormBatch*stormAcked
+	if got := rec.router.Core(0).DatasetHandle(dsA.ID).Len(); got != acked && got != acked+stormBatch {
+		t.Fatalf("dataset A recovered %d rows after %d acked storm batches, want %d, or %d with the batch in flight",
+			got, stormAcked, acked, acked+stormBatch)
 	}
+	t.Logf("storm: %d batches acked before the kill", stormAcked)
 
 	// Acked pre-crash releases are in the recovered buffers bit-for-bit.
 	for _, tc := range []struct {
@@ -351,10 +360,9 @@ func TestCrashRecovery(t *testing.T) {
 	ctl.Close()
 }
 
-// TestGracefulShutdownPreservesAckedEvents pins the Close ordering: the
-// ingest queue is flushed (drained and journaled) before the final
-// snapshot, so events acked only as "enqueued" (no wait) survive a
-// graceful restart.
+// TestGracefulShutdownPreservesAckedEvents pins the Close ordering: every
+// acked events batch was applied before its 202, so the final snapshot
+// holds it and the batch survives a graceful restart.
 func TestGracefulShutdownPreservesAckedEvents(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
@@ -366,7 +374,6 @@ func TestGracefulShutdownPreservesAckedEvents(t *testing.T) {
 		Graph:  service.GraphSpec{Kind: "full"},
 	})
 	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID})
-	// Submit without wait: the 202 acks enqueueing only.
 	evs := make([]service.EventWire, 500)
 	for i := range evs {
 		evs[i] = service.EventWire{Op: "append", Row: []int{i % 8}}
@@ -379,8 +386,7 @@ func TestGracefulShutdownPreservesAckedEvents(t *testing.T) {
 	if ack.Accepted != 500 {
 		t.Fatalf("accepted %d", ack.Accepted)
 	}
-	// Close immediately: the queue is most likely not yet applied. Close
-	// must drain it before the final snapshot.
+	// Close immediately: the final snapshot must hold the batch.
 	s.Close()
 
 	r, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
@@ -398,10 +404,43 @@ func TestGracefulShutdownPreservesAckedEvents(t *testing.T) {
 	if got := core.DatasetTable(dsID).LastSeq(); got != ack.LastSeq {
 		t.Fatalf("recovered seq cursor %d, want %d", got, ack.LastSeq)
 	}
-	// A graceful shutdown checkpointed: recovery must not have needed a
-	// WAL tail, and the next ingestor resumes numbering after the cursor.
-	if got := core.IngestStartSeq(dsID); got != ack.LastSeq {
-		t.Fatalf("recovered ingest StartSeq = %d, want %d", got, ack.LastSeq)
+}
+
+// TestAbandonKeepsAckedEvents pins what a 202 from the events endpoint
+// means: the batch is journaled and applied before the response. One batch
+// is posted, the server is abandoned at once — no drain, no final
+// checkpoint, as a crash would leave it — and the reopened directory holds
+// every row, with the table cursor at the ack's last_seq.
+func TestAbandonKeepsAckedEvents(t *testing.T) {
+	dir := t.TempDir()
+	cfg := service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "always"}}
+	s, err := openServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polID := mustCreatePolicy(t, s, service.CreatePolicyRequest{
+		Domain: []service.AttrSpec{{Name: "v", Size: 8}},
+		Graph:  service.GraphSpec{Kind: "full"},
+	})
+	dsID := mustCreateDataset(t, s, service.CreateDatasetRequest{PolicyID: polID, Rows: lineRows(5, 8)})
+	rows := make([][]int, 300)
+	for i := range rows {
+		rows[i] = []int{i % 8}
+	}
+	ack := appendRows(t, s, dsID, rows)
+	abandon(s)
+
+	r, err := openServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer abandon(r)
+	core := r.router.Core(0)
+	if got := core.DatasetHandle(dsID).Len(); got != 5+len(rows) {
+		t.Fatalf("recovered %d rows, want %d (5 uploaded + %d acked events)", got, 5+len(rows), len(rows))
+	}
+	if got := core.DatasetTable(dsID).LastSeq(); got != ack.LastSeq || ack.LastSeq != uint64(len(rows)) {
+		t.Fatalf("recovered seq cursor %d, ack last_seq %d, want both %d", got, ack.LastSeq, len(rows))
 	}
 }
 
@@ -482,14 +521,8 @@ func TestRecoveryPropertyInterleavings(t *testing.T) {
 					}
 				}
 			}
-			// Quiesce ingestion so live state is fully applied, then
-			// recover the directory while the live server still holds it
-			// (read-only replay) and compare bit-for-bit.
-			if ing := live.router.Core(0).StartedIngestor(dsID); ing != nil {
-				if err := ing.Flush(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-			}
+			// Recover the directory while the live server still holds
+			// it (read-only replay) and compare bit-for-bit.
 			rec, err := openServer(service.Config{Durability: service.DurabilityConfig{Dir: dir, Fsync: "never"}})
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
@@ -610,7 +643,7 @@ func BenchmarkRecovery(b *testing.B) {
 				for i := range evs {
 					evs[i] = service.EventWire{Op: "append", Row: []int{(done + i) % 64}}
 				}
-				post("/v1/datasets/"+ds.ID+"/events", service.EventsRequest{Events: evs, Wait: true}, &service.EventsResponse{})
+				post("/v1/datasets/"+ds.ID+"/events", service.EventsRequest{Events: evs}, &service.EventsResponse{})
 				done += n
 				if done%5000 == 0 {
 					post("/v1/streams/"+st.ID+"/epochs", nil, &service.EpochReleaseWire{})

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"blowfish/internal/metrics"
-	"blowfish/internal/service"
 	"blowfish/internal/shard"
 )
 
@@ -22,7 +21,6 @@ import (
 // implements http.Handler.
 type Server struct {
 	router *shard.Router
-	cfg    service.Config
 	mux    *http.ServeMux
 
 	httpRequests *metrics.CounterVec
@@ -45,7 +43,7 @@ type Server struct {
 // exposition of its registry plus every core's.
 func New(router *shard.Router) *Server {
 	reg := metrics.NewRegistry()
-	s := &Server{router: router, cfg: router.Config()}
+	s := &Server{router: router}
 	s.httpRequests = reg.CounterVec("blowfish_http_requests_total",
 		"HTTP requests by route pattern and status code.", "route", "status")
 	s.httpLatency = reg.HistogramVec("blowfish_http_request_seconds",
@@ -138,11 +136,11 @@ func (w *statusWriter) Flush() {
 func (s *Server) ExpireSessions() int { return s.router.ExpireSessions() }
 
 // Close shuts every shard core down; see service.Core.Close for the
-// drain-then-checkpoint contract.
+// stop-then-checkpoint contract.
 func (s *Server) Close() { s.router.Close() }
 
-// CloseLeaked reports how many stream-ticker / ingest-writer goroutines
-// the last Close abandoned at its drain deadline (0 after a clean close).
+// CloseLeaked reports how many stream-ticker goroutines the last Close
+// abandoned at its drain deadline (0 after a clean close).
 func (s *Server) CloseLeaked() int { return s.router.CloseLeaked() }
 
 // MetricsHandler returns the handler behind GET /metrics, for mounting

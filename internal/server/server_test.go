@@ -269,7 +269,7 @@ func TestCreatePolicyRejectsMalformedJSON(t *testing.T) {
 		{"/v1/policies", "", `{"domain":[{"name":"v","size":8}],"graph":{"kind":"line"}} {}`},
 		{"/v1/datasets", "", `{"policy_id":"` + polID + `","rows":[[1],[2]]} trailing garbage`},
 		{"/v1/datasets", "", `{"policy_id":"` + polID + `","rows":[[1],[2]]}{"x":1}`},
-		{"/v1/datasets/" + dsID + "/events?wait=1", "application/x-ndjson", `{"op":"append","row":[2]} junk` + "\n"},
+		{"/v1/datasets/" + dsID + "/events", "application/x-ndjson", `{"op":"append","row":[2]} junk` + "\n"},
 	} {
 		w := doRaw(t, s, "POST", tc.path, tc.contentType, []byte(tc.body))
 		wantError(t, w, http.StatusBadRequest, service.CodeBadRequest)
@@ -289,10 +289,10 @@ func TestCreatePolicyRejectsMalformedJSON(t *testing.T) {
 func TestNullInRowRefused(t *testing.T) {
 	s, _ := newTestServer(t)
 	polID, dsID := streamFixtureIDs(t, s)
-	events := "/v1/datasets/" + dsID + "/events?wait=1"
+	events := "/v1/datasets/" + dsID + "/events"
 	for _, tc := range []struct{ path, contentType, body string }{
 		{"/v1/datasets", "", `{"policy_id":"` + polID + `","rows":[[1],[null],[3]]}`},
-		{events, "", `{"events":[{"op":"append","row":[null]}],"wait":true}`},
+		{events, "", `{"events":[{"op":"append","row":[null]}]}`},
 		{events, "application/x-ndjson", `{"op":"append","row":[null]}` + "\n"},
 	} {
 		wantError(t, doRaw(t, s, "POST", tc.path, tc.contentType, []byte(tc.body)), http.StatusBadRequest, service.CodeBadRequest)

@@ -27,7 +27,7 @@ import (
 // per-event allocation for producers that saturate the NDJSON front. The
 // decode needs the dataset's attribute count, so the front resolves the
 // dataset first (a 404 costs no body parse); the service re-resolves it
-// under its own locks when the batch is submitted.
+// under its own locks, then journals and applies the batch before the 202.
 func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ds, err := s.router.GetDataset(id)
@@ -35,9 +35,7 @@ func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	maxEvents := s.cfg.Ingest.QueueDepth
 	var events []blowfish.StreamEvent
-	var wait bool
 	switch {
 	case isBinaryBatch(r):
 		dec := codec.GetDecoder()
@@ -46,22 +44,20 @@ func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 		// response only carries counters, so releasing the decoder at
 		// handler exit is safe.
 		defer codec.PutDecoder(dec)
-		evs, err := dec.DecodeAll(r.Body, len(ds.Domain), maxEvents)
+		evs, err := dec.DecodeAll(r.Body, len(ds.Domain), service.MaxEvents)
 		if err != nil {
 			writeError(w, service.CodeBadRequest, err.Error())
 			return
 		}
 		events = evs
-		wait = waitParam(r)
 	case isNDJSON(r):
 		sc := getNDJSONScratch()
 		defer putNDJSONScratch(sc)
-		if err := sc.decode(r.Body, maxEvents); err != nil {
+		if err := sc.decode(r.Body, service.MaxEvents); err != nil {
 			writeError(w, service.CodeBadRequest, err.Error())
 			return
 		}
 		events = sc.events
-		wait = waitParam(r)
 	default:
 		var req service.EventsRequest
 		if !decodeJSON(w, r, &req) {
@@ -71,9 +67,8 @@ func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 		for i, ev := range req.Events {
 			events[i] = blowfish.StreamEvent{Op: ev.Op, ID: ev.ID, Row: ev.Row}
 		}
-		wait = req.Wait
 	}
-	resp, err := s.router.IngestEvents(r.Context(), id, events, wait)
+	resp, err := s.router.IngestEvents(id, events)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -88,13 +83,6 @@ func isNDJSON(r *http.Request) bool {
 
 func isBinaryBatch(r *http.Request) bool {
 	return strings.HasPrefix(r.Header.Get("Content-Type"), codec.ContentType)
-}
-
-// waitParam reads the ?wait= toggle used by the body formats that have no
-// envelope to carry it.
-func waitParam(r *http.Request) bool {
-	v := r.URL.Query().Get("wait")
-	return v == "1" || v == "true"
 }
 
 // ndjsonScratch holds the per-request NDJSON decode state a pooled handler
@@ -202,7 +190,7 @@ func (s *Server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 // at stream creation).
 func (s *Server) handleCloseEpoch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	resp, err := s.router.CloseEpoch(r.Context(), id)
+	resp, err := s.router.CloseEpoch(id)
 	if err != nil {
 		writeServiceError(w, err)
 		return

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -38,10 +37,10 @@ func mustCreateStream(t *testing.T, s *Server, req service.CreateStreamRequest) 
 	return decode[service.StreamResponse](t, w).ID
 }
 
-// postEvents submits an events batch with wait=true and asserts acceptance.
+// postEvents submits an events batch and asserts acceptance.
 func postEvents(t *testing.T, s *Server, dsID string, events []service.EventWire) service.EventsResponse {
 	t.Helper()
-	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: events, Wait: true})
+	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: events})
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("post events: status %d body %s", w.Code, w.Body.String())
 	}
@@ -70,7 +69,7 @@ func TestStreamLifecycle(t *testing.T) {
 	})
 
 	resp := postEvents(t, s, dsID, appendEvents(1, 2, 2, 3))
-	if resp.Accepted != 4 || resp.FirstSeq != 1 || resp.LastSeq != 4 || resp.ProcessedSeq != 4 {
+	if resp.Accepted != 4 || resp.FirstSeq != 1 || resp.LastSeq != 4 || resp.Rejected != 0 {
 		t.Fatalf("events response = %+v", resp)
 	}
 
@@ -160,7 +159,7 @@ func TestStreamNDJSONEvents(t *testing.T) {
 
 {"op":"upsert","id":0,"row":[3]}
 `
-	req := httptest.NewRequest("POST", "/v1/datasets/"+dsID+"/events?wait=1", strings.NewReader(body))
+	req := httptest.NewRequest("POST", "/v1/datasets/"+dsID+"/events", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
@@ -168,7 +167,7 @@ func TestStreamNDJSONEvents(t *testing.T) {
 		t.Fatalf("ndjson post: status %d body %s", w.Code, w.Body.String())
 	}
 	resp := decode[service.EventsResponse](t, w)
-	if resp.Accepted != 3 || resp.ProcessedSeq != 3 {
+	if resp.Accepted != 3 || resp.LastSeq != 3 {
 		t.Fatalf("ndjson response = %+v", resp)
 	}
 	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
@@ -407,8 +406,8 @@ func TestStreamBadRequests(t *testing.T) {
 }
 
 // TestServerClose pins shutdown semantics: Close is idempotent, stops the
-// stream schedulers and ingest writers, flushes queued events, and refuses
-// resource creation and further ingestion afterwards.
+// stream schedulers, keeps every acked event, and refuses resource
+// creation and further ingestion afterwards.
 func TestServerClose(t *testing.T) {
 	s, _ := newTestServer(t)
 	polID, dsID := streamFixtureIDs(t, s)
@@ -416,7 +415,7 @@ func TestServerClose(t *testing.T) {
 		PolicyID: polID, DatasetID: dsID, Budget: 1,
 		Epoch: service.EpochSpec{Epsilon: 0.01, IntervalMS: 1},
 	})
-	// Submit without waiting, then Close: the queue must flush.
+	// Ingest, then Close: the acked events stay.
 	w := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: appendEvents(1, 2, 3)})
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("events: status %d body %s", w.Code, w.Body.String())
@@ -425,16 +424,13 @@ func TestServerClose(t *testing.T) {
 	s.Close() // idempotent
 	ds := decode[service.DatasetResponse](t, do(t, s, "GET", "/v1/datasets/"+dsID, nil))
 	if ds.Rows != 3 {
-		t.Fatalf("rows after Close = %d, want 3 (queue not flushed)", ds.Rows)
+		t.Fatalf("rows after Close = %d, want 3 (an acked event was lost)", ds.Rows)
 	}
 	wantError(t, do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{Events: appendEvents(4)}),
 		http.StatusBadRequest, service.CodeBadRequest)
 	wantError(t, do(t, s, "POST", "/v1/streams", service.CreateStreamRequest{
 		PolicyID: polID, DatasetID: dsID, Budget: 1, Epoch: service.EpochSpec{Epsilon: 0.1},
 	}), http.StatusBadRequest, service.CodeBadRequest)
-	// A dataset that never ingested refuses a post-Close first event (no
-	// writer goroutine may start after shutdown).
-	// (Datasets can no longer be created post-Close, so reuse the same one.)
 	reads := decode[service.ListStreamsResponse](t, do(t, s, "GET", "/v1/streams", nil))
 	if len(reads.Streams) != 1 {
 		t.Fatalf("streams = %d, want 1 (reads still served)", len(reads.Streams))
@@ -442,10 +438,9 @@ func TestServerClose(t *testing.T) {
 }
 
 // TestServerStreamHammer interleaves, under -race, everything the streaming
-// server can do to one dataset at once: concurrent event batches, manual
-// epoch closes, session releases over the same dataset, list/status polls,
-// and direct Dataset mutation through the table's escape hatch — the
-// generation-counter rebuild path exercised end to end through the server.
+// server can do to one dataset at once: concurrent event batches (appends,
+// and batches that swap-delete), manual epoch closes, session releases over
+// the same dataset, and list/status polls.
 func TestServerStreamHammer(t *testing.T) {
 	leak.Check(t)
 	s, _ := newTestServer(t)
@@ -482,17 +477,6 @@ func TestServerStreamHammer(t *testing.T) {
 				rec := do(t, s, "POST", "/v1/datasets/"+dsID+"/events", service.EventsRequest{
 					Events: appendEvents((i*3+w)%64, (i*7)%64),
 				})
-				if rec.Code == http.StatusTooManyRequests {
-					// Explicit backpressure: queue_full is a legitimate
-					// transient answer under this load; honor Retry-After
-					// in spirit (back off briefly) and retry.
-					if rec.Header().Get("Retry-After") == "" {
-						fail("queue_full without Retry-After: body %s", rec.Body.String())
-						return
-					}
-					time.Sleep(time.Millisecond)
-					continue
-				}
 				if rec.Code != http.StatusAccepted {
 					fail("events: status %d body %s", rec.Code, rec.Body.String())
 					return
@@ -518,7 +502,7 @@ func TestServerStreamHammer(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // direct Dataset mutation: the generation rebuild path
+	go func() { // an append and a swap-delete per batch, on the table
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
@@ -526,11 +510,9 @@ func TestServerStreamHammer(t *testing.T) {
 				return
 			default:
 			}
-			err := tbl.Mutate(func(ds *blowfish.Dataset) error {
-				return ds.Add(blowfish.Point(i % 64))
-			})
-			if err != nil {
-				fail("direct mutate: %v", err)
+			res, err := tbl.Ingest([]blowfish.StreamEvent{{Op: "append", Row: []int{i % 64}}, {Op: "delete", ID: 0}})
+			if err != nil || res.Rejected != 0 {
+				fail("table ingest: %+v %v", res, err)
 				return
 			}
 			time.Sleep(100 * time.Microsecond)
@@ -567,17 +549,10 @@ func TestServerStreamHammer(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// After the storm, drain the event queue and compare the maintained
-	// index against a from-scratch rebuild: a near-noiseless release
-	// (enormous ε) through the server must match the true histogram, which
-	// catches any count the interleaving tore.
-	ing := s.router.Core(0).StartedIngestor(dsID)
-	if ing == nil {
-		t.Fatal("ingestor never started")
-	}
-	if err := ing.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	// After the storm, compare the maintained index against a from-scratch
+	// rebuild: a near-noiseless release (enormous ε) through the server
+	// must match the true histogram, which catches any count the
+	// interleaving tore.
 	tbl.RLock()
 	want, err := tbl.Dataset().Histogram()
 	tbl.RUnlock()

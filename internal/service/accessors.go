@@ -41,30 +41,10 @@ func (c *Core) DatasetHandle(id string) *blowfish.Dataset {
 	return e.ds
 }
 
-// StartedIngestor returns the named dataset's event-log writer if one is
-// running, or nil.
-func (c *Core) StartedIngestor(id string) *blowfish.StreamIngestor {
-	e, ok := c.getDataset(id)
-	if !ok {
-		return nil
-	}
-	return e.startedIngestor()
-}
-
 // HasDataset reports whether a dataset id is registered.
 func (c *Core) HasDataset(id string) bool {
 	_, ok := c.getDataset(id)
 	return ok
-}
-
-// IngestStartSeq reports the sequence number the named dataset's next
-// ingestor resumes from (set by recovery to the table cursor), or 0.
-func (c *Core) IngestStartSeq(id string) uint64 {
-	e, ok := c.getDataset(id)
-	if !ok {
-		return 0
-	}
-	return e.ingCfg.StartSeq
 }
 
 // SessionHandle returns the named session's library handle, or nil. The

@@ -184,7 +184,7 @@ func (c *Core) GetDataset(id string) (DatasetResponse, error) {
 	}
 	// The table's lock-free row count: the events handler resolves the
 	// dataset here while ingestion may be landing, and must never queue
-	// behind a waiting ingest writer (see stream.Table.Len).
+	// behind a waiting ingest batch (see stream.Table.Len).
 	return DatasetResponse{ID: e.id, Rows: e.tbl.Len(), Domain: e.attrs}, nil
 }
 
@@ -234,9 +234,6 @@ func (c *Core) DeleteDataset(id string) error {
 	if !ok {
 		return errf(CodeUnknownDataset, "no dataset %q", id)
 	}
-	// Stop the event-log writer (flushing its queue) before dropping the
-	// count vectors, so no batch lands on a forgotten index.
-	e.closeIngestor()
 	for _, cp := range cps {
 		cp.Forget(e.ds)
 	}
@@ -454,13 +451,9 @@ func (c *Core) Range(sessionID string, req RangeRequest) (RangeResponse, error) 
 	if unlock := c.lockForRelease(e); unlock != nil {
 		defer unlock()
 	}
-	queries := make([]blowfish.RangeQuery, len(req.Queries))
-	for i, q := range req.Queries {
-		queries[i] = blowfish.RangeQuery(q)
-	}
 	// Only the release reads the table, so only it holds the read lock.
 	de.tbl.RLock()
-	answers, err := e.sess.ReleaseRangeAnswers(de.ds, fanout, req.Epsilon, queries)
+	answers, err := e.sess.ReleaseRangeAnswers(de.ds, fanout, req.Epsilon, req.Queries)
 	de.tbl.RUnlock()
 	if err != nil {
 		return RangeResponse{}, libError(err)

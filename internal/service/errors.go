@@ -21,7 +21,6 @@ const (
 	CodePolicyInUse     = "policy_in_use"
 	CodeDatasetInUse    = "dataset_in_use"
 	CodeDurability      = "durability_error"
-	CodeQueueFull       = "queue_full"
 )
 
 // Codes is the canonical registry of every error code the service can
@@ -41,12 +40,11 @@ var Codes = []string{
 	CodePolicyInUse,
 	CodeDatasetInUse,
 	CodeDurability,
-	CodeQueueFull,
 }
 
 // Error is the structured service failure every Core method reports:
 // a stable machine code plus a human message. Fronts translate the code
-// (HTTP status, Retry-After hints); the message passes through verbatim.
+// (an HTTP status); the message passes through verbatim.
 type Error struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`

@@ -4,12 +4,12 @@ package service
 //
 // Two disciplines keep instrumentation off the hot paths. First, every
 // metric a hot path touches is pre-resolved: the engine gets bare
-// counter/histogram pointers per policy at session construction and the
-// ingest writer gets its instruments in its config — no label-map lookups
-// per operation. Second, anything derived or high-churn (per-session
-// budget gauges, ingest queue depth, epoch lag, long-poll waiters) is
-// computed only when /metrics is scraped, by collectors that read the
-// registries under the core's ordinary locks.
+// counter/histogram pointers per policy at session construction and each
+// dataset's table gets the ingest instruments at creation — no label-map
+// lookups per operation. Second, anything derived or high-churn
+// (per-session budget gauges, ingest cursors, epoch lag, long-poll
+// waiters) is computed only when /metrics is scraped, by collectors that
+// read the registries under the core's ordinary locks.
 //
 // Naming convention: blowfish_<subsystem>_<quantity>[_unit], latencies in
 // seconds (Prometheus base units), counters suffixed _total. Cardinality
@@ -36,8 +36,6 @@ import (
 type coreMetrics struct {
 	reg *metrics.Registry
 
-	queueFull *metrics.Counter
-
 	releaseLatency *metrics.HistogramVec // policy, kind
 	releaseCount   *metrics.CounterVec   // policy, kind
 	noiseDraws     *metrics.Counter
@@ -59,8 +57,6 @@ func newCoreMetrics(shardLabel string) *coreMetrics {
 	}
 	m := &coreMetrics{
 		reg: reg,
-		queueFull: reg.Counter("blowfish_ingest_queue_full_total",
-			"Event batches rejected whole with 429 queue_full backpressure."),
 		releaseLatency: reg.HistogramVec("blowfish_release_seconds",
 			"Release latency (truth read + noise + budget charge) by policy and kind.",
 			nil, "policy", "kind"),
@@ -98,7 +94,7 @@ func newCoreMetrics(shardLabel string) *coreMetrics {
 		checkpoints: reg.Counter("blowfish_checkpoints_total",
 			"Completed checkpoints."),
 		closeLeaked: reg.Gauge("blowfish_close_leaked_goroutines",
-			"Stream/ingest goroutines still alive when Server.Close gave up waiting."),
+			"Stream ticker goroutines still alive when Server.Close gave up waiting."),
 	}
 	return m
 }
@@ -217,30 +213,14 @@ func (c *Core) collectStreams(emit func(metrics.Sample)) {
 	}
 }
 
-// collectIngest emits per-dataset queue depth and sequence cursors for
-// every started ingestor.
+// collectIngest emits every dataset's event cursor.
 func (c *Core) collectIngest(emit func(metrics.Sample)) {
 	for _, e := range snapshotSorted(c, c.datasets, func(e *datasetEntry) string { return e.id }) {
-		ing := e.startedIngestor()
-		if ing == nil {
-			continue
-		}
-		st := ing.Stats()
-		labels := []metrics.Label{{Name: "dataset", Value: e.id}}
-		emit(metrics.Sample{
-			Name: "blowfish_ingest_queue_depth",
-			Help: "Events waiting in the ingest queue, per dataset.",
-			Kind: metrics.KindGauge, Labels: labels, Value: float64(st.Queued),
-		})
-		emit(metrics.Sample{
-			Name: "blowfish_ingest_submitted_seq",
-			Help: "Highest event sequence number assigned, per dataset.",
-			Kind: metrics.KindGauge, Labels: labels, Value: float64(st.Submitted),
-		})
 		emit(metrics.Sample{
 			Name: "blowfish_ingest_processed_seq",
 			Help: "Highest event sequence number applied, per dataset.",
-			Kind: metrics.KindGauge, Labels: labels, Value: float64(st.Processed),
+			Kind: metrics.KindGauge, Labels: []metrics.Label{{Name: "dataset", Value: e.id}},
+			Value: float64(e.tbl.LastSeq()),
 		})
 	}
 }

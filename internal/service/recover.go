@@ -82,7 +82,6 @@ func Open(cfg Config) (*Core, error) {
 func (c *Core) finishRecovery() {
 	for _, e := range c.datasets {
 		e.tbl.SetJournal(c.eventJournal(e.id))
-		e.ingCfg.StartSeq = e.tbl.LastSeq()
 	}
 	for _, e := range c.streams {
 		e.st.SetJournal(c.epochJournal(e.id))
@@ -302,7 +301,6 @@ func (c *Core) replayDelete(r walDelete) {
 		e, ok := c.datasets[r.ID]
 		delete(c.datasets, r.ID)
 		if ok {
-			e.closeIngestor()
 			for _, pe := range c.policies {
 				pe.cp.Forget(e.ds)
 			}
@@ -321,8 +319,9 @@ func (c *Core) replayDelete(r walDelete) {
 
 // replayEvents re-applies an ingest batch, skipping the prefix the
 // snapshot's sequence cursor already covers. A batch for a dataset that
-// is gone is dropped: a concurrent delete raced the ingest drain, so the
-// delete record landed first — the end state has no dataset either way.
+// is gone is dropped: an events request that resolved the dataset before
+// a concurrent delete journaled after the delete record — the end state
+// has no dataset either way.
 func (c *Core) replayEvents(r walEvents) error {
 	e, ok := c.datasets[r.DatasetID]
 	if !ok {
@@ -344,7 +343,7 @@ func (c *Core) replayEvents(r walEvents) error {
 		batch[i] = blowfish.StreamMutation{Op: blowfish.StreamMutOp(m.O), Index: m.I, P: m.P}
 	}
 	// Rejections replay identically (the dataset is in the same state the
-	// live writer saw), so a poison event is skipped now as it was then.
+	// live batch saw), so a poison event is skipped now as it was then.
 	_, _, _ = e.tbl.ApplyLogged(first, batch)
 	return nil
 }
@@ -427,7 +426,8 @@ func (c *Core) buildDatasetEntry(attrs []AttrSpec, pts []blowfish.Point) (*datas
 	if err != nil {
 		return nil, err
 	}
-	return &datasetEntry{ds: ds, attrs: append([]AttrSpec(nil), attrs...), tbl: tbl, ingCfg: c.cfg.Ingest}, nil
+	tbl.SetMetrics(c.metrics.ingest)
+	return &datasetEntry{ds: ds, attrs: append([]AttrSpec(nil), attrs...), tbl: tbl}, nil
 }
 
 // buildSessionEntry mints session id as a keyed session over a
@@ -450,10 +450,6 @@ func streamConfigFromRequest(req CreateStreamRequest) blowfish.StreamConfig {
 	for i, k := range req.Kinds {
 		kinds[i] = blowfish.StreamReleaseKind(k)
 	}
-	queries := make([]blowfish.StreamRangeQuery, len(req.RangeQueries))
-	for i, q := range req.RangeQueries {
-		queries[i] = blowfish.StreamRangeQuery{Lo: q.Lo, Hi: q.Hi}
-	}
 	return blowfish.StreamConfig{
 		Window:       blowfish.StreamWindow(req.Window.Kind),
 		WindowEpochs: req.Window.Epochs,
@@ -463,7 +459,7 @@ func streamConfigFromRequest(req CreateStreamRequest) blowfish.StreamConfig {
 		Epsilons:     req.Epoch.Epsilons,
 		Kinds:        kinds,
 		Fanout:       req.Fanout,
-		RangeQueries: queries,
+		RangeQueries: req.RangeQueries,
 		MaxReleases:  req.MaxReleases,
 	}
 }

@@ -1,8 +1,8 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -178,7 +178,7 @@ func TestNoiseIndependentOfHost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ep, err := c.CloseEpoch(context.Background(), st.ID)
+			ep, err := c.CloseEpoch(st.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,5 +192,36 @@ func TestNoiseIndependentOfHost(t *testing.T) {
 	}
 	if one, four := run(1), run(4); string(one) != string(four) {
 		t.Fatal("release bodies differ between GOMAXPROCS 1 and 4")
+	}
+}
+
+// TestIngestJournalFailureIsDurabilityError pins the failed-append path
+// of an events request: with the WAL gone, the batch is refused with the
+// structured durability code, nothing is applied, and the dataset's cursor
+// stays where the last journaled batch left it.
+func TestIngestJournalFailureIsDurabilityError(t *testing.T) {
+	c, err := Open(Config{Durability: DurabilityConfig{Dir: t.TempDir(), Fsync: "never"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abandon()
+	if _, err := c.ApplyPolicy("pol-1", CreatePolicyRequest{Domain: replayLine, Graph: replayL1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ApplyDataset("ds-1", CreateDatasetRequest{PolicyID: "pol-1"}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := c.IngestEvents("ds-1", []blowfish.StreamEvent{{Op: "append", Row: []int{3}}})
+	if err != nil || ack.LastSeq != 1 {
+		t.Fatalf("first batch = (%+v, %v), want seq 1", ack, err)
+	}
+	c.Abandon() // closes the WAL: every later append fails
+	resp, err := c.IngestEvents("ds-1", []blowfish.StreamEvent{{Op: "append", Row: []int{4}}})
+	var se *Error
+	if !errors.As(err, &se) || se.Code != CodeDurability {
+		t.Fatalf("batch with the WAL closed = (%+v, %v), want %s", resp, err, CodeDurability)
+	}
+	if n, seq := c.DatasetHandle("ds-1").Len(), c.DatasetTable("ds-1").LastSeq(); n != 1 || seq != 1 {
+		t.Fatalf("after the refused batch: %d rows at seq %d, want 1 row at seq 1", n, seq)
 	}
 }

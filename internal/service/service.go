@@ -50,11 +50,6 @@ type Config struct {
 	SessionTTL time.Duration
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
-	// Ingest tunes the per-dataset event ingestors (batch size, flush
-	// interval, queue depth). Zero values take the library defaults. The
-	// queue depth also caps one events request: a larger batch could never
-	// fit the queue whole.
-	Ingest blowfish.StreamIngestConfig
 	// MaxLongPollWait caps the wait_ms long-poll parameter of the stream
 	// releases endpoint; defaults to 30s.
 	MaxLongPollWait time.Duration
@@ -65,8 +60,8 @@ type Config struct {
 	// Logger receives structured events (recovery phases, epoch closes,
 	// shutdown drains). Nil discards them.
 	Logger *slog.Logger
-	// CloseDrainTimeout bounds how long Close waits for stream tickers and
-	// ingest writers to exit after signaling them; defaults to 10s.
+	// CloseDrainTimeout bounds how long Close waits for stream tickers to
+	// exit after signaling them; defaults to 10s.
 	// Goroutines still alive at the deadline are logged and counted in the
 	// blowfish_close_leaked_goroutines gauge instead of blocking shutdown
 	// forever.
@@ -135,61 +130,11 @@ type datasetEntry struct {
 	ds    *blowfish.Dataset
 	attrs []AttrSpec
 	// tbl coordinates streaming writers (event batches, window expiry)
-	// against release readers: every release over ds runs under its read
-	// lock, every mutation under its write lock.
+	// against release readers and is the dataset's event log: every
+	// release over ds runs under its read lock, every mutation under its
+	// write lock.
 	tbl *blowfish.StreamTable
-	// ing is the dataset's single-writer event log, started lazily on the
-	// first events batch (an upload-once dataset costs no goroutine) and
-	// stopped on dataset deletion / core Close.
-	ingOnce    sync.Once
-	ing        *blowfish.StreamIngestor
-	ingErr     error
-	ingStarted atomic.Bool
-	ingCfg     blowfish.StreamIngestConfig
 }
-
-// ingestor returns the dataset's event-log writer, starting it on first use.
-func (e *datasetEntry) ingestor() (*blowfish.StreamIngestor, error) {
-	e.ingOnce.Do(func() {
-		e.ing, e.ingErr = blowfish.NewStreamIngestor(e.tbl, e.ingCfg)
-		if e.ingErr == nil {
-			e.ingStarted.Store(true)
-		}
-	})
-	return e.ing, e.ingErr
-}
-
-// startedIngestor returns the writer only if one is already running —
-// flush paths use it so they never spawn a goroutine just to drain an
-// event log that was never opened.
-func (e *datasetEntry) startedIngestor() *blowfish.StreamIngestor {
-	if !e.ingStarted.Load() {
-		return nil
-	}
-	return e.ing
-}
-
-// closeIngestor stops the event-log goroutine if it was ever started, and
-// pins the never-started case to an error so a late events batch cannot
-// spawn a writer the shutdown already missed.
-func (e *datasetEntry) closeIngestor() {
-	if done := e.shutdownIngestor(); done != nil {
-		<-done
-	}
-}
-
-// shutdownIngestor is the non-blocking half of closeIngestor: it pins the
-// never-started case, signals a running writer to drain, and returns the
-// channel that closes when the writer has exited (nil if none ever ran).
-func (e *datasetEntry) shutdownIngestor() <-chan struct{} {
-	e.ingOnce.Do(func() { e.ingErr = errShuttingDown })
-	if e.ing == nil {
-		return nil
-	}
-	return e.ing.Shutdown()
-}
-
-var errShuttingDown = fmt.Errorf("server is shutting down")
 
 type streamEntry struct {
 	id        string
@@ -231,7 +176,6 @@ func newCore(cfg Config) *Core {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	cfg.Ingest = cfg.Ingest.WithDefaults()
 	if cfg.MaxLongPollWait <= 0 {
 		cfg.MaxLongPollWait = defaultMaxLongPollWait
 	}
@@ -251,17 +195,9 @@ func newCore(cfg Config) *Core {
 		sessions: make(map[string]*sessionEntry),
 		streams:  make(map[string]*streamEntry),
 	}
-	// The shared ingest instruments flow into every dataset's writer via
-	// the base ingest config.
-	c.cfg.Ingest.Metrics = c.metrics.ingest
 	c.registerCollectors()
 	return c
 }
-
-// Config returns the core's configuration with defaults applied, so
-// fronts can inherit the effective limits (ingest and long-poll caps)
-// without duplicating the defaulting rules.
-func (c *Core) Config() Config { return c.cfg }
 
 // IDCounters returns, per namespace (policy, dataset, session, stream),
 // the highest id number this core has ever applied, deleted ids included.
@@ -314,16 +250,15 @@ func (c *Core) StreamCount() int {
 	return len(c.streams)
 }
 
-// Close stops every background goroutine the core owns: stream epoch
-// tickers and per-dataset event-log writers (flushing their queues). On a
-// durable core the shutdown then checkpoints: the ingest queues are fully
-// drained *before* the final snapshot is taken, so every acknowledged event
-// is in it — a graceful shutdown loses nothing, and the next boot recovers
-// from the snapshot alone with no WAL tail to replay. A failed final
-// snapshot is safe (the WAL still holds every record; recovery just
-// replays more). It is idempotent; stream and dataset creation after Close
-// is refused. In-flight requests are the front's to drain
-// (http.Server.Shutdown does).
+// Close stops every background goroutine the core owns: the stream epoch
+// tickers. On a durable core the shutdown then checkpoints: every
+// acknowledged event batch was journaled and applied before its ack, so
+// the final snapshot holds it — a graceful shutdown loses nothing, and the
+// next boot recovers from the snapshot alone with no WAL tail to replay. A
+// failed final snapshot is safe (the WAL still holds every record;
+// recovery just replays more). It is idempotent; creates and event
+// batches after Close are refused. In-flight requests are the front's to
+// drain (http.Server.Shutdown does).
 func (c *Core) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -335,19 +270,14 @@ func (c *Core) Close() {
 	for _, e := range c.streams {
 		streams = append(streams, e)
 	}
-	datasets := make([]*datasetEntry, 0, len(c.datasets))
-	for _, e := range c.datasets {
-		datasets = append(datasets, e)
-	}
+	datasets := len(c.datasets)
 	c.mu.Unlock()
-	// Drain in ID order: Ingestor.Close journals queued events, so the
-	// shutdown tail of the WAL gets a reproducible cross-dataset order
-	// instead of whatever the map iteration produced.
+	// Stop tickers in ID order, so a drain timeout names the same stream
+	// on every run.
 	sort.Slice(streams, func(i, j int) bool { return byID(streams[i].id, streams[j].id) < 0 })
-	sort.Slice(datasets, func(i, j int) bool { return byID(datasets[i].id, datasets[j].id) < 0 })
 	start := time.Now()
-	// One drain deadline covers the whole shutdown: a wedged ticker or
-	// writer is logged and counted instead of blocking Close forever.
+	// One drain deadline covers the whole shutdown: a wedged ticker is
+	// logged and counted instead of blocking Close forever.
 	expired := make(chan struct{})
 	watchdog := time.AfterFunc(c.cfg.CloseDrainTimeout, func() { close(expired) })
 	defer watchdog.Stop()
@@ -366,22 +296,13 @@ func (c *Core) Close() {
 				"what", what, "id", id, "timeout", c.cfg.CloseDrainTimeout)
 		}
 	}
-	// Stop schedulers first so no epoch close races the ingestor drain:
-	// signal every ticker at once, then wait for each under the deadline.
+	// Signal every ticker at once, then wait for each under the deadline.
 	stops := make([]<-chan struct{}, len(streams))
 	for i, e := range streams {
 		stops[i] = e.st.Shutdown()
 	}
 	for i, e := range streams {
 		waitOne("stream ticker", e.id, stops[i])
-	}
-	// Drain every event queue: the writer applies (and therefore journals)
-	// everything submitted before exiting. Signal-then-wait serially, per
-	// dataset, to keep the WAL tail's cross-dataset order reproducible.
-	for _, e := range datasets {
-		if done := e.shutdownIngestor(); done != nil {
-			waitOne("ingest writer", e.id, done)
-		}
 	}
 	c.metrics.closeLeaked.Set(int64(leaked))
 	if c.persist != nil {
@@ -395,11 +316,11 @@ func (c *Core) Close() {
 		return
 	}
 	c.logger.Info("core closed",
-		"streams", len(streams), "datasets", len(datasets), "elapsed", time.Since(start))
+		"streams", len(streams), "datasets", datasets, "elapsed", time.Since(start))
 }
 
-// CloseLeaked reports how many stream-ticker / ingest-writer goroutines
-// the last Close abandoned at its drain deadline (0 after a clean close).
+// CloseLeaked reports how many stream-ticker goroutines the last Close
+// abandoned at its drain deadline (0 after a clean close).
 // Tests and the leak watchdog assert on it.
 func (c *Core) CloseLeaked() int {
 	return int(c.metrics.closeLeaked.Value())

@@ -4,9 +4,9 @@ package service
 // and the release-cursor poll. The HTTP front owns the body encodings
 // (JSON envelope, NDJSON, binary batch frame); by the time a batch
 // reaches the core it is a []blowfish.StreamEvent. Submitted events may
-// alias a front's pooled decode scratch: TrySubmit copies them into
-// mutations before returning and IngestEvents is synchronous, so the
-// front may recycle the scratch as soon as the call returns.
+// alias a front's pooled decode scratch: IngestEvents encodes them into
+// mutations and applies them before returning, so the front may recycle
+// the scratch as soon as the call returns.
 
 import (
 	"context"
@@ -16,52 +16,46 @@ import (
 	"blowfish"
 )
 
-// IngestEvents appends a batch of events to the dataset's event log.
-// Events are sequence-numbered and applied by the dataset's single
-// writer; the response carries the assigned range and the writer's
-// cursor. The ingest queue is bounded: a batch larger than the whole queue
-// is a bad request, and one that does not fit the free room is rejected
-// with the structured queue_full error, never parked on the caller
-// (explicit backpressure). With wait set, the call blocks until every
-// submitted event has been applied or rejected (read-your-writes).
-func (c *Core) IngestEvents(ctx context.Context, datasetID string, events []blowfish.StreamEvent, wait bool) (EventsResponse, error) {
-	de, ok := c.getDataset(datasetID)
-	if !ok {
+// IngestEvents applies a batch of events to the dataset on the caller's
+// goroutine: the table validates and encodes the batch, then numbers it
+// after the dataset's cursor, journals it write-ahead and applies it under
+// one write lock. So a nil error means every event is applied and, on a
+// durable core, in the WAL; an event refused at apply time (a bad tuple
+// id) is skipped and counted in the response. A batch over MaxEvents, or
+// one with a malformed event, is refused whole, as is every batch after
+// Close.
+func (c *Core) IngestEvents(datasetID string, events []blowfish.StreamEvent) (EventsResponse, error) {
+	c.mu.RLock()
+	de, ok := c.datasets[datasetID]
+	closed := c.closed
+	c.mu.RUnlock()
+	switch {
+	case !ok:
 		return EventsResponse{}, errf(CodeUnknownDataset, "no dataset %q", datasetID)
-	}
-	if len(events) == 0 {
+	case closed:
+		return EventsResponse{}, errf(CodeBadRequest, "server is shutting down")
+	case len(events) == 0:
 		return EventsResponse{}, errf(CodeBadRequest, "events batch is empty")
+	case len(events) > MaxEvents:
+		return EventsResponse{}, errf(CodeBadRequest, "%d events exceed the per-request cap %d", len(events), MaxEvents)
 	}
-	if limit := c.cfg.Ingest.QueueDepth; len(events) > limit {
-		return EventsResponse{}, errf(CodeBadRequest, "%d events exceed the per-request cap %d (the ingest queue depth)", len(events), limit)
-	}
-	ing, err := de.ingestor()
-	if err != nil {
+	res, err := de.tbl.Ingest(events)
+	switch {
+	case errors.Is(err, blowfish.ErrStreamJournalFailed):
+		return EventsResponse{}, durabilityErr(err)
+	case err != nil:
 		return EventsResponse{}, badRequest(err)
 	}
-	first, last, err := ing.TrySubmit(events)
-	if err != nil {
-		var qf *blowfish.StreamQueueFullError
-		if errors.As(err, &qf) {
-			c.metrics.queueFull.Inc()
-			return EventsResponse{}, &Error{Code: CodeQueueFull, Message: qf.Error()}
-		}
-		return EventsResponse{}, badRequest(err)
+	resp := EventsResponse{
+		Accepted: len(events),
+		FirstSeq: res.First,
+		LastSeq:  res.Last,
+		Rejected: uint64(res.Rejected),
 	}
-	if wait {
-		if err := ing.WaitProcessed(ctx, last); err != nil {
-			return EventsResponse{}, errf(CodeBadRequest, "waiting for apply: %v", err)
-		}
+	if res.LastErr != nil {
+		resp.LastError = res.LastErr.Error()
 	}
-	stats := ing.Stats()
-	return EventsResponse{
-		Accepted:     len(events),
-		FirstSeq:     first,
-		LastSeq:      last,
-		ProcessedSeq: stats.Processed,
-		Rejected:     stats.Rejected,
-		LastError:    stats.LastError,
-	}, nil
+	return resp, nil
 }
 
 // ApplyStream binds a dataset and a policy into a continual-release
@@ -234,17 +228,12 @@ func (c *Core) DeleteStream(id string) error {
 
 // CloseEpoch closes the stream's current epoch on demand — the
 // deterministic trigger (automatic interval-driven closes are configured
-// at stream creation). The dataset's event queue is flushed first so the
-// epoch covers everything submitted before the call.
-func (c *Core) CloseEpoch(ctx context.Context, id string) (EpochReleaseWire, error) {
+// at stream creation). Every event batch acknowledged before the call was
+// applied before its ack, so the epoch covers exactly those events.
+func (c *Core) CloseEpoch(id string) (EpochReleaseWire, error) {
 	e, err := c.streamFor(id)
 	if err != nil {
 		return EpochReleaseWire{}, err
-	}
-	if ing := e.de.startedIngestor(); ing != nil {
-		if err := ing.Flush(ctx); err != nil {
-			return EpochReleaseWire{}, errf(CodeBadRequest, "flushing event queue: %v", err)
-		}
 	}
 	rel, err := e.st.CloseEpoch()
 	if err != nil {

@@ -154,11 +154,10 @@ type CumulativeResponse struct {
 	Remaining float64   `json:"remaining"`
 }
 
-// RangeQuery is one inclusive range count query q[lo, hi].
-type RangeQuery struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-}
+// RangeQuery is one inclusive range count query q[lo, hi]. The wire type
+// IS the library's query (see blowfish.RangeQuery), so a request's queries
+// reach the engine without a copy.
+type RangeQuery = blowfish.RangeQuery
 
 // RangeRequest builds one Ordered Hierarchical release (charging Epsilon
 // once) and answers every query against it.
@@ -206,26 +205,27 @@ type EventWire struct {
 	Row Row    `json:"row,omitempty"`
 }
 
+// MaxEvents caps one events request, in every body encoding: a larger
+// batch is refused whole.
+const MaxEvents = 4096
+
 // EventsRequest submits a batch of events to a dataset's event log. The
 // same endpoint accepts NDJSON (Content-Type application/x-ndjson): one
 // EventWire object per line, no envelope.
 type EventsRequest struct {
 	Events []EventWire `json:"events"`
-	// Wait, when true, blocks the response until every submitted event has
-	// been applied (or rejected) by the writer — the read-your-writes mode
-	// tests and walkthroughs use.
-	Wait bool `json:"wait,omitempty"`
 }
 
-// EventsResponse acknowledges a batch: sequence numbers assigned, plus the
-// ingestor's cursor and rejection counters at response time.
+// EventsResponse acknowledges a batch that is applied (and, on a durable
+// server, journaled): the sequence numbers assigned to its first and last
+// event, and how many of its events were refused at apply time (bad tuple
+// ids), with the last refusal's message.
 type EventsResponse struct {
-	Accepted     int    `json:"accepted"`
-	FirstSeq     uint64 `json:"first_seq,omitempty"`
-	LastSeq      uint64 `json:"last_seq,omitempty"`
-	ProcessedSeq uint64 `json:"processed_seq"`
-	Rejected     uint64 `json:"rejected"`
-	LastError    string `json:"last_error,omitempty"`
+	Accepted  int    `json:"accepted"`
+	FirstSeq  uint64 `json:"first_seq,omitempty"`
+	LastSeq   uint64 `json:"last_seq,omitempty"`
+	Rejected  uint64 `json:"rejected"`
+	LastError string `json:"last_error,omitempty"`
 }
 
 // EpochSpec is a stream's per-epoch epsilon schedule and cadence.

@@ -193,7 +193,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 		}
 		var out service.EventsResponse
 		code := httpJSON(t, "POST", base+"/v1/datasets/"+dsID+"/events",
-			service.EventsRequest{Events: evs, Wait: true}, &out)
+			service.EventsRequest{Events: evs}, &out)
 		if code != http.StatusAccepted {
 			t.Fatalf("ingest on %s: status %d", dsID, code)
 		}
@@ -483,7 +483,7 @@ func TestOpenRejectsOtherSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed, err := r.CloseEpoch(context.Background(), st.ID)
+	closed, err := r.CloseEpoch(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 // every id itself so the namespaces stay global — two shards can never
 // hand out the same id — and a refused create gives its id back.
 type Router struct {
-	cfg   service.Config
 	cores []*service.Core
 
 	// mu guards the id counters and the routing tables. Creates and
@@ -61,7 +60,6 @@ func Open(cfg service.Config, n int) (*Router, error) {
 		}
 	}
 	r := &Router{
-		cfg:         cfg,
 		cores:       make([]*service.Core, 0, n),
 		dsShard:     make(map[string]int),
 		sessShard:   make(map[string]int),
@@ -82,11 +80,6 @@ func Open(cfg service.Config, n int) (*Router, error) {
 		}
 		r.cores = append(r.cores, core)
 	}
-	// Expose the defaulted base configuration, not shard 0's private view.
-	base := r.cores[0].Config()
-	base.Durability.Dir = cfg.Durability.Dir
-	base.ShardLabel = ""
-	r.cfg = base
 	r.rebuild()
 	return r, nil
 }
@@ -213,9 +206,6 @@ func (r *Router) ShardOf(id string) int {
 //lint:allow shardsafe white-box accessor for tests and the recovery harness, which address shards directly by index
 func (r *Router) Core(k int) *service.Core { return r.cores[k] }
 
-// Config returns the (defaulted) base configuration.
-func (r *Router) Config() service.Config { return r.cfg }
-
 // mint reserves the next id in a namespace under the write lock already
 // held by the caller.
 func (r *Router) mint(kind int, prefix string) string {
@@ -339,8 +329,8 @@ func (r *Router) DeleteDataset(id string) error {
 	return nil
 }
 
-func (r *Router) IngestEvents(ctx context.Context, datasetID string, events []blowfish.StreamEvent, wait bool) (service.EventsResponse, error) {
-	return r.route(r.dsShard, datasetID).IngestEvents(ctx, datasetID, events, wait)
+func (r *Router) IngestEvents(datasetID string, events []blowfish.StreamEvent) (service.EventsResponse, error) {
+	return r.route(r.dsShard, datasetID).IngestEvents(datasetID, events)
 }
 
 // --- sessions (colocated with their dataset) -------------------------------
@@ -444,8 +434,8 @@ func (r *Router) DeleteStream(id string) error {
 	return nil
 }
 
-func (r *Router) CloseEpoch(ctx context.Context, id string) (service.EpochReleaseWire, error) {
-	return r.route(r.streamShard, id).CloseEpoch(ctx, id)
+func (r *Router) CloseEpoch(id string) (service.EpochReleaseWire, error) {
+	return r.route(r.streamShard, id).CloseEpoch(id)
 }
 
 func (r *Router) StreamReleases(ctx context.Context, id string, since uint64, wait time.Duration) (service.StreamReleasesResponse, error) {
@@ -527,8 +517,8 @@ func (r *Router) CloseLeaked() int {
 	return n
 }
 
-// Close shuts the shards down concurrently — each drains its own tickers
-// and writers and takes its own final checkpoint.
+// Close shuts the shards down concurrently — each stops its own tickers
+// and takes its own final checkpoint.
 func (r *Router) Close() {
 	var wg sync.WaitGroup
 	for _, c := range r.cores {

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -675,7 +674,7 @@ func TestRouterReleasesIndependentOfShardCount(t *testing.T) {
 			check(err)
 			out = append(out, h, c, g)
 			for e := 0; e < 2; e++ {
-				rel, err := r.CloseEpoch(context.Background(), st.ID)
+				rel, err := r.CloseEpoch(st.ID)
 				check(err)
 				out = append(out, rel)
 			}

@@ -1,8 +1,9 @@
 // Benchmarks for the streaming subsystem at the BENCH_stream.json workload:
 // n = 200k tuples over |T| ≈ 4k, the adult capital-loss shape used by the
 // engine benchmarks. BenchmarkStreamIngest measures sustained ingestion
-// (one op = one event, wire row → encoded → batched → applied through the
-// index under the amortized lock); BenchmarkStreamIngestUpsertCumulative is
+// (one op = one event, wire row → encoded → numbered → applied through the
+// index under the amortized lock, all by Table.Ingest on the calling
+// goroutine); BenchmarkStreamIngestUpsertCumulative is
 // the same path at loadbench's ingest-stream shape, into an index a
 // cumulative stream reads; BenchmarkEpochRelease measures epoch close
 // latency over the 200k-row index while event producers and release
@@ -10,7 +11,6 @@
 package stream
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +20,7 @@ import (
 	"blowfish/internal/engine"
 	"blowfish/internal/metrics"
 	"blowfish/internal/noise"
+	"blowfish/internal/ordered"
 	"blowfish/internal/policy"
 	"blowfish/internal/secgraph"
 )
@@ -31,16 +32,15 @@ const (
 	benchBudget     = 1e9
 )
 
-// benchWorld builds the engine, table and ingestor over the benchmark
-// policy, with preload tuples already indexed.
-func benchWorld(b *testing.B, preload int) (*engine.Engine, *Table, *Ingestor) {
+// benchWorld builds the engine and table over the benchmark policy, with
+// preload tuples already indexed.
+func benchWorld(b *testing.B, preload int) (*engine.Engine, *Table) {
 	b.Helper()
-	return benchWorldCfg(b, benchDomainSize, preload, IngestConfig{})
+	return benchWorldSize(b, benchDomainSize, preload)
 }
 
-// benchWorldCfg is benchWorld over a line of size values with an explicit
-// ingest config (the metrics benchmarks install instruments through it).
-func benchWorldCfg(b *testing.B, size, preload int, cfg IngestConfig) (*engine.Engine, *Table, *Ingestor) {
+// benchWorldSize is benchWorld over a line of size values.
+func benchWorldSize(b *testing.B, size, preload int) (*engine.Engine, *Table) {
 	b.Helper()
 	d, err := domain.Line("v", size)
 	if err != nil {
@@ -80,12 +80,7 @@ func benchWorldCfg(b *testing.B, size, preload int, cfg IngestConfig) (*engine.E
 	if _, err := idx.Histogram(); err != nil {
 		b.Fatal(err)
 	}
-	ing, err := NewIngestor(tbl, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(ing.Close)
-	return eng, tbl, ing
+	return eng, tbl
 }
 
 // benchEvents pre-builds wire events cycling through the domain.
@@ -97,29 +92,36 @@ func benchEvents(n int) []Event {
 	return evs
 }
 
-// BenchmarkStreamIngest measures sustained event throughput: one op is one
-// appended event, submitted in 1024-event batches and applied by the single
-// writer through the lock-amortized index path. events/sec = 1e9 / ns_per_op.
-func BenchmarkStreamIngest(b *testing.B) {
-	_, _, ing := benchWorld(b, 0)
-	const chunk = 1024
-	evs := benchEvents(chunk)
-	b.ResetTimer()
-	for done := 0; done < b.N; done += chunk {
-		n := min(chunk, b.N-done)
-		if _, _, err := ing.Submit(evs[:n]); err != nil {
+// ingestAll ingests n events through tbl, in batches of evs (the last one
+// cut short), failing the benchmark on any refusal.
+func ingestAll(b *testing.B, tbl *Table, evs []Event, n int) {
+	for done := 0; done < n; done += len(evs) {
+		res, err := tbl.Ingest(evs[:min(len(evs), n-done)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		if res.Rejected != 0 {
+			b.Fatalf("%d events rejected: %v", res.Rejected, res.LastErr)
+		}
 	}
-	if err := ing.Flush(context.Background()); err != nil {
-		b.Fatal(err)
-	}
+}
+
+// BenchmarkStreamIngest measures sustained event throughput: one op is one
+// appended event, ingested in 1024-event batches, each applied through the
+// lock-amortized index path before Ingest returns. events/sec = 1e9 /
+// ns_per_op.
+func BenchmarkStreamIngest(b *testing.B) {
+	_, tbl := benchWorld(b, 0)
+	evs := benchEvents(1024)
+	b.ResetTimer()
+	ingestAll(b, tbl, evs, b.N)
 }
 
 // BenchmarkStreamIngestMetrics is BenchmarkStreamIngest with the ingest
 // instruments installed: the benchgate holds the instrumentation overhead
-// (one histogram observation + three counter bumps per applied batch, on
-// the writer goroutine) inside the hot-path regression threshold.
+// (one histogram observation + three counter bumps per applied batch,
+// after the table lock is released) inside the hot-path regression
+// threshold.
 func BenchmarkStreamIngestMetrics(b *testing.B) {
 	reg := metrics.NewRegistry()
 	im := &IngestMetrics{
@@ -129,19 +131,11 @@ func BenchmarkStreamIngestMetrics(b *testing.B) {
 		Rejected:        reg.Counter("rejected_total", "bench"),
 		JournalFailures: reg.Counter("journal_failures_total", "bench"),
 	}
-	_, _, ing := benchWorldCfg(b, benchDomainSize, 0, IngestConfig{Metrics: im})
-	const chunk = 1024
-	evs := benchEvents(chunk)
+	_, tbl := benchWorld(b, 0)
+	tbl.SetMetrics(im)
+	evs := benchEvents(1024)
 	b.ResetTimer()
-	for done := 0; done < b.N; done += chunk {
-		n := min(chunk, b.N-done)
-		if _, _, err := ing.Submit(evs[:n]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := ing.Flush(context.Background()); err != nil {
-		b.Fatal(err)
-	}
+	ingestAll(b, tbl, evs, b.N)
 	if got := int(im.Events.Value()); got != b.N {
 		b.Fatalf("instruments counted %d events, want %d", got, b.N)
 	}
@@ -154,7 +148,7 @@ func BenchmarkStreamIngestMetrics(b *testing.B) {
 // tuples and 20% appends. One op is one event.
 func BenchmarkStreamIngestUpsertCumulative(b *testing.B) {
 	const size, chunk = 1024, 256
-	eng, tbl, ing := benchWorldCfg(b, size, benchTuples, IngestConfig{})
+	eng, tbl := benchWorldSize(b, size, benchTuples)
 	st, err := New(eng, tbl, Config{Epsilon: benchEps, Kinds: []ReleaseKind{KindHistogram, KindCumulative}})
 	if err != nil {
 		b.Fatal(err)
@@ -173,26 +167,13 @@ func BenchmarkStreamIngestUpsertCumulative(b *testing.B) {
 		}
 	}
 	b.ResetTimer()
-	for done := 0; done < b.N; done += chunk {
-		n := min(chunk, b.N-done)
-		if _, _, err := ing.Submit(evs[:n]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := ing.Flush(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if stats := ing.Stats(); stats.Rejected != 0 {
-		b.Fatalf("%d events rejected: %s", stats.Rejected, stats.LastError)
-	}
+	ingestAll(b, tbl, evs, b.N)
 }
 
-// BenchmarkStreamIngestParallel is the same workload submitted from
-// GOMAXPROCS goroutines: contention on the queue plus batching by the one
-// writer.
+// BenchmarkStreamIngestParallel is the same workload ingested from
+// GOMAXPROCS goroutines: each batch contends for the table's write lock.
 func BenchmarkStreamIngestParallel(b *testing.B) {
-	_, _, ing := benchWorld(b, 0)
+	_, tbl := benchWorld(b, 0)
 	const chunk = 256
 	evs := benchEvents(chunk)
 	b.ResetTimer()
@@ -205,15 +186,12 @@ func BenchmarkStreamIngestParallel(b *testing.B) {
 			if n == 0 {
 				return
 			}
-			if _, _, err := ing.Submit(evs[:n]); err != nil {
+			if _, err := tbl.Ingest(evs[:n]); err != nil {
 				b.Error(err)
 				return
 			}
 		}
 	})
-	if err := ing.Flush(context.Background()); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkEpochRelease measures epoch-close latency (histogram kind) over
@@ -221,7 +199,7 @@ func BenchmarkStreamIngestParallel(b *testing.B) {
 // keeps draining the release cursor — the continual-observation steady
 // state. ns_per_op approximates p50 release latency.
 func BenchmarkEpochRelease(b *testing.B) {
-	eng, tbl, ing := benchWorld(b, benchTuples)
+	eng, tbl := benchWorld(b, benchTuples)
 	st, err := New(eng, tbl, Config{Epsilon: benchEps})
 	if err != nil {
 		b.Fatal(err)
@@ -239,7 +217,7 @@ func BenchmarkEpochRelease(b *testing.B) {
 				return
 			default:
 			}
-			if _, _, err := ing.Submit(evs); err != nil {
+			if _, err := tbl.Ingest(evs); err != nil {
 				return
 			}
 			time.Sleep(200 * time.Microsecond)
@@ -274,11 +252,11 @@ func BenchmarkEpochRelease(b *testing.B) {
 // BenchmarkEpochReleaseAllKinds closes epochs publishing all three release
 // kinds per close (histogram + cumulative + range) over the 200k-row index.
 func BenchmarkEpochReleaseAllKinds(b *testing.B) {
-	eng, tbl, _ := benchWorld(b, benchTuples)
+	eng, tbl := benchWorld(b, benchTuples)
 	st, err := New(eng, tbl, Config{
 		Epsilon:      benchEps,
 		Kinds:        []ReleaseKind{KindHistogram, KindCumulative, KindRange},
-		RangeQueries: []RangeQuery{{Lo: 100, Hi: 2500}},
+		RangeQueries: []ordered.RangeQuery{{Lo: 100, Hi: 2500}},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"blowfish/internal/composition"
 	"blowfish/internal/domain"
 	"blowfish/internal/engine"
+	"blowfish/internal/metrics"
 	"blowfish/internal/noise"
 	"blowfish/internal/policy"
 	"blowfish/internal/secgraph"
@@ -137,24 +137,30 @@ func TestTableSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIngestorStartSeqResumes(t *testing.T) {
+// TestIngestResumesAfterRestoredCursor pins numbering across a restart:
+// Ingest numbers a batch after the table's cursor, so a table restored at
+// LastSeq 41 journals its next batch as 42-43 and replay's cursor check
+// keeps working.
+func TestIngestResumesAfterRestoredCursor(t *testing.T) {
 	_, dom := lineEngine(t, 8, 10, 1)
 	tbl, _ := NewTable(domain.NewDataset(dom))
-	in, err := NewIngestor(tbl, IngestConfig{StartSeq: 41})
-	if err != nil {
+	if err := tbl.RestoreState(TableState{LastSeq: 41}); err != nil {
 		t.Fatal(err)
 	}
-	defer in.Close()
-	if got := in.ProcessedSeq(); got != 41 {
-		t.Fatalf("initial ProcessedSeq = %d, want 41", got)
+	var journaled []uint64
+	tbl.SetJournal(func(firstSeq uint64, muts []engine.Mutation) error {
+		journaled = append(journaled, firstSeq, uint64(len(muts)))
+		return nil
+	})
+	res, err := tbl.Ingest([]Event{{Op: "append", Row: []int{1}}, {Op: "append", Row: []int{2}}})
+	if err != nil || res.First != 42 || res.Last != 43 {
+		t.Fatalf("Ingest = (%+v, %v), want seqs [42,43]", res, err)
 	}
-	first, last, err := in.Submit([]Event{{Op: "append", Row: []int{1}}, {Op: "append", Row: []int{2}}})
-	if err != nil || first != 42 || last != 43 {
-		t.Fatalf("Submit = (%d, %d, %v), want (42, 43, nil)", first, last, err)
-	}
-	in.Close()
 	if got := tbl.LastSeq(); got != 43 {
 		t.Fatalf("table LastSeq = %d, want 43", got)
+	}
+	if len(journaled) != 2 || journaled[0] != 42 || journaled[1] != 2 {
+		t.Fatalf("journal saw %v, want [42 2]", journaled)
 	}
 }
 
@@ -280,31 +286,43 @@ func TestStreamJournalAbortsClose(t *testing.T) {
 	}
 }
 
+// TestIngestJournalFailureNeverFalselyAcks pins the failed-append path:
+// Ingest returns an error wrapping ErrJournalFailed, applies nothing, and
+// spends no sequence number, so the next journaled batch starts at 1; the
+// instruments count the failure, not a batch.
 func TestIngestJournalFailureNeverFalselyAcks(t *testing.T) {
 	_, dom := lineEngine(t, 8, 10, 1)
 	tbl, _ := NewTable(domain.NewDataset(dom))
-	tbl.SetJournal(func(uint64, []engine.Mutation) error { return errors.New("disk gone") })
-	in, err := NewIngestor(tbl, IngestConfig{FlushInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	reg := metrics.NewRegistry()
+	im := &IngestMetrics{
+		Batches:         reg.Counter("batches_total", "test"),
+		JournalFailures: reg.Counter("journal_failures_total", "test"),
 	}
-	defer in.Close()
-	_, last, err := in.Submit([]Event{{Op: "append", Row: []int{1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The batch can never become durable: the processed cursor must not
-	// advance, so a waiting client times out instead of being acked.
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if err := in.WaitProcessed(ctx, last); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("WaitProcessed = %v, want deadline exceeded (no false ack)", err)
-	}
-	if got := in.ProcessedSeq(); got != 0 {
-		t.Fatalf("processed cursor advanced to %d past an unjournaled batch", got)
+	tbl.SetMetrics(im)
+	down := true
+	tbl.SetJournal(func(uint64, []engine.Mutation) error {
+		if down {
+			return errors.New("disk gone")
+		}
+		return nil
+	})
+	res, err := tbl.Ingest([]Event{{Op: "append", Row: []int{1}}})
+	if !errors.Is(err, ErrJournalFailed) || res != (IngestResult{}) {
+		t.Fatalf("Ingest with a failing journal = (%+v, %v), want ErrJournalFailed and no result", res, err)
 	}
 	if got := tbl.Dataset().Len(); got != 0 {
 		t.Fatalf("unjournaled events applied: %d tuples", got)
+	}
+	if got := tbl.LastSeq(); got != 0 {
+		t.Fatalf("cursor advanced to %d past an unjournaled batch", got)
+	}
+	if im.JournalFailures.Value() != 1 || im.Batches.Value() != 0 {
+		t.Fatalf("instruments counted %d failures and %d batches, want 1 and 0",
+			im.JournalFailures.Value(), im.Batches.Value())
+	}
+	down = false
+	if res, err := tbl.Ingest([]Event{{Op: "append", Row: []int{2}}}); err != nil || res.First != 1 {
+		t.Fatalf("Ingest after the journal recovered = (%+v, %v), want seq 1", res, err)
 	}
 }
 

@@ -44,12 +44,6 @@ const (
 	KindRange ReleaseKind = "range"
 )
 
-// RangeQuery is one inclusive range count answered by KindRange epochs.
-type RangeQuery struct {
-	Lo int
-	Hi int
-}
-
 // Config binds a stream's window, epsilon schedule and release set.
 type Config struct {
 	// Window defaults to WindowCumulative.
@@ -75,7 +69,7 @@ type Config struct {
 	// Fanout is the KindRange hierarchy branching factor; defaults to 16.
 	Fanout int
 	// RangeQueries are answered by each KindRange release.
-	RangeQueries []RangeQuery
+	RangeQueries []ordered.RangeQuery
 	// MaxReleases bounds the in-memory release buffer; older releases are
 	// dropped (readers see a gap and resynchronize). Defaults to 1024.
 	MaxReleases int
@@ -145,8 +139,6 @@ type Stream struct {
 	tbl *Table
 	idx *engine.DatasetIndex
 	cfg Config
-	// queries are cfg.RangeQueries as the engine takes them.
-	queries []ordered.RangeQuery
 
 	// waiters counts goroutines parked in WaitReleases right now — the
 	// long-poll connections the server's release-cursor endpoint holds
@@ -259,16 +251,11 @@ func New(eng *engine.Engine, tbl *Table, cfg Config) (*Stream, error) {
 	if cfg.Window == WindowSliding {
 		tbl.TrackEpochs()
 	}
-	queries := make([]ordered.RangeQuery, len(cfg.RangeQueries))
-	for i, q := range cfg.RangeQueries {
-		queries[i] = ordered.RangeQuery(q)
-	}
 	return &Stream{
 		eng:       eng,
 		tbl:       tbl,
 		idx:       idx,
 		cfg:       cfg,
-		queries:   queries,
 		lastClose: time.Now(),
 		notify:    make(chan struct{}),
 		quit:      make(chan struct{}),
@@ -394,7 +381,7 @@ func (st *Stream) computeLocked(rel *EpochRelease) error {
 			}
 			rel.CumulativeRaw, rel.CumulativeInferred = raw, inferred
 		case KindRange:
-			answers, err := st.eng.ReleaseRangeAnswers(st.idx, st.cfg.Fanout, rel.Epsilon, st.queries)
+			answers, err := st.eng.ReleaseRangeAnswers(st.idx, st.cfg.Fanout, rel.Epsilon, st.cfg.RangeQueries)
 			if err != nil {
 				return err
 			}

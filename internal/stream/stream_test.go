@@ -12,20 +12,20 @@ import (
 	"blowfish/internal/engine"
 	"blowfish/internal/leak"
 	"blowfish/internal/noise"
+	"blowfish/internal/ordered"
 	"blowfish/internal/policy"
 	"blowfish/internal/secgraph"
 )
 
 // fixture wires a distance-threshold line policy, a seeded sequential
-// engine, a table and an ingestor — the deterministic test harness.
+// engine and a table — the deterministic test harness.
 type fixture struct {
 	eng *engine.Engine
 	tbl *Table
-	ing *Ingestor
 	ds  *domain.Dataset
 }
 
-func newFixture(t *testing.T, size int, budget float64, seed int64, icfg IngestConfig) *fixture {
+func newFixture(t *testing.T, size int, budget float64, seed int64) *fixture {
 	t.Helper()
 	d, err := domain.Line("v", size)
 	if err != nil {
@@ -52,12 +52,7 @@ func newFixture(t *testing.T, size int, budget float64, seed int64, icfg IngestC
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing, err := NewIngestor(tbl, icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ing.Close)
-	return &fixture{eng: eng, tbl: tbl, ing: ing, ds: ds}
+	return &fixture{eng: eng, tbl: tbl, ds: ds}
 }
 
 func (f *fixture) stream(t *testing.T, cfg Config) *Stream {
@@ -78,32 +73,35 @@ func appends(vals ...int) []Event {
 	return evs
 }
 
-func mustSubmit(t *testing.T, ing *Ingestor, evs []Event) {
+func mustIngest(t *testing.T, tbl *Table, evs []Event) IngestResult {
 	t.Helper()
-	if _, _, err := ing.Submit(evs); err != nil {
-		t.Fatalf("Submit: %v", err)
+	res, err := tbl.Ingest(evs)
+	if err != nil {
+		t.Fatalf("Ingest: %v", err)
 	}
-	if err := ing.Flush(context.Background()); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if res.Rejected != 0 {
+		t.Fatalf("Ingest rejected %d events: %v", res.Rejected, res.LastErr)
 	}
+	return res
 }
 
 // TestIngestAppliesEvents pins the event log semantics: appends, upserts
-// and deletes land on the dataset in submission order, with sequence
-// numbers assigned densely.
+// and deletes land on the dataset in submission order before Ingest
+// returns, with sequence numbers assigned densely.
 func TestIngestAppliesEvents(t *testing.T) {
-	f := newFixture(t, 16, 100, 1, IngestConfig{})
-	first, last, err := f.ing.Submit(appends(3, 5, 5, 7))
-	if err != nil {
-		t.Fatal(err)
+	f := newFixture(t, 16, 100, 1)
+	if res := mustIngest(t, f.tbl, appends(3, 5, 5, 7)); res.First != 1 || res.Last != 4 {
+		t.Fatalf("seqs = [%d,%d], want [1,4]", res.First, res.Last)
 	}
-	if first != 1 || last != 4 {
-		t.Fatalf("seqs = [%d,%d], want [1,4]", first, last)
+	if n := f.tbl.Len(); n != 4 {
+		t.Fatalf("Len after Ingest = %d, want 4", n)
 	}
-	mustSubmit(t, f.ing, []Event{
+	if res := mustIngest(t, f.tbl, []Event{
 		{Op: "upsert", ID: 0, Row: []int{9}},
 		{Op: "delete", ID: 1},
-	})
+	}); res.First != 5 || res.Last != 6 {
+		t.Fatalf("seqs = [%d,%d], want [5,6]", res.First, res.Last)
+	}
 	f.tbl.RLock()
 	got, err := f.ds.Histogram()
 	f.tbl.RUnlock()
@@ -127,43 +125,55 @@ func TestIngestAppliesEvents(t *testing.T) {
 }
 
 // TestIngestRejectsPoisonEvents asserts a bad tuple id is counted and
-// skipped without wedging the events queued behind it.
+// skipped without wedging the events behind it, and that a malformed row or
+// op refuses its batch.
 func TestIngestRejectsPoisonEvents(t *testing.T) {
-	f := newFixture(t, 16, 100, 1, IngestConfig{})
-	mustSubmit(t, f.ing, []Event{
+	f := newFixture(t, 16, 100, 1)
+	res, err := f.tbl.Ingest([]Event{
 		{Op: "append", Row: []int{1}},
 		{Op: "delete", ID: 99}, // out of range at apply time
 		{Op: "append", Row: []int{2}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n := f.tbl.Len(); n != 2 {
 		t.Fatalf("Len = %d, want 2 (poison event wedged the stream?)", n)
 	}
-	stats := f.ing.Stats()
-	if stats.Rejected != 1 || stats.LastError == "" {
-		t.Fatalf("stats = %+v, want 1 rejection with an error", stats)
+	if res.First != 1 || res.Last != 3 || res.Rejected != 1 || res.LastErr == nil {
+		t.Fatalf("result = %+v, want seqs [1,3] with 1 rejection and its error", res)
 	}
-	// Validation errors surface synchronously and enqueue nothing.
-	if _, _, err := f.ing.Submit([]Event{{Op: "append", Row: []int{999}}}); err == nil {
+	if _, err := f.tbl.Ingest([]Event{{Op: "append", Row: []int{999}}}); err == nil {
 		t.Fatal("out-of-domain append accepted")
 	}
-	if _, _, err := f.ing.Submit([]Event{{Op: "compact"}}); err == nil {
+	if _, err := f.tbl.Ingest([]Event{{Op: "compact"}}); err == nil {
 		t.Fatal("unknown op accepted")
+	}
+	if n, seq := f.tbl.Len(), f.tbl.LastSeq(); n != 2 || seq != 3 {
+		t.Fatalf("after refused batches: Len %d, LastSeq %d, want 2 and 3", n, seq)
 	}
 }
 
-// TestIngestClose pins Close semantics: queued events flush, later submits
-// are refused.
+// TestIngestClose pins the order an epoch close sees: with no flush step
+// anywhere, a close counts exactly the events whose Ingest returned before
+// it, and a batch ingested after it waits for the next close.
 func TestIngestClose(t *testing.T) {
-	f := newFixture(t, 16, 100, 1, IngestConfig{BatchSize: 8, FlushInterval: time.Hour})
-	if _, _, err := f.ing.Submit(appends(1, 2, 3)); err != nil {
+	f := newFixture(t, 16, 100, 1)
+	st := f.stream(t, Config{Epsilon: 0.1})
+	mustIngest(t, f.tbl, appends(1, 2, 3))
+	rel, err := st.CloseEpoch()
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.ing.Close()
-	if n := f.tbl.Len(); n != 3 {
-		t.Fatalf("Len after Close = %d, want 3 (Close did not flush)", n)
+	if rel.Events != 3 || rel.N != 3 {
+		t.Fatalf("first close counts %d events and %d rows, want 3 and 3", rel.Events, rel.N)
 	}
-	if _, _, err := f.ing.Submit(appends(4)); !errors.Is(err, ErrIngestClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrIngestClosed", err)
+	mustIngest(t, f.tbl, appends(4, 5))
+	if rel, err = st.CloseEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if rel.Events != 5 || rel.N != 5 {
+		t.Fatalf("second close counts %d events and %d rows, want 5 and 5", rel.Events, rel.N)
 	}
 }
 
@@ -172,17 +182,17 @@ func TestIngestClose(t *testing.T) {
 // bit-for-bit identical releases.
 func TestEpochReleasesReproducible(t *testing.T) {
 	run := func() []*EpochRelease {
-		f := newFixture(t, 64, 100, 42, IngestConfig{})
+		f := newFixture(t, 64, 100, 42)
 		st := f.stream(t, Config{
 			Epsilon:      0.5,
 			Kinds:        []ReleaseKind{KindHistogram, KindCumulative, KindRange},
-			RangeQueries: []RangeQuery{{Lo: 3, Hi: 17}, {Lo: 0, Hi: 63}},
+			RangeQueries: []ordered.RangeQuery{{Lo: 3, Hi: 17}, {Lo: 0, Hi: 63}},
 		})
-		mustSubmit(t, f.ing, appends(1, 5, 9, 9, 30))
+		mustIngest(t, f.tbl, appends(1, 5, 9, 9, 30))
 		if _, err := st.CloseEpoch(); err != nil {
 			t.Fatalf("CloseEpoch: %v", err)
 		}
-		mustSubmit(t, f.ing, appends(12, 12, 40))
+		mustIngest(t, f.tbl, appends(12, 12, 40))
 		if _, err := st.CloseEpoch(); err != nil {
 			t.Fatalf("CloseEpoch: %v", err)
 		}
@@ -217,9 +227,9 @@ func TestEpochReleasesReproducible(t *testing.T) {
 func TestBudgetExhaustion(t *testing.T) {
 	// Budget 1.0, two kinds at ε=0.25 per epoch → 0.5 per close → exactly
 	// two epochs fit.
-	f := newFixture(t, 64, 1.0, 7, IngestConfig{})
+	f := newFixture(t, 64, 1.0, 7)
 	st := f.stream(t, Config{Epsilon: 0.25, Kinds: []ReleaseKind{KindHistogram, KindCumulative}})
-	mustSubmit(t, f.ing, appends(1, 2, 3))
+	mustIngest(t, f.tbl, appends(1, 2, 3))
 	for i := 0; i < 2; i++ {
 		if _, err := st.CloseEpoch(); err != nil {
 			t.Fatalf("close %d: %v", i, err)
@@ -245,9 +255,9 @@ func TestBudgetExhaustion(t *testing.T) {
 // when it runs out, with the same ErrBudgetExceeded signal budget
 // exhaustion gives — the ticker stops and pollers are told it is over.
 func TestExplicitScheduleExhausts(t *testing.T) {
-	f := newFixture(t, 16, 100, 1, IngestConfig{})
+	f := newFixture(t, 16, 100, 1)
 	st := f.stream(t, Config{Epsilons: []float64{0.5, 0.25}})
-	mustSubmit(t, f.ing, appends(1, 2))
+	mustIngest(t, f.tbl, appends(1, 2))
 	for i := 0; i < 2; i++ {
 		if _, err := st.CloseEpoch(); err != nil {
 			t.Fatalf("close %d: %v", i, err)
@@ -264,9 +274,9 @@ func TestExplicitScheduleExhausts(t *testing.T) {
 // TestReleasesCursorOverflow pins the cursor arithmetic against hostile
 // values: a cursor far past the buffer returns nothing, never panics.
 func TestReleasesCursorOverflow(t *testing.T) {
-	f := newFixture(t, 16, 100, 1, IngestConfig{})
+	f := newFixture(t, 16, 100, 1)
 	st := f.stream(t, Config{Epsilon: 0.1})
-	mustSubmit(t, f.ing, appends(1))
+	mustIngest(t, f.tbl, appends(1))
 	if _, err := st.CloseEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,42 +290,11 @@ func TestReleasesCursorOverflow(t *testing.T) {
 	}
 }
 
-// TestMutateRetagsSlidingWindow pins the Mutate repair contract: a direct
-// mutation re-tags every tuple with the current epoch, so a swapped-in
-// tuple can never inherit an older tag and expire early.
-func TestMutateRetagsSlidingWindow(t *testing.T) {
-	f := newFixture(t, 16, 100, 3, IngestConfig{})
-	st := f.stream(t, Config{Window: WindowSliding, WindowEpochs: 2, Epsilon: 1})
-	mustSubmit(t, f.ing, appends(1, 2, 3))
-	if _, err := st.CloseEpoch(); err != nil { // epoch 0 closes; tuples tagged 0
-		t.Fatal(err)
-	}
-	mustSubmit(t, f.ing, appends(4)) // tagged epoch 1
-	// Direct mutation with a swap-removal: without the repair, the epoch-1
-	// tuple swapped into slot 0 would keep the removed tuple's tag 0.
-	err := f.tbl.Mutate(func(ds *domain.Dataset) error { return ds.Remove(0) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Close epochs 1 and 2: at epoch 2 the cutoff expires tags < 1, which
-	// after the re-tag (everything now tagged 1) must expire nothing.
-	if _, err := st.CloseEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := st.CloseEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.N != 3 {
-		t.Fatalf("N after retag = %d, want 3 (live tuple expired early)", rel.N)
-	}
-}
-
 // TestEpsilonSchedule pins the explicit-override and decay arithmetic.
 func TestEpsilonSchedule(t *testing.T) {
-	f := newFixture(t, 16, 100, 1, IngestConfig{})
+	f := newFixture(t, 16, 100, 1)
 	st := f.stream(t, Config{Epsilon: 0.4, Decay: 0.5, Epsilons: []float64{1.0}})
-	mustSubmit(t, f.ing, appends(1))
+	mustIngest(t, f.tbl, appends(1))
 	want := []float64{1.0, 0.4 * 0.5, 0.4 * 0.25}
 	for i, w := range want {
 		rel, err := st.CloseEpoch()
@@ -330,9 +309,9 @@ func TestEpsilonSchedule(t *testing.T) {
 
 // TestTumblingWindow asserts each epoch covers only its own events.
 func TestTumblingWindow(t *testing.T) {
-	f := newFixture(t, 16, 100, 3, IngestConfig{})
+	f := newFixture(t, 16, 100, 3)
 	st := f.stream(t, Config{Window: WindowTumbling, Epsilon: 1})
-	mustSubmit(t, f.ing, appends(1, 2, 3, 4, 5))
+	mustIngest(t, f.tbl, appends(1, 2, 3, 4, 5))
 	rel, err := st.CloseEpoch()
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +319,7 @@ func TestTumblingWindow(t *testing.T) {
 	if rel.N != 5 {
 		t.Fatalf("epoch 0 N = %d, want 5", rel.N)
 	}
-	mustSubmit(t, f.ing, appends(7, 8))
+	mustIngest(t, f.tbl, appends(7, 8))
 	rel, err = st.CloseEpoch()
 	if err != nil {
 		t.Fatal(err)
@@ -352,9 +331,9 @@ func TestTumblingWindow(t *testing.T) {
 
 // TestSlidingWindow asserts tuples expire once they age past the width.
 func TestSlidingWindow(t *testing.T) {
-	f := newFixture(t, 16, 100, 3, IngestConfig{})
+	f := newFixture(t, 16, 100, 3)
 	st := f.stream(t, Config{Window: WindowSliding, WindowEpochs: 2, Epsilon: 1})
-	mustSubmit(t, f.ing, appends(1, 2, 3, 4))
+	mustIngest(t, f.tbl, appends(1, 2, 3, 4))
 	rel, err := st.CloseEpoch()
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +341,7 @@ func TestSlidingWindow(t *testing.T) {
 	if rel.N != 4 {
 		t.Fatalf("epoch 0 N = %d, want 4", rel.N)
 	}
-	mustSubmit(t, f.ing, appends(5, 6))
+	mustIngest(t, f.tbl, appends(5, 6))
 	rel, err = st.CloseEpoch()
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +349,7 @@ func TestSlidingWindow(t *testing.T) {
 	if rel.N != 6 {
 		t.Fatalf("epoch 1 N = %d, want 6 (window [0,1])", rel.N)
 	}
-	mustSubmit(t, f.ing, appends(7))
+	mustIngest(t, f.tbl, appends(7))
 	rel, err = st.CloseEpoch()
 	if err != nil {
 		t.Fatal(err)
@@ -383,9 +362,9 @@ func TestSlidingWindow(t *testing.T) {
 // TestWaitReleasesLongPoll asserts a blocked reader wakes on the next
 // epoch close and receives everything past its cursor.
 func TestWaitReleasesLongPoll(t *testing.T) {
-	f := newFixture(t, 16, 100, 5, IngestConfig{})
+	f := newFixture(t, 16, 100, 5)
 	st := f.stream(t, Config{Epsilon: 0.1})
-	mustSubmit(t, f.ing, appends(1, 2))
+	mustIngest(t, f.tbl, appends(1, 2))
 	got := make(chan []*EpochRelease, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -414,9 +393,9 @@ func TestWaitReleasesLongPoll(t *testing.T) {
 // until the budget runs out, and Stop leaves no goroutine behind (the
 // -race build would catch unsynchronized stragglers).
 func TestAutomaticScheduler(t *testing.T) {
-	f := newFixture(t, 16, 0.3, 5, IngestConfig{})
+	f := newFixture(t, 16, 0.3, 5)
 	st := f.stream(t, Config{Epsilon: 0.1, Interval: time.Millisecond})
-	mustSubmit(t, f.ing, appends(1, 2, 3))
+	mustIngest(t, f.tbl, appends(1, 2, 3))
 	st.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -437,15 +416,15 @@ func TestAutomaticScheduler(t *testing.T) {
 
 // TestConfigValidation asserts unserveable configurations fail at New.
 func TestConfigValidation(t *testing.T) {
-	f := newFixture(t, 16, 100, 1, IngestConfig{})
+	f := newFixture(t, 16, 100, 1)
 	bad := []Config{
 		{},                                  // no epsilon schedule
 		{Epsilon: 1, Window: "hopping"},     // unknown window
 		{Epsilon: 1, Window: WindowSliding}, // sliding without width
 		{Epsilon: 1, Kinds: []ReleaseKind{"quantile"}},
-		{Epsilon: 1, Kinds: []ReleaseKind{KindRange}},                                       // no queries
-		{Epsilon: 1, Kinds: []ReleaseKind{KindRange}, RangeQueries: []RangeQuery{{5, 900}}}, // out of domain
-		{Epsilon: 1, Epsilons: []float64{0.5, -1}},                                          // bad override
+		{Epsilon: 1, Kinds: []ReleaseKind{KindRange}},                                                       // no queries
+		{Epsilon: 1, Kinds: []ReleaseKind{KindRange}, RangeQueries: []ordered.RangeQuery{{Lo: 5, Hi: 900}}}, // out of domain
+		{Epsilon: 1, Epsilons: []float64{0.5, -1}},                                                          // bad override
 	}
 	for i, cfg := range bad {
 		if _, err := New(f.eng, f.tbl, cfg); err == nil {
@@ -454,13 +433,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestStreamHammer interleaves concurrent event ingestion, epoch closes,
-// direct Dataset mutation (the generation-counter rebuild path) and status
-// reads under -race. Values are not asserted beyond internal consistency —
-// the point is that no interleaving tears state.
+// TestStreamHammer interleaves concurrent event ingestion (appends, and
+// batches that append and swap-delete), epoch closes and status reads
+// under -race. Values are not asserted beyond internal consistency — the
+// point is that no interleaving tears state.
 func TestStreamHammer(t *testing.T) {
 	leak.Check(t)
-	f := newFixture(t, 64, 1e9, 11, IngestConfig{BatchSize: 32, FlushInterval: 100 * time.Microsecond})
+	f := newFixture(t, 64, 1e9, 11)
 	st := f.stream(t, Config{Epsilon: 0.01, Kinds: []ReleaseKind{KindHistogram, KindCumulative}})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -474,15 +453,15 @@ func TestStreamHammer(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := f.ing.Submit(appends(i%64, (i*7)%64)); err != nil {
-					t.Errorf("submit: %v", err)
+				if _, err := f.tbl.Ingest(appends(i%64, (i*7)%64)); err != nil {
+					t.Errorf("ingest: %v", err)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Add(1)
-	go func() { // direct mutation through the table's escape hatch
+	go func() { // an append and a swap-delete per batch
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
@@ -490,17 +469,9 @@ func TestStreamHammer(t *testing.T) {
 				return
 			default:
 			}
-			err := f.tbl.Mutate(func(ds *domain.Dataset) error {
-				if err := ds.Add(domain.Point(i % 64)); err != nil {
-					return err
-				}
-				if ds.Len() > 1 {
-					return ds.Remove(0)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Errorf("mutate: %v", err)
+			res, err := f.tbl.Ingest([]Event{{Op: "append", Row: []int{i % 64}}, {Op: "delete", ID: 0}})
+			if err != nil || res.Rejected != 0 {
+				t.Errorf("ingest: %+v %v", res, err)
 				return
 			}
 			time.Sleep(50 * time.Microsecond)
@@ -535,11 +506,8 @@ func TestStreamHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if err := f.ing.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	// Final consistency: the index must agree with a rebuild after all the
-	// interleaving (including the direct-mutation rebuild path).
+	// interleaving.
 	f.tbl.RLock()
 	defer f.tbl.RUnlock()
 	want, err := f.ds.Histogram()

@@ -1,23 +1,23 @@
 // Package stream is the streaming ingestion and continual-release
 // subsystem: an append/upsert/delete event log applied onto the release
-// engine's incremental DatasetIndex by a single batching writer, and an
-// epoch scheduler that publishes noisy releases from the compiled plan on a
-// per-epoch epsilon schedule until the stream's privacy budget is spent.
+// engine's incremental DatasetIndex, and an epoch scheduler that publishes
+// noisy releases from the compiled plan on a per-epoch epsilon schedule
+// until the stream's privacy budget is spent.
 //
 // The paper makes continual observation affordable in exactly two ways this
 // package operationalizes: policy-calibrated sensitivities (Sec. 6, Lemma
 // 6.1) keep each epoch's noise small, and sequential composition (Theorem
 // 3.6 / 4.1) turns a total ε budget into a schedule of per-epoch charges
-// through composition.Accountant. The subsystem is three pieces:
+// through composition.Accountant. The subsystem is two pieces:
 //
-//   - Table wraps one Dataset behind a readers-writer lock: ingestion and
-//     window expiry take the write side, releases the read side, so the
-//     engine's unsynchronized Dataset contract holds under full server
-//     concurrency no matter how many plans index the dataset.
-//   - Ingestor is the event log: it assigns sequence numbers, batches
-//     events, and applies them from a single writer goroutine through
-//     DatasetIndex.ApplyBatch, amortizing the index lock over whole batches
-//     instead of paying it per tuple.
+//   - Table wraps one Dataset behind a readers-writer lock and is its
+//     event log: Table.Ingest numbers each batch after the table's
+//     cursor, journals it write-ahead and applies it through
+//     DatasetIndex.ApplyBatch under one write-lock acquisition, on the
+//     caller's goroutine, amortizing the index lock over the whole batch.
+//     Window expiry takes the write side too, releases the read side, so
+//     the engine's unsynchronized Dataset contract holds under full
+//     server concurrency no matter how many plans index the dataset.
 //   - Stream closes epochs: tumbling, sliding or cumulative windows, one
 //     noisy release set per epoch close, published to a cursor-addressed
 //     buffer that readers long-poll.
@@ -28,9 +28,11 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"blowfish/internal/domain"
 	"blowfish/internal/engine"
+	"blowfish/internal/metrics"
 )
 
 // ErrJournalFailed marks a batch or epoch close refused because its
@@ -42,8 +44,8 @@ var ErrJournalFailed = errors.New("stream: write-ahead journal append failed")
 
 // Table is the synchronization point for one streamed dataset. The engine's
 // DatasetIndex only locks its own caches — the Dataset underneath is
-// unsynchronized — so every mutation path (ingest batches, window expiry,
-// direct Mutate) takes the table's write lock and every release path takes
+// unsynchronized — so every mutation path (ingest batches, their replay,
+// window expiry) takes the table's write lock and every release path takes
 // the read lock. Any number of plans may index the dataset; they all read
 // under the same lock.
 type Table struct {
@@ -64,19 +66,40 @@ type Table struct {
 	curEpoch int32
 	tracking bool
 	// lastSeq is the highest event sequence number whose batch has been
-	// applied through ApplyLogged — the recovery cursor: a snapshot taken
-	// under the table lock pairs the tuples with exactly this seq, so WAL
-	// replay knows which event batches the snapshot already reflects.
+	// applied — the cursor Ingest numbers the next batch after, and the
+	// recovery cursor: a snapshot taken under the table lock pairs the
+	// tuples with exactly this seq, so WAL replay knows which event batches
+	// the snapshot already reflects.
 	lastSeq uint64
 	// journal, when set, is called write-ahead: under the same lock
 	// acquisition that applies the batch, before any mutation lands. A
 	// journal error rejects the whole batch, so no event is ever applied
 	// without being durable first.
 	journal func(firstSeq uint64, muts []engine.Mutation) error
+	// metrics, when set, instruments Ingest.
+	metrics *IngestMetrics
+}
+
+// IngestMetrics are the pre-resolved instruments a table's Ingest reports
+// into, once per batch after the write lock is released. Any field may be
+// nil.
+type IngestMetrics struct {
+	// ApplySeconds observes the latency of each batch apply — lock wait,
+	// journal append (and its fsync, under fsync=always) plus the index
+	// update.
+	ApplySeconds *metrics.Histogram
+	// Batches and Events count applied batches and the events in them.
+	Batches *metrics.Counter
+	Events  *metrics.Counter
+	// Rejected counts apply-time rejections (bad tuple ids).
+	Rejected *metrics.Counter
+	// JournalFailures counts batches refused by a failed write-ahead
+	// append (nothing applied, cursor held back).
+	JournalFailures *metrics.Counter
 }
 
 // NewTable wraps ds. The dataset must not be mutated except through the
-// table (or under Mutate) once streaming begins.
+// table once streaming begins.
 func NewTable(ds *domain.Dataset) (*Table, error) {
 	if ds == nil {
 		return nil, errors.New("stream: nil dataset")
@@ -87,7 +110,7 @@ func NewTable(ds *domain.Dataset) (*Table, error) {
 }
 
 // Dataset returns the wrapped dataset. Read it only under RLock; mutate it
-// only through Mutate.
+// only through the table.
 func (t *Table) Dataset() *domain.Dataset { return t.ds }
 
 // RLock takes the table's read lock. Every release over the dataset —
@@ -194,29 +217,108 @@ func (t *Table) applyLocked(muts []engine.Mutation) (int, error) {
 	return n, err
 }
 
-// SetJournal installs the write-ahead hook ApplyLogged calls before
-// applying a batch. Install it before ingestion starts (or while the
-// writer is quiescent); the hook runs under the table's write lock, so it
-// must not take the table lock itself.
+// SetJournal installs the write-ahead hook Ingest calls before applying a
+// batch. Install it before ingestion starts; the hook runs under the
+// table's write lock, so it must not take the table lock itself, and it
+// must not keep muts past its return (Ingest reuses the buffer).
 func (t *Table) SetJournal(fn func(firstSeq uint64, muts []engine.Mutation) error) {
 	t.mu.Lock()
 	t.journal = fn
 	t.mu.Unlock()
 }
 
-// LastSeq returns the highest event sequence number applied through
-// ApplyLogged.
+// SetMetrics installs the instruments Ingest reports into.
+func (t *Table) SetMetrics(m *IngestMetrics) {
+	t.mu.Lock()
+	t.metrics = m
+	t.mu.Unlock()
+}
+
+// LastSeq returns the highest event sequence number applied.
 func (t *Table) LastSeq() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.lastSeq
 }
 
-// ApplyLogged is the ingestion path for sequence-numbered batches: it
-// journals the batch write-ahead (when a journal is installed), applies the
-// mutations skipping individually rejected ones (bad tuple ids must not
-// wedge the stream), and records the batch's last sequence number — all
-// under one write-lock acquisition, so a concurrent snapshot can never
+// IngestResult describes one batch Ingest numbered and applied.
+type IngestResult struct {
+	// First and Last are the sequence numbers of the batch's first and
+	// last event.
+	First, Last uint64
+	// Rejected counts the batch's events refused at apply time (bad tuple
+	// ids); each is skipped, so one poison event cannot wedge the stream.
+	// LastErr is the last such refusal, nil if none.
+	Rejected int
+	LastErr  error
+}
+
+// Ingest is the serving write path for one batch of events. It validates
+// and encodes them before taking any lock, so a malformed event numbers
+// and applies nothing. Then, under one write-lock acquisition, it numbers
+// the batch after the table's cursor, journals it write-ahead and applies
+// it — the body ApplyLogged replays through, so the journal record, the
+// tuples and the cursor can never disagree. When Ingest returns, the batch
+// is applied and, with a journal installed, journaled. A journal failure
+// applies nothing, leaves the cursor where it was and returns an error
+// wrapping ErrJournalFailed.
+func (t *Table) Ingest(events []Event) (IngestResult, error) {
+	buf := mutPool.Get().(*[]engine.Mutation)
+	defer mutPool.Put(buf)
+	muts, err := EncodeEvents((*buf)[:0], t.ds.Domain(), events)
+	*buf = muts
+	if err != nil || len(muts) == 0 {
+		return IngestResult{}, err
+	}
+	start := time.Now()
+	t.mu.Lock()
+	first := t.lastSeq + 1
+	_, rejected, lastErr := t.applyLoggedLocked(first, muts)
+	met := t.metrics
+	t.mu.Unlock()
+	journalFailed := errors.Is(lastErr, ErrJournalFailed)
+	if met != nil {
+		met.observe(start, len(muts), rejected, journalFailed)
+	}
+	if journalFailed {
+		return IngestResult{}, lastErr
+	}
+	return IngestResult{First: first, Last: first + uint64(len(muts)) - 1, Rejected: rejected, LastErr: lastErr}, nil
+}
+
+// mutPool recycles the buffers Ingest encodes batches into, so a batch
+// costs no allocation: nothing keeps a batch's mutations once it is
+// applied (the journal hook copies what it writes).
+var mutPool = sync.Pool{New: func() any { return new([]engine.Mutation) }}
+
+// observe records one Ingest call: its latency, then either the applied
+// batch or the journal failure that refused it.
+func (m *IngestMetrics) observe(start time.Time, events, rejected int, journalFailed bool) {
+	if m.ApplySeconds != nil {
+		m.ApplySeconds.ObserveSince(start)
+	}
+	if journalFailed {
+		if m.JournalFailures != nil {
+			m.JournalFailures.Inc()
+		}
+		return
+	}
+	if m.Batches != nil {
+		m.Batches.Inc()
+	}
+	if m.Events != nil {
+		m.Events.Add(uint64(events))
+	}
+	if m.Rejected != nil {
+		m.Rejected.Add(uint64(rejected))
+	}
+}
+
+// ApplyLogged re-applies a batch that already carries its sequence
+// numbers — WAL replay's path, through the body Ingest runs: it journals
+// the batch (when a journal is installed), applies the mutations skipping
+// individually rejected ones, and records the batch's last sequence number,
+// all under one write-lock acquisition, so a concurrent snapshot can never
 // observe the tuples without the cursor or vice versa. A journal error
 // rejects the whole batch unapplied.
 func (t *Table) ApplyLogged(firstSeq uint64, muts []engine.Mutation) (applied, rejected int, lastErr error) {
@@ -225,6 +327,15 @@ func (t *Table) ApplyLogged(firstSeq uint64, muts []engine.Mutation) (applied, r
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.applyLoggedLocked(firstSeq, muts)
+}
+
+// applyLoggedLocked journals muts write-ahead as the batch numbered from
+// firstSeq, applies them skipping individually rejected ones (bad tuple
+// ids must not wedge the stream), and advances the cursor to the batch's
+// last sequence number. A journal error rejects the whole batch unapplied
+// and leaves the cursor. The caller holds t.mu for writing.
+func (t *Table) applyLoggedLocked(firstSeq uint64, muts []engine.Mutation) (applied, rejected int, lastErr error) {
 	if t.journal != nil {
 		if err := t.journal(firstSeq, muts); err != nil {
 			return 0, len(muts), fmt.Errorf("%w: %w", ErrJournalFailed, err)
@@ -256,9 +367,9 @@ type TableState struct {
 }
 
 // Snapshot captures the tuples and the streaming state under one read-lock
-// acquisition: because ApplyLogged journals, applies and advances the
-// cursor under the corresponding write lock, the returned pair is
-// consistent — the points reflect exactly the batches up to LastSeq.
+// acquisition: because Ingest journals, applies and advances the cursor
+// under the corresponding write lock, the returned pair is consistent —
+// the points reflect exactly the batches up to LastSeq.
 func (t *Table) Snapshot() ([]domain.Point, TableState) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -294,31 +405,6 @@ func (t *Table) RestoreState(st TableState) error {
 		t.epochOf = nil
 	}
 	return nil
-}
-
-// Mutate runs f with exclusive access to the dataset — the escape hatch for
-// direct Dataset mutation (tests, repairs). Mutations made by f advance the
-// dataset's generation counter, so bound indexes rebuild on next read. With
-// epoch tracking on, any mutation by f re-tags every tuple with the current
-// epoch: the table cannot see which slots f's Removes swapped, and a stale
-// tag on a swapped-in tuple would expire live data early, so the repair is
-// uniformly conservative — sliding windows age the whole dataset from now.
-func (t *Table) Mutate(f func(ds *domain.Dataset) error) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	gen := t.ds.Generation()
-	err := f(t.ds)
-	t.rows.Store(int64(t.ds.Len()))
-	if t.tracking && t.ds.Generation() != gen {
-		if cap(t.epochOf) < t.ds.Len() {
-			t.epochOf = make([]int32, t.ds.Len())
-		}
-		t.epochOf = t.epochOf[:t.ds.Len()]
-		for i := range t.epochOf {
-			t.epochOf[i] = t.curEpoch
-		}
-	}
-	return err
 }
 
 // AdvanceEpoch moves the table to the next ingestion epoch and returns it.

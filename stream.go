@@ -6,17 +6,16 @@ import (
 )
 
 // Streaming ingestion and continual release (internal/stream): a dataset
-// becomes a StreamTable, events flow through a StreamIngestor (sequence
-// numbers, single-writer batched application onto the release engine's
-// incremental index), and a Stream bound to a Session publishes noisy
-// releases at each epoch close, charging a per-epoch epsilon schedule
-// against the session's budget by sequential composition (Theorem 3.6 /
-// 4.1) until it is exhausted:
+// becomes a StreamTable, events flow in through StreamTable.Ingest
+// (sequence numbers, batched application onto the release engine's
+// incremental index, done before it returns), and a Stream bound to a
+// Session publishes noisy releases at each epoch close, charging a
+// per-epoch epsilon schedule against the session's budget by sequential
+// composition (Theorem 3.6 / 4.1) until it is exhausted:
 //
 //	tbl, _ := blowfish.NewStreamTable(blowfish.NewDataset(dom))
-//	ing, _ := blowfish.NewStreamIngestor(tbl, blowfish.StreamIngestConfig{})
 //	st, _  := sess.NewStream(tbl, blowfish.StreamConfig{Epsilon: 0.1})
-//	ing.Submit([]blowfish.StreamEvent{{Op: "append", Row: []int{42}}})
+//	tbl.Ingest([]blowfish.StreamEvent{{Op: "append", Row: []int{42}}})
 //	rel, _ := st.CloseEpoch() // noisy histogram over everything so far
 
 // Streaming re-exports.
@@ -26,16 +25,11 @@ type (
 	StreamTable = stream.Table
 	// StreamEvent is one append/upsert/delete mutation.
 	StreamEvent = stream.Event
-	// StreamIngestor is the sequence-numbered, single-writer batching event
-	// log over a table.
-	StreamIngestor = stream.Ingestor
-	// StreamIngestConfig tunes batching and backpressure.
-	StreamIngestConfig = stream.IngestConfig
-	// StreamIngestMetrics are the optional instruments the ingest writer
-	// goroutine reports into (StreamIngestConfig.Metrics).
+	// StreamIngestResult describes one batch StreamTable.Ingest applied.
+	StreamIngestResult = stream.IngestResult
+	// StreamIngestMetrics are the optional instruments StreamTable.Ingest
+	// reports into (StreamTable.SetMetrics).
 	StreamIngestMetrics = stream.IngestMetrics
-	// StreamIngestStats is a snapshot of an ingestor's counters.
-	StreamIngestStats = stream.IngestStats
 	// Stream is the continual-release epoch scheduler.
 	Stream = stream.Stream
 	// StreamConfig binds a stream's window, epsilon schedule and releases.
@@ -48,8 +42,6 @@ type (
 	StreamWindow = stream.Window
 	// StreamReleaseKind names a release published per epoch.
 	StreamReleaseKind = stream.ReleaseKind
-	// StreamRangeQuery is one inclusive range count for range-kind epochs.
-	StreamRangeQuery = stream.RangeQuery
 	// StreamState is a stream's serializable progress (durable restarts).
 	StreamState = stream.State
 	// StreamTableState is a table's serializable streaming bookkeeping.
@@ -82,25 +74,15 @@ const (
 	StreamRange      = stream.KindRange
 )
 
-// ErrIngestClosed is returned by StreamIngestor.Submit after Close.
-var ErrIngestClosed = stream.ErrIngestClosed
-
 // ErrStreamStopped is returned by Stream.WaitReleases when the stream is
 // shut down while a waiter is parked (server shutdown wakes long-polls).
 var ErrStreamStopped = stream.ErrStopped
 
-// StreamQueueFullError is returned by StreamIngestor.TrySubmit when the
-// ingest queue lacks room for the whole batch (explicit backpressure:
-// nothing was enqueued, retry after backing off).
-type StreamQueueFullError = stream.QueueFullError
+// ErrStreamJournalFailed marks an ingest batch or epoch close refused
+// because its write-ahead record could not be appended: nothing was
+// applied or published.
+var ErrStreamJournalFailed = stream.ErrJournalFailed
 
 // NewStreamTable wraps a dataset for streaming. Once streaming begins, the
-// dataset must only be mutated through the table (the ingestor, or
-// Table.Mutate).
+// dataset must only be mutated through the table (StreamTable.Ingest).
 func NewStreamTable(ds *Dataset) (*StreamTable, error) { return stream.NewTable(ds) }
-
-// NewStreamIngestor starts the single-writer event log for tbl. Close it to
-// stop the writer goroutine.
-func NewStreamIngestor(tbl *StreamTable, cfg StreamIngestConfig) (*StreamIngestor, error) {
-	return stream.NewIngestor(tbl, cfg)
-}

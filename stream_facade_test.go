@@ -1,7 +1,6 @@
 package blowfish_test
 
 import (
-	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -13,7 +12,7 @@ import (
 )
 
 // TestSessionStreamFacade drives the streaming flow end to end through the
-// public facade: table → ingestor → session-bound stream → epoch close,
+// public facade: table → session-bound stream → ingest → epoch close,
 // with the epoch charge landing on the session's shared budget.
 func TestSessionStreamFacade(t *testing.T) {
 	dom, err := blowfish.LineDomain("v", 32)
@@ -32,23 +31,15 @@ func TestSessionStreamFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing, err := blowfish.NewStreamIngestor(tbl, blowfish.StreamIngestConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
 	st, err := sess.NewStream(tbl, blowfish.StreamConfig{Epsilon: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Stop()
-	if _, _, err := ing.Submit([]blowfish.StreamEvent{
+	if _, err := tbl.Ingest([]blowfish.StreamEvent{
 		{Op: "append", Row: []int{4}},
 		{Op: "append", Row: []int{9}},
 	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := st.CloseEpoch()
@@ -185,7 +176,7 @@ func TestConstrainedPolicyRefusesStreaming(t *testing.T) {
 	}
 	_, err = sess.NewStream(tbl, blowfish.StreamConfig{
 		Epsilon: 0.1, Kinds: []blowfish.StreamReleaseKind{blowfish.StreamRange},
-		RangeQueries: []blowfish.StreamRangeQuery{{Lo: 0, Hi: 3}},
+		RangeQueries: []blowfish.RangeQuery{{Lo: 0, Hi: 3}},
 	})
 	if err == nil || !strings.HasSuffix(err.Error(), rangeErr.Error()) {
 		t.Errorf("range stream = %v, want the range release refusal %q", err, rangeErr)
